@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build fmt vet lint test race race-shard bench bench-sketch bench-engine bench-shard bench-server bench-sweep bench-gate-files bench-diff bench-accept repro golden golden-check replay-check serve server-check
+.PHONY: all build fmt vet lint test race race-shard fuzz-smoke bench bench-sketch bench-engine bench-shard bench-server bench-sweep bench-gate-files bench-diff bench-accept repro golden golden-check replay-check serve server-check
 
 all: build fmt vet test
 
@@ -42,6 +42,14 @@ race: race-shard
 race-shard:
 	$(GO) test -race -run 'Shard|Affine' ./internal/engine ./internal/sim
 	$(GO) run -race ./cmd/catsim -geometry ddr5 -cores 8 -affine -shards 8 -workload black -scheme DRCAT -scale 0.02
+
+# Fuzz smoke: each parser that takes outside input (trace containers, the
+# scheme-spec and geometry grammars) fuzzed for a fixed budget. go test
+# -fuzz accepts one package and one target per invocation.
+fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz '^FuzzReadContainer$$' -fuzztime=10s ./internal/trace
+	$(GO) test -run '^$$' -fuzz '^FuzzParseSpec$$' -fuzztime=10s ./internal/mitigation
+	$(GO) test -run '^$$' -fuzz '^FuzzParseGeometry$$' -fuzztime=10s ./internal/dram
 
 # Benchmark smoke: every benchmark once, no measurement repetition.
 bench:
@@ -88,8 +96,8 @@ bench-server:
 	$(GO) run ./cmd/benchdiff -stamp BENCH_server.json
 
 # Sweep-throughput trajectory: runs/sec and allocs/run of a 256-seed
-# single-cell sweep, fresh component stacks vs a reused run context (the
-# sweep fast path internal/runner pools). Both paths return byte-identical
+# single-cell sweep, one new run context per run (sim.Run) vs one reused
+# context (the sweep fast path internal/runner pools). Both return byte-identical
 # Results; the benchdiff gate holds ns/op AND B/op/allocs-per-op, so a
 # reuse-path change that reintroduces steady-state allocations fails CI.
 BENCH_SWEEP_TIME ?= 1x

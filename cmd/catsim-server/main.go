@@ -34,6 +34,15 @@ import (
 	"catsim/internal/server"
 )
 
+// HTTP connection bounds: a client that never finishes its request
+// headers, or an idle keep-alive connection, is closed instead of holding a
+// connection forever. There is deliberately no WriteTimeout: epoch streams
+// are long-lived.
+const idleTimeout = 2 * time.Minute
+
+// readHeaderTimeout is fixed in production; the main-package tests lower it.
+var readHeaderTimeout = 10 * time.Second
+
 func main() {
 	ctx, cancel := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer cancel()
@@ -88,7 +97,11 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer, ready cha
 	}
 	srv.Start()
 
-	hs := &http.Server{Handler: srv.Handler()}
+	hs := &http.Server{
+		Handler:           srv.Handler(),
+		ReadHeaderTimeout: readHeaderTimeout,
+		IdleTimeout:       idleTimeout,
+	}
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- hs.Serve(ln) }()
 	logger.Printf("listening on %s", ln.Addr())

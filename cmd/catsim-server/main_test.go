@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"io"
+	"net"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -165,5 +166,32 @@ func TestCorruptSnapshotExits1(t *testing.T) {
 	}
 	if !strings.Contains(stderr.String(), "truncated") && !strings.Contains(stderr.String(), "bad magic") {
 		t.Errorf("stderr %q should name the corruption", stderr.String())
+	}
+}
+
+// TestPartialHeadersTimeOut: a client that sends part of a request line
+// and then stalls is disconnected once the header-read bound passes,
+// instead of holding the connection forever.
+func TestPartialHeadersTimeOut(t *testing.T) {
+	defer func(d time.Duration) { readHeaderTimeout = d }(readHeaderTimeout)
+	readHeaderTimeout = 100 * time.Millisecond
+	base, shutdown := boot(t)
+	defer shutdown()
+
+	conn, err := net.Dial("tcp", strings.TrimPrefix(base, "http://"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if _, err := io.WriteString(conn, "GET /healthz HT"); err != nil {
+		t.Fatal(err)
+	}
+	if err := conn.SetReadDeadline(time.Now().Add(10 * time.Second)); err != nil {
+		t.Fatal(err)
+	}
+	// The server closes the connection (possibly after a 408); the client
+	// deadline only fires if it never does.
+	if _, err := io.ReadAll(conn); err != nil {
+		t.Fatalf("connection still open after the header timeout: %v", err)
 	}
 }

@@ -3,6 +3,7 @@ package dram
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 )
@@ -167,6 +168,9 @@ func parseSize(s string) (int, error) {
 	n, err := strconv.Atoi(s)
 	if err != nil {
 		return 0, fmt.Errorf("want integer (optionally Ki/Mi/Gi)")
+	}
+	if n > math.MaxInt/mult || n < -math.MaxInt/mult {
+		return 0, fmt.Errorf("value overflows int")
 	}
 	return n * mult, nil
 }

@@ -115,6 +115,11 @@ func TestParseGeometryErrors(t *testing.T) {
 		{"2ch:rows=0", "positive"},
 		{"2ch:channels=2,channels=4", "duplicate field"},
 		{"2ch:linebytes=32Ki", "exceeds row size"},
+		// n*mult would wrap to a valid power of two without the overflow
+		// check: 2^30, 2^11 and 2^30 respectively.
+		{"2ch:rows=17179869185Gi", "overflows"},
+		{"2ch:channels=18014398509481986Ki", "overflows"},
+		{"2ch:rows=-17179869183Gi", "overflows"},
 	}
 	for _, c := range cases {
 		_, err := ParseGeometry(c.in)
@@ -141,4 +146,37 @@ func TestSpecOf(t *testing.T) {
 	if err != nil || back.Geom != g {
 		t.Errorf("SpecOf custom: %q parsed back to %+v, %v", s.String(), back.Geom, err)
 	}
+}
+
+// FuzzParseGeometry guards the geometry grammar, which reaches the program
+// from outside through -geometry flags and catsim-server job bodies: it
+// must never panic, and every accepted spec must round-trip through its
+// compact string form to the same geometry.
+func FuzzParseGeometry(f *testing.F) {
+	for _, p := range Geometries() {
+		f.Add(p.Name)
+	}
+	for _, s := range []string{
+		"4ch:rows=128Ki", "ddr5:channels=8,ranks=2,banks=32,rows=128Ki",
+		"2ch:channels=8,colbytes=8Ki", "channels=4", "quad4ch:linebytes=128",
+		"ddr6", "2ch:gadgets=3", "2ch:channels", "2ch:channels=abc",
+		"2ch:channels=3", "2ch:rows=0", "2ch:channels=2,channels=4",
+		"2ch:linebytes=32Ki", "2ch:rows=17179869185Gi",
+		"2ch:channels=18014398509481986Ki",
+	} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, in string) {
+		spec, err := ParseGeometry(in)
+		if err != nil {
+			return
+		}
+		again, err := ParseGeometry(spec.String())
+		if err != nil {
+			t.Fatalf("ParseGeometry(%q) accepted, but its String %q fails: %v", in, spec.String(), err)
+		}
+		if again.Geom != spec.Geom {
+			t.Fatalf("ParseGeometry(%q): round trip via %q gives %+v, want %+v", in, spec.String(), again.Geom, spec.Geom)
+		}
+	})
 }

@@ -5,12 +5,11 @@ import (
 	"testing"
 )
 
-// Scheduler micro-benchmarks: the standing measurement behind the
-// min-heap refactor. Each iteration is one pick + clock advance — the
-// per-request scheduling work — over core counts spanning the paper's
-// dual-core baseline to the 256-core scenario sweeps the ROADMAP targets.
-// `make bench-engine` snapshots these into BENCH_engine.json; at ≥ 64
-// cores the heap must beat the linear scan.
+// Scheduler micro-benchmarks: the production tournament tree against the
+// heap and linear references. Each iteration is one pick + clock advance —
+// the per-request scheduling work — over core counts spanning the paper's
+// dual-core baseline to 256-core scenario sweeps. `make bench-engine`
+// snapshots these into BENCH_engine.json.
 
 func benchScheduler(b *testing.B, mk func(int) scheduler, cores int) {
 	sched := mk(cores)
@@ -40,10 +39,10 @@ func BenchmarkScheduler(b *testing.B) {
 			benchScheduler(b, func(n int) scheduler { return newTournamentScheduler(n) }, cores)
 		})
 		b.Run(fmt.Sprintf("heap/%dcores", cores), func(b *testing.B) {
-			benchScheduler(b, func(n int) scheduler { return newHeapScheduler(n) }, cores)
+			benchScheduler(b, heapSched, cores)
 		})
 		b.Run(fmt.Sprintf("linear/%dcores", cores), func(b *testing.B) {
-			benchScheduler(b, func(n int) scheduler { return newLinearScheduler(n) }, cores)
+			benchScheduler(b, linearSched, cores)
 		})
 	}
 }
@@ -55,17 +54,17 @@ func BenchmarkEngineRun(b *testing.B) {
 	for _, cfg := range []struct {
 		name  string
 		cores int
-		sched Sched
+		sched func(int) scheduler
 		batch bool
 	}{
 		// "default" is the production path: tournament scheduler plus
 		// batch-advance (what sim.Run configures). heap and linear run
 		// without batching as the reference points.
-		{"default", 2, SchedAuto, true},
-		{"default", 64, SchedAuto, true},
-		{"heap", 64, SchedHeap, false},
-		{"linear", 64, SchedLinear, false},
-		{"default", 256, SchedAuto, true},
+		{"default", 2, nil, true},
+		{"default", 64, nil, true},
+		{"heap", 64, heapSched, false},
+		{"linear", 64, linearSched, false},
+		{"default", 256, nil, true},
 	} {
 		b.Run(fmt.Sprintf("%s/%dcores", cfg.name, cfg.cores), func(b *testing.B) {
 			const reqPerCore = 2000

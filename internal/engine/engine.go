@@ -1,6 +1,7 @@
-// Package engine is the epoch-driven simulation core carved out of
-// sim.Run: it advances a set of cores through their request streams in
-// causal order via a min-heap event scheduler (O(log cores) per request),
+// Package engine is the epoch-driven simulation core behind sim.Run: it
+// advances a set of cores through their request streams in causal order
+// via a loser-tree (tournament) scheduler (log2(cores) packed-key compares
+// per pick, with batch draining amortizing one pick over a run of requests),
 // drives the memory controller and the crosstalk-mitigation scheme, and —
 // when an epoch length is configured — slices the run into fixed-duration
 // epochs, snapshotting per-epoch metrics (activations, victim refreshes,
@@ -12,8 +13,8 @@
 // exactly as the linear scan did, epoch sampling is a pure read of scheme
 // and controller statistics, and the steady-state request path performs no
 // allocations (locked by the engine's alloc-gate test and benchmarked by
-// `make bench-engine`). sim.Run is a thin wrapper over Run; experiments
-// consume the per-epoch Samples through sim.Result.Epochs.
+// `make bench-engine`). sim.Context drives RunInPlace and RunSharded;
+// experiments consume the per-epoch Samples through sim.Result.Epochs.
 package engine
 
 import (
@@ -114,14 +115,6 @@ type Config struct {
 	CPUCycleNS float64
 	BusCycleNS float64
 
-	// Sched selects the scheduler implementation; SchedAuto (the zero
-	// value) picks the packed-key tournament tree, falling back to the
-	// binary heap past maxTournamentCores.
-	Sched Sched
-	// LinearScan selects the O(cores) reference scheduler instead of the
-	// min-heap — for the equivalence test and benchmarks only. Equivalent
-	// to Sched == SchedLinear; kept for existing callers.
-	LinearScan bool
 	// Batch drains each core's requests in a run while its clock stays
 	// below the next-best core's — the exact condition under which the
 	// scheduler would pick it again — amortizing one pick/update pair over
@@ -144,53 +137,15 @@ type Config struct {
 	// barrier, when non-nil, paces sharded partitions in lockstep epochs
 	// (set by RunSharded only; see shard.go for the determinism contract).
 	barrier *epochBarrier
+
+	// newSched, when non-nil, builds the run's scheduler in place of the
+	// tournament tree: the hook through which the equivalence tests and
+	// benchmarks run the reference schedulers. Always nil in production.
+	newSched func(n int) scheduler
 }
 
 // ChannelRange is a half-open interval [Lo, Hi) of channel indices.
 type ChannelRange struct{ Lo, Hi int }
-
-// Sched names a scheduler implementation.
-type Sched int
-
-const (
-	// SchedAuto lets the engine choose (tournament, or heap when the core
-	// count exceeds the packed-key index width).
-	SchedAuto Sched = iota
-	// SchedTournament forces the loser-tree scheduler.
-	SchedTournament
-	// SchedHeap forces the binary min-heap.
-	SchedHeap
-	// SchedLinear forces the O(cores) reference scan.
-	SchedLinear
-)
-
-// schedSel resolves the configured scheduler kind for n cores to a
-// concrete choice (never SchedAuto).
-func (c *Config) schedSel(n int) Sched {
-	sel := c.Sched
-	if c.LinearScan && sel == SchedAuto {
-		sel = SchedLinear
-	}
-	if sel == SchedAuto {
-		if n > maxTournamentCores {
-			return SchedHeap
-		}
-		return SchedTournament
-	}
-	return sel
-}
-
-// newScheduler resolves the configured scheduler for n cores.
-func (c *Config) newScheduler(n int) scheduler {
-	switch c.schedSel(n) {
-	case SchedLinear:
-		return newLinearScheduler(n)
-	case SchedHeap:
-		return newHeapScheduler(n)
-	default:
-		return newTournamentScheduler(n)
-	}
-}
 
 func (c *Config) validate() error {
 	switch {

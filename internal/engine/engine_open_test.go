@@ -55,17 +55,17 @@ func addOpenSlots(t testing.TB, h *harness, n, requests int, step int64) {
 func TestOpenSlotsSchedulerEquivalent(t *testing.T) {
 	variants := []struct {
 		name  string
-		sched Sched
+		sched func(int) scheduler
 		batch bool
 	}{
-		{"heap", SchedHeap, false},
-		{"heap_batch", SchedHeap, true},
-		{"tournament", SchedTournament, false},
-		{"tournament_batch", SchedTournament, true},
-		{"linear_batch", SchedLinear, true},
+		{"heap", heapSched, false},
+		{"heap_batch", heapSched, true},
+		{"tournament", nil, false},
+		{"tournament_batch", nil, true},
+		{"linear_batch", linearSched, true},
 	}
 	for _, cores := range []int{0, 1, 3} {
-		ref := makeHarness(t, max(cores, 1), 3000, 512, SchedLinear, false, 0)
+		ref := makeHarness(t, max(cores, 1), 3000, 512, linearSched, false, 0)
 		if cores == 0 {
 			ref.cfg.Cores = nil
 		}
@@ -100,13 +100,13 @@ func TestOpenSlotsSchedulerEquivalent(t *testing.T) {
 // TestOpenSlotsEpochInvariant: epoch sampling stays pure observation with
 // open-loop traffic in the mix.
 func TestOpenSlotsEpochInvariant(t *testing.T) {
-	base := makeHarness(t, 1, 2000, 512, SchedAuto, true, 0)
+	base := makeHarness(t, 1, 2000, 512, nil, true, 0)
 	addOpenSlots(t, base, 2, 2000, 55)
 	br, err := Run(base.cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	h := makeHarness(t, 1, 2000, 512, SchedAuto, true, 20_000)
+	h := makeHarness(t, 1, 2000, 512, nil, true, 20_000)
 	addOpenSlots(t, h, 2, 2000, 55)
 	r, err := Run(h.cfg)
 	if err != nil {
@@ -139,7 +139,7 @@ func (a *countingAttr) OnRefresh(bank, lo, hi int) {
 // TestAttributorSeesEveryEvent: the attribution hook observes exactly one
 // activation per request and every refreshed row the scheme reports.
 func TestAttributorSeesEveryEvent(t *testing.T) {
-	h := makeHarness(t, 2, 3000, 128, SchedAuto, true, 0)
+	h := makeHarness(t, 2, 3000, 128, nil, true, 0)
 	addOpenSlots(t, h, 1, 3000, 30)
 	attr := &countingAttr{}
 	h.cfg.Attr = attr
@@ -160,12 +160,12 @@ func TestAttributorSeesEveryEvent(t *testing.T) {
 // TestAttributorDoesNotPerturb: attaching an attributor changes nothing
 // observable.
 func TestAttributorDoesNotPerturb(t *testing.T) {
-	plain := makeHarness(t, 2, 2000, 512, SchedAuto, true, 0)
+	plain := makeHarness(t, 2, 2000, 512, nil, true, 0)
 	pr, err := Run(plain.cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	attr := makeHarness(t, 2, 2000, 512, SchedAuto, true, 0)
+	attr := makeHarness(t, 2, 2000, 512, nil, true, 0)
 	attr.cfg.Attr = &countingAttr{}
 	ar, err := Run(attr.cfg)
 	if err != nil {
@@ -190,7 +190,7 @@ func (r *regressingSource) Next() (trace.Request, int64) {
 }
 
 func TestOpenSlotClampsNonMonotoneArrivals(t *testing.T) {
-	h := makeHarness(t, 1, 100, 512, SchedAuto, true, 0)
+	h := makeHarness(t, 1, 100, 512, nil, true, 0)
 	wl, err := trace.Lookup("comm1")
 	if err != nil {
 		t.Fatal(err)
@@ -206,7 +206,7 @@ func TestOpenSlotClampsNonMonotoneArrivals(t *testing.T) {
 }
 
 func TestOpenSlotValidation(t *testing.T) {
-	h := makeHarness(t, 1, 10, 512, SchedAuto, false, 0)
+	h := makeHarness(t, 1, 10, 512, nil, false, 0)
 	h.cfg.Cores = nil
 	if _, err := Run(h.cfg); err == nil {
 		t.Error("no cores and no open slots accepted")
@@ -231,7 +231,7 @@ func allocsForOpenRun(t testing.TB, requests int) float64 {
 	t.Helper()
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	return testing.AllocsPerRun(3, func() {
-		h := makeHarness(t, 1, 100, 512, SchedAuto, true, 0)
+		h := makeHarness(t, 1, 100, 512, nil, true, 0)
 		addOpenSlots(t, h, 2, requests, 25)
 		attr := &countingAttr{}
 		h.cfg.Attr = attr

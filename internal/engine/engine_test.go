@@ -23,8 +23,10 @@ type harness struct {
 
 // makeHarness builds a fresh, fully deterministic engine setup: identical
 // parameters always produce identical request streams and component
-// state, so two harnesses are comparable run for run.
-func makeHarness(t testing.TB, cores, requests int, threshold uint32, sched Sched, batch bool, epochCPU int64) *harness {
+// state, so two harnesses are comparable run for run. sched selects a
+// reference scheduler (heapSched, linearSched); nil runs the production
+// tournament.
+func makeHarness(t testing.TB, cores, requests int, threshold uint32, sched func(int) scheduler, batch bool, epochCPU int64) *harness {
 	t.Helper()
 	geom := dram.Default2Channel()
 	timing := dram.DDR3_1600()
@@ -72,8 +74,8 @@ func makeHarness(t testing.TB, cores, requests int, threshold uint32, sched Sche
 			EpochCPU:    epochCPU,
 			CPUCycleNS:  cpuNS,
 			BusCycleNS:  1000.0 / float64(timing.BusMHz),
-			Sched:       sched,
 			Batch:       batch,
+			newSched:    sched,
 		},
 		ctrl:   ctrl,
 		scheme: scheme,
@@ -88,18 +90,17 @@ func makeHarness(t testing.TB, cores, requests int, threshold uint32, sched Sche
 func TestSchedulersEquivalent(t *testing.T) {
 	variants := []struct {
 		name  string
-		sched Sched
+		sched func(int) scheduler
 		batch bool
 	}{
-		{"heap", SchedHeap, false},
-		{"heap_batch", SchedHeap, true},
-		{"tournament", SchedTournament, false},
-		{"tournament_batch", SchedTournament, true},
-		{"linear_batch", SchedLinear, true},
-		{"auto_batch", SchedAuto, true},
+		{"heap", heapSched, false},
+		{"heap_batch", heapSched, true},
+		{"tournament", nil, false},
+		{"tournament_batch", nil, true},
+		{"linear_batch", linearSched, true},
 	}
 	for _, cores := range []int{1, 2, 5, 16} {
-		ref := makeHarness(t, cores, 5000, 512, SchedLinear, false, 0)
+		ref := makeHarness(t, cores, 5000, 512, linearSched, false, 0)
 		rr, err := Run(ref.cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -124,19 +125,29 @@ func TestSchedulersEquivalent(t *testing.T) {
 	}
 }
 
-// TestLinearScanFieldStillSelectsLinear keeps the pre-Sched boolean knob
-// working for existing callers.
-func TestLinearScanFieldStillSelectsLinear(t *testing.T) {
-	cfg := Config{}
-	cfg.LinearScan = true
-	if _, ok := cfg.newScheduler(4).(*linearScheduler); !ok {
-		t.Fatal("LinearScan=true no longer selects the linear scheduler")
+// TestTournamentBeyond4096Cores: the tournament sizes its packed index
+// from the core count, so a 4100-core production run (13 index bits) must
+// replay the linear reference's causal order exactly.
+func TestTournamentBeyond4096Cores(t *testing.T) {
+	const cores, requests = 4100, 4
+	ref := makeHarness(t, cores, requests, 512, linearSched, false, 0)
+	rr, err := Run(ref.cfg)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, ok := (&Config{}).newScheduler(4).(*tournamentScheduler); !ok {
-		t.Fatal("SchedAuto should pick the tournament scheduler at small core counts")
+	h := makeHarness(t, cores, requests, 512, nil, true, 0)
+	hr, err := Run(h.cfg)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, ok := (&Config{}).newScheduler(maxTournamentCores + 1).(*heapScheduler); !ok {
-		t.Fatal("SchedAuto should fall back to the heap past maxTournamentCores")
+	if !reflect.DeepEqual(hr, rr) {
+		t.Error("4100-core tournament result diverges from the linear reference")
+	}
+	if h.ctrl.Stats() != ref.ctrl.Stats() {
+		t.Errorf("controller stats diverge: %+v vs %+v", h.ctrl.Stats(), ref.ctrl.Stats())
+	}
+	if h.scheme.Counts() != ref.scheme.Counts() {
+		t.Error("scheme counts diverge")
 	}
 }
 
@@ -144,13 +155,13 @@ func TestLinearScanFieldStillSelectsLinear(t *testing.T) {
 // length (including none) yields an identical end state, and the samples
 // add up to the run totals.
 func TestEpochSamplingDoesNotPerturb(t *testing.T) {
-	base := makeHarness(t, 3, 4000, 512, SchedAuto, true, 0)
+	base := makeHarness(t, 3, 4000, 512, nil, true, 0)
 	br, err := Run(base.cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, epochCPU := range []int64{100_000, 777_777, 5_000_000} {
-		h := makeHarness(t, 3, 4000, 512, SchedAuto, true, epochCPU)
+		h := makeHarness(t, 3, 4000, 512, nil, true, epochCPU)
 		r, err := Run(h.cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -199,7 +210,7 @@ func TestEpochSamplingDoesNotPerturb(t *testing.T) {
 // TestSnapshotterSampled checks that a Snapshotter scheme's occupancy
 // reaches the samples.
 func TestSnapshotterSampled(t *testing.T) {
-	h := makeHarness(t, 2, 4000, 512, SchedAuto, true, 500_000)
+	h := makeHarness(t, 2, 4000, 512, nil, true, 500_000)
 	r, err := Run(h.cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -226,7 +237,7 @@ func allocsForRun(t testing.TB, requests int) float64 {
 	t.Helper()
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	return testing.AllocsPerRun(3, func() {
-		h := makeHarness(t, 2, requests, 512, SchedAuto, true, 0)
+		h := makeHarness(t, 2, requests, 512, nil, true, 0)
 		if _, err := Run(h.cfg); err != nil {
 			t.Fatal(err)
 		}
@@ -246,7 +257,7 @@ func TestSteadyStateZeroAllocs(t *testing.T) {
 }
 
 func TestConfigValidation(t *testing.T) {
-	h := makeHarness(t, 1, 10, 512, SchedAuto, false, 0)
+	h := makeHarness(t, 1, 10, 512, nil, false, 0)
 	bad := []func(c *Config){
 		func(c *Config) { c.Cores = nil },
 		func(c *Config) { c.Ctrl = nil },

@@ -28,11 +28,9 @@ type Scratch struct {
 	smp     sampler
 	samples []Sample
 
-	// sched caches the scheduler instance; valid for reuse only while the
-	// resolved kind and slot count both match.
-	sched     scheduler
-	schedKind Sched
-	schedN    int
+	// sched caches the tournament scheduler; reset re-arms it for a run
+	// over the same slot count.
+	sched *tournamentScheduler
 }
 
 // grow reslices buf to n zeroed elements, reallocating only when the
@@ -49,31 +47,18 @@ func grow[T any](buf []T, n int) []T {
 	return buf
 }
 
-// scheduler returns a ready scheduler for n slots, re-arming the cached
-// instance in place when the resolved kind and slot count match (each
-// reset replicates its constructor over the existing slabs).
+// scheduler returns a ready scheduler for n slots: the configured test
+// reference when Config.newSched is set, otherwise the cached tournament
+// re-armed in place (reset replays its constructor over the existing
+// slabs) when the slot count matches.
 func (s *Scratch) scheduler(cfg *Config, n int) scheduler {
-	sel := cfg.schedSel(n)
-	if s.sched != nil && s.schedKind == sel && s.schedN == n {
-		switch sc := s.sched.(type) {
-		case *heapScheduler:
-			sc.reset()
-		case *linearScheduler:
-			sc.reset()
-		case *tournamentScheduler:
-			sc.reset()
-		}
-		return s.sched
+	if cfg.newSched != nil {
+		return cfg.newSched(n)
 	}
-	var sc scheduler
-	switch sel {
-	case SchedLinear:
-		sc = newLinearScheduler(n)
-	case SchedHeap:
-		sc = newHeapScheduler(n)
-	default:
-		sc = newTournamentScheduler(n)
+	if s.sched != nil && s.sched.n == n {
+		s.sched.reset()
+	} else {
+		s.sched = newTournamentScheduler(n)
 	}
-	s.sched, s.schedKind, s.schedN = sc, sel, n
-	return sc
+	return s.sched
 }

@@ -204,9 +204,6 @@ func simSchemeSpec(kind mitigation.Kind, m int) sim.SchemeSpec {
 	return sim.SchemeSpec{Kind: kind, Counters: m, MaxLevels: 11}
 }
 
-// runOne executes a single configured run.
-func runOne(cfg sim.Config) (sim.Result, error) { return sim.Run(cfg) }
-
 // Cell is one (workload, scheme) measurement.
 type Cell struct {
 	Workload string

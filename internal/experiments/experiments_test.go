@@ -8,6 +8,7 @@ import (
 
 	"catsim/internal/mitigation"
 	"catsim/internal/reliability"
+	"catsim/internal/sim"
 	"catsim/internal/trace"
 )
 
@@ -317,7 +318,7 @@ func TestMultiIntervalDRCATCatchesUpToPRCAT(t *testing.T) {
 	rows := func(kind mitigation.Kind) int64 {
 		wl, _ := trace.Lookup("face")
 		cfg := baseConfig(o, wl, simSchemeSpec(kind, 64), 16384)
-		res, err := runOne(cfg)
+		res, err := sim.Run(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -221,3 +221,34 @@ func TestLabelEveryKind(t *testing.T) {
 		t.Errorf("threshold-derived PRA label = %q, want PRA_0.002", got)
 	}
 }
+
+// FuzzParseSpec guards the scheme-spec grammar, which reaches the program
+// from outside through -scheme flags and catsim-server job bodies: it must
+// never panic, and every accepted spec must round-trip through its compact
+// string form to a DeepEqual value.
+func FuzzParseSpec(f *testing.F) {
+	for _, spec := range specFixtures() {
+		f.Add(spec.String())
+	}
+	for _, s := range []string{
+		"comet:counters=512,depth=4", "drcat:counters=64", "DSAC",
+		"abacus:threshold=32768,counters=1024", "bogus:counters=1", "",
+		"sca:bogus=1", "sca:counters=abc", "sca:counters=1,counters=2",
+		"sca:counters", "sca:threshold=notanum", "comet:threshold=99999999999",
+	} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, in string) {
+		spec, err := ParseSpec(in)
+		if err != nil {
+			return
+		}
+		again, err := ParseSpec(spec.String())
+		if err != nil {
+			t.Fatalf("ParseSpec(%q) accepted, but its String %q fails: %v", in, spec.String(), err)
+		}
+		if !reflect.DeepEqual(again, spec) {
+			t.Fatalf("ParseSpec(%q): round trip via %q gives %+v, want %+v", in, spec.String(), again, spec)
+		}
+	})
+}

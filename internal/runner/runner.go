@@ -29,10 +29,9 @@ type Engine struct {
 	// every cell from scratch.
 	Cache *Cache
 	// Contexts, when non-nil, executes cells on pooled reusable run
-	// contexts (sim.Context) instead of fresh sim.Run stacks, eliminating
-	// per-cell setup allocations across the grid; nil preserves the
-	// historical run-from-scratch behaviour. Results are identical either
-	// way (the context-reuse identity contract).
+	// contexts (sim.Context), eliminating per-cell setup allocations across
+	// the grid; nil runs each cell on a one-shot context (sim.Run). Results
+	// are identical either way (the context-reuse identity contract).
 	Contexts *ContextPool
 	// OnCell, when non-nil, is called after every cell completes
 	// (successfully or with err set, in which case r is zero), from

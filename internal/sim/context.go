@@ -20,12 +20,14 @@ import (
 // same-shaped cells (typically differing only in seed) performs no
 // steady-state allocations per run.
 //
-// Context.Run(cfg) returns a byte-identical Result to Run(cfg) for every
-// configuration and every sequence of configurations (locked by the
-// context-reuse identity test): each layer compares the shape it was
-// built for against the incoming config and rebuilds on any mismatch, and
-// scheme reuse additionally goes through mitigation.Resettable, whose
-// contract demands observational equivalence to a fresh build.
+// A Context is the only way a run gets built: the package-level Run is a
+// one-shot context. A reused context returns the byte-identical Result a
+// brand-new one would, for every configuration and every sequence of
+// configurations (locked by the context-reuse identity test): each layer
+// compares the shape it was built for against the incoming config and
+// rebuilds on any mismatch, and scheme reuse additionally goes through
+// mitigation.Resettable, whose contract demands observational equivalence
+// to a fresh build.
 //
 // A Result returned by Context.Run ALIASES the context (PerBankActs and
 // Epochs share its scratch memory) and is valid only until the context's
@@ -44,8 +46,8 @@ type Context struct {
 // NewContext returns an empty context; the first Run populates it.
 func NewContext() *Context { return &Context{} }
 
-// Run executes one simulation exactly like the package-level Run, reusing
-// the context's state wherever the configuration shape allows.
+// Run executes one simulation, reusing the context's state wherever the
+// configuration shape allows.
 func (ctx *Context) Run(cfg Config) (Result, error) {
 	cfg.fill()
 	if err := cfg.validate(); err != nil {
@@ -226,11 +228,11 @@ func (ctx *Context) runSequential(cfg Config) (Result, error) {
 		// Replay wrappers are cheap views over the immutable container;
 		// rebuild them every run rather than teaching them to rewind.
 		s.closed, s.openRT = nil, nil
-		if s.slots, s.openSlots, cohort, err = cfg.buildStreams(policy, cpuNS); err != nil {
+		if s.slots, s.openSlots, cohort, err = cfg.replayStreams(policy); err != nil {
 			return Result{}, err
 		}
 	default:
-		if cohort, err = s.buildStreams(&cfg, policy, cpuNS); err != nil {
+		if cohort, err = s.newStreams(&cfg, policy, cpuNS); err != nil {
 			return Result{}, err
 		}
 	}
@@ -284,10 +286,10 @@ func (ctx *Context) runSequential(cfg Config) (Result, error) {
 	return res, nil
 }
 
-// buildStreams builds the sequential generated (non-replay) streams
+// newStreams builds the sequential generated (non-replay) streams
 // fresh, keeping the per-layer handles reseed needs, and returns the
 // open-loop cohort (nil for pure closed-loop runs).
-func (s *seqState) buildStreams(cfg *Config, policy addrmap.Policy, cpuNS float64) (*workload.Cohort, error) {
+func (s *seqState) newStreams(cfg *Config, policy addrmap.Policy, cpuNS float64) (*workload.Cohort, error) {
 	s.closed = s.closed[:0]
 	s.slots = s.slots[:0]
 	for i := 0; i < cfg.Cores; i++ {
@@ -338,6 +340,11 @@ type shardState struct {
 	ecfgs  []engine.Config
 }
 
+// runSharded executes one simulation on the channel-partitioned engine:
+// one controller + scheme (+ oracle) instance per channel that has cores,
+// cores assigned channel ch = core index mod Channels (matching the
+// affineGen pinning), merged by engine.RunSharded in channel order. The
+// Shards value bounds the worker goroutines and nothing else.
 func (ctx *Context) runSharded(cfg Config) (Result, error) {
 	sh := &ctx.sh
 	prev := sh.prev
@@ -406,6 +413,12 @@ func (ctx *Context) runSharded(cfg Config) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
+	// Per-partition samples only become the run's samples after the
+	// channel-order merge, so the streaming hook fires here — once, with
+	// the final merged sequence — rather than live per partition. Callers
+	// observe the identical samples in the identical order as a sequential
+	// run (locked by TestOnSampleShardedMatchesSequential); only the
+	// delivery time differs.
 	if cfg.OnSample != nil {
 		for _, smp := range er.Samples {
 			cfg.OnSample(smp)
@@ -442,9 +455,13 @@ func (ctx *Context) runSharded(cfg Config) (Result, error) {
 	return res, nil
 }
 
-// build constructs the per-channel partition stacks fresh, mirroring
-// runSharded's construction exactly (cores assigned channel ch = index
-// mod Channels; channels with no cores are skipped).
+// build constructs the per-channel partition stacks fresh (cores assigned
+// channel ch = index mod Channels). A channel with no cores sees no
+// traffic, so it is skipped: that keeps the partition list dense
+// (engine.RunSharded requires non-empty partitions) without changing any
+// result, since the merge's pristine correction accounts for untouched
+// banks either way. Channel 0 always has core 0 (sharded requires Cores >=
+// 1), so the list is never empty.
 func (sh *shardState) build(cfg *Config, cpuNS float64, scaleVictim bool, scaledCycles int) error {
 	banks := cfg.Geometry.TotalBanks()
 	sh.parts = sh.parts[:0]

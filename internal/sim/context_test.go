@@ -82,9 +82,9 @@ func contextCase(t *testing.T, kind mitigation.Kind, sharded bool, shape string)
 
 // TestContextReuseByteIdentical is the run-context contract: for every
 // scheme kind, engine path and workload shape, a Context whose state was
-// dirtied by an interleaved different-seed run must return the
-// byte-identical Result a fresh package-level Run produces — DeepEqual on
-// the struct and byte-equal JSON.
+// dirtied by interleaved runs with a different seed and a different scheme
+// kind must return the byte-identical Result a brand-new context produces
+// — DeepEqual on the struct and byte-equal JSON.
 func TestContextReuseByteIdentical(t *testing.T) {
 	for _, kind := range mitigation.Kinds() {
 		for _, sharded := range []bool{false, true} {
@@ -101,27 +101,27 @@ func TestContextReuseByteIdentical(t *testing.T) {
 					if !ok {
 						t.Skip("invalid combination")
 					}
-					want, err := Run(cfg)
+					want, err := NewContext().Run(cfg)
 					if err != nil {
 						t.Fatal(err)
 					}
 
+					// Dirty every reusable layer: a different scheme kind at a
+					// different seed (the scheme rebuilds, the streams rewind),
+					// then the original scheme at that seed (rebuilt again), so
+					// the final run must reset both in place.
+					otherSeed := cfg
+					otherSeed.Seed = 12
+					otherKind := otherSeed
+					otherKind.Scheme = SchemeSpec{Kind: mitigation.KindDRCAT, Counters: 64, MaxLevels: 11}
+					if kind == mitigation.KindDRCAT {
+						otherKind.Scheme = SchemeSpec{Kind: mitigation.KindSCA, Counters: 64}
+					}
 					ctx := NewContext()
-					first, err := ctx.Run(cfg)
-					if err != nil {
-						t.Fatal(err)
-					}
-					first = first.Clone()
-					if !reflect.DeepEqual(want, first) {
-						t.Fatalf("fresh context differs from Run:\n got %+v\nwant %+v", first, want)
-					}
-
-					// Dirty every reusable layer with a different seed, then
-					// demand the original seed back byte-for-byte.
-					other := cfg
-					other.Seed = 12
-					if _, err := ctx.Run(other); err != nil {
-						t.Fatal(err)
+					for _, dirty := range []Config{cfg, otherKind, otherSeed} {
+						if _, err := ctx.Run(dirty); err != nil {
+							t.Fatal(err)
+						}
 					}
 					reused, err := ctx.Run(cfg)
 					if err != nil {
@@ -129,7 +129,7 @@ func TestContextReuseByteIdentical(t *testing.T) {
 					}
 					reused = reused.Clone()
 					if !reflect.DeepEqual(want, reused) {
-						t.Fatalf("reused context differs from Run:\n got %+v\nwant %+v", reused, want)
+						t.Fatalf("reused context differs from a brand-new one:\n got %+v\nwant %+v", reused, want)
 					}
 					wj, err := json.Marshal(want)
 					if err != nil {
@@ -150,7 +150,7 @@ func TestContextReuseByteIdentical(t *testing.T) {
 
 // TestContextShapeChangeRebuilds locks the other half of the contract: a
 // context fed a different shape (scheme, threshold, workload, geometry)
-// mid-sequence still matches fresh runs for every step.
+// mid-sequence still matches one-shot runs for every step.
 func TestContextShapeChangeRebuilds(t *testing.T) {
 	base, _ := contextCase(t, mitigation.KindDRCAT, false, "closed")
 	steps := []Config{base}
@@ -186,7 +186,7 @@ func TestContextShapeChangeRebuilds(t *testing.T) {
 			t.Fatalf("step %d: %v", i, err)
 		}
 		if got = got.Clone(); !reflect.DeepEqual(want, got) {
-			t.Fatalf("step %d: context result differs from fresh Run", i)
+			t.Fatalf("step %d: context result differs from one-shot Run", i)
 		}
 	}
 }

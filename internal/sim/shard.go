@@ -4,22 +4,18 @@ import (
 	"fmt"
 
 	"catsim/internal/addrmap"
-	"catsim/internal/cpu"
-	"catsim/internal/engine"
-	"catsim/internal/memctrl"
 	"catsim/internal/mitigation"
 	"catsim/internal/trace"
 )
 
-// This file is the sim-level face of the sharded engine: it decides when a
-// Config can take the channel-partitioned path, builds one full component
-// stack per channel, and folds the per-partition end state back into the
-// single Result the rest of the toolchain consumes. See engine/shard.go
-// for the determinism contract the partitioning rests on.
+// This file decides when a Config can take the channel-partitioned path
+// and pins generated streams to their channel. Context.runSharded builds
+// the per-channel stacks and folds them back into one Result; see
+// engine/shard.go for the determinism contract the partitioning rests on.
 
 // affineGen pins a generator's stream to one channel: every address is
 // remapped with row, rank, bank and column preserved. The wrapper sits
-// outermost in closedGen, so attack blends are pinned too and Capture
+// outermost in closedStream, so attack blends are pinned too and Capture
 // records the pinned stream.
 type affineGen struct {
 	gen    trace.Generator
@@ -43,128 +39,4 @@ func (g *affineGen) Name() string { return fmt.Sprintf("%s@ch%d", g.gen.Name(), 
 func (c *Config) sharded() bool {
 	return c.Shards >= 1 && c.ChannelAffine && c.Replay == nil && c.OpenLoop == nil &&
 		c.Cores >= 1 && mitigation.ShardSafe(c.Scheme.Kind)
-}
-
-// runSharded executes one simulation on the channel-partitioned engine:
-// one controller + scheme (+ oracle) instance per channel that has cores,
-// cores assigned channel ch = core index mod Channels (matching the
-// affineGen pinning), merged by engine.RunSharded in channel order. The
-// Shards value bounds the worker goroutines and nothing else.
-func runSharded(cfg Config) (Result, error) {
-	policy, err := cfg.buildPolicy()
-	if err != nil {
-		return Result{}, err
-	}
-	banks := cfg.Geometry.TotalBanks()
-	cpuNS := 1000.0 / (float64(cfg.Timing.BusMHz) * float64(cfg.CPUPerBus))
-	thresholdTriggered := cfg.Scheme.Kind != mitigation.KindPRA && cfg.Scheme.Kind != mitigation.KindNone
-
-	var parts []engine.Config
-	var ctrls []*memctrl.Controller
-	var schemes []mitigation.Scheme
-	var oracles []*mitigation.Oracle
-	for ch := 0; ch < cfg.Geometry.Channels; ch++ {
-		var slots []engine.CoreSlot
-		for i := ch; i < cfg.Cores; i += cfg.Geometry.Channels {
-			core, err := cpu.NewCore(cfg.Window)
-			if err != nil {
-				return Result{}, err
-			}
-			gen, err := cfg.closedGen(policy, i)
-			if err != nil {
-				return Result{}, err
-			}
-			slots = append(slots, engine.CoreSlot{CPU: core, Gen: gen, Requests: cfg.RequestsPerCore})
-		}
-		if len(slots) == 0 {
-			// A channel with no cores sees no traffic; skipping it keeps the
-			// partition list dense (engine.RunSharded requires non-empty
-			// partitions) without changing any result: the merge's pristine
-			// correction accounts for untouched banks either way.
-			continue
-		}
-		ctrl, err := memctrl.New(cfg.Geometry, cfg.Timing)
-		if err != nil {
-			return Result{}, err
-		}
-		scheme, err := cfg.Scheme.Build(banks, cfg.Geometry.RowsPerBank, cfg.Threshold, cfg.Seed)
-		if err != nil {
-			return Result{}, err
-		}
-		if cfg.ThresholdScale < 1 && thresholdTriggered {
-			scaled := int(float64(cfg.Timing.RowRefreshCycles())*cfg.ThresholdScale + 0.5)
-			ctrl.SetVictimRowCycles(scaled)
-		}
-		var oracle *mitigation.Oracle
-		if cfg.CheckProtection && scheme.Kind() != mitigation.KindNone {
-			oracle = mitigation.NewOracle(banks, cfg.Geometry.RowsPerBank, cfg.Threshold)
-		}
-		parts = append(parts, engine.Config{
-			Cores:           slots,
-			Ctrl:            ctrl,
-			Policy:          policy,
-			Geometry:        cfg.Geometry,
-			Scheme:          scheme,
-			Oracle:          oracle,
-			Scrambler:       cfg.Scrambler,
-			IgnoreScrambler: cfg.IgnoreScrambler,
-			CPUPerBus:       cfg.CPUPerBus,
-			IntervalCPU:     int64(cfg.IntervalNS / cpuNS),
-			EpochCPU:        int64(cfg.EpochNS / cpuNS),
-			CPUCycleNS:      cpuNS,
-			BusCycleNS:      1000.0 / float64(cfg.Timing.BusMHz),
-			Batch:           true,
-			Channels:        &engine.ChannelRange{Lo: ch, Hi: ch + 1},
-		})
-		ctrls = append(ctrls, ctrl)
-		schemes = append(schemes, scheme)
-		oracles = append(oracles, oracle)
-	}
-	if len(parts) == 0 {
-		return Result{}, fmt.Errorf("sim: no channel received any core")
-	}
-	workers := cfg.Shards
-	if workers > len(parts) {
-		workers = len(parts)
-	}
-	er, err := engine.RunSharded(parts, workers)
-	if err != nil {
-		return Result{}, err
-	}
-	// Per-partition samples only become the run's samples after the
-	// channel-order merge, so the streaming hook fires here — once, with
-	// the final merged sequence — rather than live per partition. Callers
-	// observe the identical samples in the identical order as a
-	// sequential run (locked by TestOnSampleShardedMatchesSequential);
-	// only the delivery time differs.
-	if cfg.OnSample != nil {
-		for _, s := range er.Samples {
-			cfg.OnSample(s)
-		}
-	}
-
-	var stats memctrl.Stats
-	var counts mitigation.Counts
-	for i := range ctrls {
-		stats = stats.Add(ctrls[i].Stats())
-		counts = counts.Add(schemes[i].Counts())
-	}
-	res, err := cfg.deriveResult(er, counts, schemes[0].Kind(), schemes[0].CountersPerBank(), stats,
-		cfg.Scheme.Label(cfg.Threshold))
-	if err != nil {
-		return Result{}, err
-	}
-	if cfg.CheckProtection && cfg.Scheme.Kind != mitigation.KindNone {
-		var missed, exposed int64
-		for _, o := range oracles {
-			res.OracleViolations += o.Violations()
-			missed += o.MissedVictimRows()
-			exposed += o.ExposedVictimRows()
-		}
-		res.MissedVictimRows, res.ExposedVictimRows = missed, exposed
-		if exposed > 0 {
-			res.MissedVictimRate = float64(missed) / float64(exposed)
-		}
-	}
-	return res, nil
 }

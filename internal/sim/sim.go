@@ -436,105 +436,17 @@ func Validate(cfg Config) error {
 	return cfg.validate()
 }
 
-// Run executes one simulation: it builds the mapping policy, controller,
-// scheme, oracle and per-core request streams from cfg, hands them to the
-// epoch-driven event loop in internal/engine, and derives the energy
-// breakdown and rate metrics from the end state. The engine's min-heap
-// scheduler replays the historical linear scan's causal order exactly, so
-// results are byte-identical to the pre-engine monolith (locked by the
-// golden files and the epoch/scheduler invariance tests).
-func Run(cfg Config) (Result, error) {
-	cfg.fill()
-	if err := cfg.validate(); err != nil {
-		return Result{}, err
-	}
-	if cfg.sharded() {
-		return runSharded(cfg)
-	}
-
-	policy, err := cfg.buildPolicy()
-	if err != nil {
-		return Result{}, err
-	}
-
-	ctrl, err := memctrl.New(cfg.Geometry, cfg.Timing)
-	if err != nil {
-		return Result{}, err
-	}
-
-	banks := cfg.Geometry.TotalBanks()
-	scheme, err := cfg.Scheme.Build(banks, cfg.Geometry.RowsPerBank, cfg.Threshold, cfg.Seed)
-	if err != nil {
-		return Result{}, err
-	}
-	thresholdTriggered := scheme.Kind() != mitigation.KindPRA && scheme.Kind() != mitigation.KindNone
-	if cfg.ThresholdScale < 1 && thresholdTriggered {
-		scaled := int(float64(cfg.Timing.RowRefreshCycles())*cfg.ThresholdScale + 0.5)
-		ctrl.SetVictimRowCycles(scaled)
-	}
-
-	// The oracle judges every scheme, probabilistic ones included: for
-	// PRA/DSAC the missed-victim accounting quantifies the protection gap
-	// that deterministic schemes must show to be zero.
-	var oracle *mitigation.Oracle
-	if cfg.CheckProtection && scheme.Kind() != mitigation.KindNone {
-		oracle = mitigation.NewOracle(banks, cfg.Geometry.RowsPerBank, cfg.Threshold)
-	}
-
-	cpuNS := 1000.0 / (float64(cfg.Timing.BusMHz) * float64(cfg.CPUPerBus)) // ns per CPU cycle
-	slots, open, cohort, err := cfg.buildStreams(policy, cpuNS)
-	if err != nil {
-		return Result{}, err
-	}
-	ecfg := engine.Config{
-		Cores:           slots,
-		Open:            open,
-		Ctrl:            ctrl,
-		Policy:          policy,
-		Geometry:        cfg.Geometry,
-		Scheme:          scheme,
-		Oracle:          oracle,
-		Scrambler:       cfg.Scrambler,
-		IgnoreScrambler: cfg.IgnoreScrambler,
-		CPUPerBus:       cfg.CPUPerBus,
-		IntervalCPU:     int64(cfg.IntervalNS / cpuNS),
-		EpochCPU:        int64(cfg.EpochNS / cpuNS),
-		CPUCycleNS:      cpuNS,
-		BusCycleNS:      1000.0 / float64(cfg.Timing.BusMHz),
-		Batch:           true,
-		OnSample:        cfg.OnSample,
-	}
-	if cohort != nil {
-		ecfg.Attr = cohort
-	}
-	er, err := engine.Run(ecfg)
-	if err != nil {
-		return Result{}, err
-	}
-	res, err := cfg.deriveResult(er, scheme.Counts(), scheme.Kind(), scheme.CountersPerBank(), ctrl.Stats(),
-		cfg.Scheme.Label(cfg.Threshold))
-	if err != nil {
-		return Result{}, err
-	}
-	if oracle != nil {
-		res.OracleViolations = oracle.Violations()
-		res.MissedVictimRows = oracle.MissedVictimRows()
-		res.ExposedVictimRows = oracle.ExposedVictimRows()
-		res.MissedVictimRate = oracle.MissedVictimRate()
-	}
-	if cohort != nil {
-		if oracle != nil {
-			res.Tenants = cohort.Stats(oracle)
-		} else {
-			res.Tenants = cohort.Stats(nil)
-		}
-	}
-	return res, nil
-}
+// Run executes one simulation on a one-shot Context: it builds the mapping
+// policy, controller, scheme, oracle and request streams from cfg, hands
+// them to the epoch-driven event loop in internal/engine, and derives the
+// energy breakdown and rate metrics from the end state. The context is
+// dropped on return, so nothing else can write the slices the Result
+// aliases: it owns its memory without a Clone.
+func Run(cfg Config) (Result, error) { return NewContext().Run(cfg) }
 
 // deriveResult turns engine output plus end-state aggregates into the
-// reported Result. Both run paths use it: the sequential path hands it one
-// controller's stats and one scheme's counts, the sharded path the sums
+// reported Result. Both engine paths use it: the sequential path hands it
+// one controller's stats and one scheme's counts, the sharded path the sums
 // over its per-channel partitions — the expressions are shared so the two
 // paths agree bit for bit. label is the scheme's figure label (passed in
 // so run contexts can cache the formatted string across a sweep).
@@ -598,15 +510,19 @@ type PairResult struct {
 }
 
 // RunPair runs cfg twice with identical seeds — once with the configured
-// scheme and once with mitigation disabled — and reports the ETO.
+// scheme and once with mitigation disabled — and reports the ETO. Both
+// halves share one context; the scheme result is cloned before the
+// baseline run reuses the memory it aliases.
 func RunPair(cfg Config) (PairResult, error) {
-	withScheme, err := Run(cfg)
+	ctx := NewContext()
+	withScheme, err := ctx.Run(cfg)
 	if err != nil {
 		return PairResult{}, err
 	}
+	withScheme = withScheme.Clone()
 	base := cfg
 	base.Scheme = SchemeSpec{Kind: mitigation.KindNone}
-	baseline, err := Run(base)
+	baseline, err := ctx.Run(base)
 	if err != nil {
 		return PairResult{}, err
 	}

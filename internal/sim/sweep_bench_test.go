@@ -10,10 +10,10 @@ import (
 // BenchmarkSweep measures sweep throughput — the many-runs-one-cell shape
 // behind every seed sweep and runner grid. Each iteration is one full
 // 256-seed sweep of a single cell; runs/sec and allocs/run are the
-// headline metrics. "fresh" is the historical path (a full component
-// stack built per run), "reuse" is the run-context path (one Context
-// rewound per seed) — the two produce byte-identical Results (locked by
-// TestContextReuseByteIdentical), so the delta is pure setup cost.
+// headline metrics. "fresh" builds one new Context per run (what sim.Run
+// does), "reuse" rewinds one Context per seed — the two produce
+// byte-identical Results (locked by TestContextReuseByteIdentical), so the
+// delta is pure setup cost.
 func BenchmarkSweep(b *testing.B) {
 	wl, err := trace.Lookup("black")
 	if err != nil {
