@@ -10,7 +10,10 @@
 // channel count while keeping bank size fixed.
 package dram
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // Geometry describes the physical organisation of the memory system.
 type Geometry struct {
@@ -77,8 +80,9 @@ func (g Geometry) TotalBytes() int64 {
 func (g Geometry) LinesPerRow() int { return g.ColBytes / g.LineBytes }
 
 // Validate reports an error if any dimension is non-positive or not a power
-// of two. Power-of-two dimensions are required by the address-mapping
-// policies (bit slicing) and by CAT's binary row partitioning.
+// of two, or if the capacity overflows int64. Power-of-two dimensions are
+// required by the address-mapping policies (bit slicing) and by CAT's
+// binary row partitioning.
 func (g Geometry) Validate() error {
 	check := func(name string, v int) error {
 		if v <= 0 {
@@ -106,6 +110,16 @@ func (g Geometry) Validate() error {
 	}
 	if g.LineBytes > g.ColBytes {
 		return fmt.Errorf("dram: line size %d exceeds row size %d", g.LineBytes, g.ColBytes)
+	}
+	// Every dimension is a power of two, so the capacity product behind
+	// TotalBytes (and TotalBanks within it) overflows int64 exactly when
+	// the dimensions' log2 values sum to 63 or more.
+	log2 := 0
+	for _, v := range []int{g.Channels, g.RanksPerCh, g.BanksPerRk, g.RowsPerBank, g.ColBytes} {
+		log2 += bits.TrailingZeros(uint(v))
+	}
+	if log2 >= 63 {
+		return fmt.Errorf("dram: capacity of 2^%d bytes overflows int64", log2)
 	}
 	return nil
 }

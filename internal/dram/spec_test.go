@@ -120,6 +120,12 @@ func TestParseGeometryErrors(t *testing.T) {
 		{"2ch:rows=17179869185Gi", "overflows"},
 		{"2ch:channels=18014398509481986Ki", "overflows"},
 		{"2ch:rows=-17179869183Gi", "overflows"},
+		// Every dimension fits, but the products do not: TotalBytes wraps
+		// to 0 (2^70), to math.MinInt64 at exactly 2^63, and TotalBanks
+		// itself wraps to math.MinInt64 (2^63 banks).
+		{"2ch:channels=1Mi,banks=1Mi", "overflows int64"},
+		{"2ch:channels=1Gi", "overflows int64"},
+		{"2ch:channels=1Gi,ranks=1Gi,rows=1Gi,colbytes=1Gi", "overflows int64"},
 	}
 	for _, c := range cases {
 		_, err := ParseGeometry(c.in)

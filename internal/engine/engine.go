@@ -8,11 +8,12 @@
 // read latency, tracking-structure occupancy via mitigation.Snapshotter,
 // oracle-measured missed victims) without perturbing the simulation.
 //
-// The engine is observationally equivalent to the historical inline loop:
-// the scheduler picks the core with the smallest (clock, index) key
-// exactly as the linear scan did, epoch sampling is a pure read of scheme
-// and controller statistics, and the steady-state request path performs no
-// allocations (locked by the engine's alloc-gate test and benchmarked by
+// Closed-loop cores and open-loop arrival slots share one request body:
+// only the issue clock, the read/write completion and the next scheduler
+// key depend on the slot kind. The scheduler picks the slot with the
+// smallest (clock, index) key, epoch sampling is a pure read of scheme and
+// controller statistics, and the steady-state request path performs no
+// allocations (locked by the engine's alloc-gate tests and benchmarked by
 // `make bench-engine`). sim.Context drives RunInPlace and RunSharded;
 // experiments consume the per-epoch Samples through sim.Result.Epochs.
 package engine
@@ -324,26 +325,30 @@ func RunInPlace(cfg *Config) (Result, error) {
 	if scr == nil {
 		scr = &Scratch{}
 	}
-	scr.perBank = grow(scr.perBank, cfg.Geometry.TotalBanks())
-	perBank := scr.perBank
-	endCPU, smp, err := runLoop(cfg, scr, perBank)
+	endCPU, smp, err := runLoop(cfg, scr)
 	if err != nil {
 		return Result{}, err
 	}
 	cfg.Ctrl.FlushWrites(endCPU / int64(cfg.CPUPerBus))
 
-	res := Result{EndCPU: endCPU, PerBankActs: perBank}
+	res := Result{EndCPU: endCPU, PerBankActs: scr.perBank}
 	if smp != nil {
-		// Close the trailing partial epoch so drain-time write traffic is
-		// accounted; a run ending exactly on a boundary emits no empty
-		// tail.
-		if endCPU > smp.lastCPU || len(smp.samples) == 0 {
-			smp.flush(endCPU)
-		}
-		res.Samples = smp.samples
-		scr.samples = smp.samples
+		// Closed after the write flush, so drain-time write traffic lands
+		// in the trailing epoch.
+		res.Samples = smp.finish(endCPU, scr)
 	}
 	return res, nil
+}
+
+// finish closes the trailing partial epoch at endCPU — a run ending exactly
+// on a boundary emits no empty tail — and keeps the grown sample backing in
+// scr for the next run.
+func (s *sampler) finish(endCPU int64, scr *Scratch) []Sample {
+	if endCPU > s.lastCPU || len(s.samples) == 0 {
+		s.flush(endCPU)
+	}
+	scr.samples = s.samples
+	return s.samples
 }
 
 // runLoop executes the event loop until every slot drains: it issues all
@@ -351,8 +356,11 @@ func RunInPlace(cfg *Config) (Result, error) {
 // terminal write flush and emits no trailing epoch sample. Finalization
 // differs between the sequential path (Run flushes at its own end) and the
 // sharded path (RunSharded flushes every partition's write queue at the
-// global end, so drain timing matches a single merged run).
-func runLoop(cfg *Config, scr *Scratch, perBank []int64) (int64, *sampler, error) {
+// global end, so drain timing matches a single merged run). scr.perBank
+// receives the per-bank activation tally.
+func runLoop(cfg *Config, scr *Scratch) (endCPU int64, smp *sampler, err error) {
+	scr.perBank = grow(scr.perBank, cfg.Geometry.TotalBanks())
+	perBank := scr.perBank
 	nc := len(cfg.Cores)
 	no := len(cfg.Open)
 	n := nc + no
@@ -362,28 +370,22 @@ func runLoop(cfg *Config, scr *Scratch, perBank []int64) (int64, *sampler, error
 	for i := range cfg.Cores {
 		left[i] = cfg.Cores[i].Requests
 	}
-	for j := range cfg.Open {
-		left[nc+j] = cfg.Open[j].Requests
-	}
 	// Open-slot pending state: each slot holds its next request and
 	// arrival time. Slots start scheduled at clock 0 like cores and are
 	// lazily bumped to their true arrival on first pick — the tournament
 	// scheduler only permits updating the current winner, so the keys
 	// cannot be pre-seeded before the loop.
-	var pendReq []trace.Request
-	var pendAt, schedAt []int64
-	if no > 0 {
-		scr.pendReq = grow(scr.pendReq, no)
-		scr.pendAt = grow(scr.pendAt, no)
-		scr.schedAt = grow(scr.schedAt, no)
-		pendReq, pendAt, schedAt = scr.pendReq, scr.pendAt, scr.schedAt
-		for j := range cfg.Open {
-			pendReq[j], pendAt[j] = cfg.Open[j].Gen.Next()
-		}
+	scr.pendReq = grow(scr.pendReq, no)
+	scr.pendAt = grow(scr.pendAt, no)
+	scr.schedAt = grow(scr.schedAt, no)
+	pendReq, pendAt, schedAt := scr.pendReq, scr.pendAt, scr.schedAt
+	for j := range cfg.Open {
+		left[nc+j] = cfg.Open[j].Requests
+		pendReq[j], pendAt[j] = cfg.Open[j].Gen.Next()
 	}
 	var openEnd int64
 	crossBank, hasCrossBank := cfg.Scheme.(mitigation.CrossBank)
-	smp := newSampler(cfg, scr)
+	smp = newSampler(cfg, scr)
 	nextInterval := cfg.IntervalCPU
 	chLo, chHi := 0, cfg.Geometry.Channels
 	if cfg.Channels != nil {
@@ -395,123 +397,26 @@ func runLoop(cfg *Config, scr *Scratch, perBank []int64) (int64, *sampler, error
 		// Advance the slot with the smallest local clock (keeps bank and
 		// channel contention causally ordered across cores and arrival
 		// streams). Selection times are non-decreasing, so they double as
-		// the global clock the epoch sampler slices.
+		// the global clock the epoch sampler slices. now is the picked
+		// slot's scheduler clock: a core's local time, or an open slot's
+		// pending arrival.
 		ci := sched.pick()
-		if ci >= nc {
-			// Open-loop slot.
-			j := ci - nc
-			if schedAt[j] < pendAt[j] {
-				// The slot is scheduled at a stale (earlier) clock; bump it
-				// to the pending arrival and re-pick. Legal: ci is the
-				// current winner.
-				schedAt[j] = pendAt[j]
-				sched.update(ci, pendAt[j])
-				continue
-			}
-			var boundClock int64
-			var boundIdx int32
-			if cfg.Batch {
-				boundClock, boundIdx = sched.bound(ci)
-			}
-		drainOpen:
-			at := pendAt[j]
-			if smp != nil {
-				for at >= smp.nextCPU {
-					smp.flush(smp.nextCPU)
-					smp.nextCPU += cfg.EpochCPU
-					if cfg.barrier != nil {
-						cfg.barrier.arrive()
-					}
-				}
-			}
-			req := pendReq[j]
-			issueCPU := at
-			for cfg.IntervalCPU > 0 && issueCPU >= nextInterval {
-				cfg.Scheme.OnIntervalBoundary()
-				if cfg.Oracle != nil {
-					cfg.Oracle.RefreshAll()
-				}
-				nextInterval += cfg.IntervalCPU
-			}
-
-			coord := cfg.Policy.Decode(req.Addr)
-			if coord.Bank.Channel < chLo || coord.Bank.Channel >= chHi {
-				return 0, smp, fmt.Errorf("engine: open slot %d request for channel %d outside shard channels [%d,%d)",
-					j, coord.Bank.Channel, chLo, chHi)
-			}
-			flat := cfg.Geometry.Flat(coord.Bank)
-			perBank[flat]++
-			issueBus := issueCPU / int64(cfg.CPUPerBus)
-
-			trackRow := coord.Row
-			physRow := coord.Row
-			if cfg.Scrambler != nil {
-				physRow = cfg.Scrambler.ToPhysical(coord.Row)
-				if !cfg.IgnoreScrambler {
-					trackRow = physRow
-				}
-			}
-			ranges := cfg.Scheme.OnActivate(flat, trackRow)
-			if cfg.Oracle != nil {
-				cfg.Oracle.Activate(flat, physRow)
-			}
-			if cfg.Attr != nil {
-				cfg.Attr.OnActivate(flat, trackRow)
-			}
-			if issueCPU > openEnd {
-				openEnd = issueCPU
-			}
-			if req.Write {
-				cfg.Ctrl.Write(issueBus, coord)
-			} else {
-				doneBus := cfg.Ctrl.Read(issueBus, coord)
-				if d := doneBus * int64(cfg.CPUPerBus); d > openEnd {
-					openEnd = d
-				}
-			}
-			for _, rr := range ranges {
-				cfg.Ctrl.VictimRefresh(issueBus, flat, rr.Rows())
-				if cfg.Oracle != nil {
-					cfg.Oracle.Refresh(flat, rr)
-				}
-				if cfg.Attr != nil {
-					cfg.Attr.OnRefresh(flat, rr.Lo, rr.Hi)
-				}
-			}
-			if hasCrossBank {
-				for _, bf := range crossBank.PendingCrossBank() {
-					cfg.Ctrl.VictimRefresh(issueBus, bf.Bank, bf.Range.Rows())
-					if cfg.Oracle != nil {
-						cfg.Oracle.Refresh(bf.Bank, bf.Range)
-					}
-					if cfg.Attr != nil {
-						cfg.Attr.OnRefresh(bf.Bank, bf.Range.Lo, bf.Range.Hi)
-					}
-				}
-			}
-			left[ci]--
-			if left[ci] == 0 {
-				sched.remove(ci)
-				remaining--
-				continue
-			}
-			pendReq[j], pendAt[j] = cfg.Open[j].Gen.Next()
-			if pendAt[j] < at {
-				// Clamp a non-monotone source so the schedule stays causal.
-				pendAt[j] = at
-			}
-			if cfg.Batch {
-				if na := pendAt[j]; na < boundClock || (na == boundClock && int32(ci) < boundIdx) {
-					goto drainOpen
-				}
-			}
-			schedAt[j] = pendAt[j]
-			sched.update(ci, pendAt[j])
+		var cs *CoreSlot // nil for an open slot
+		j := ci - nc     // open-slot index; negative for a core
+		var now int64
+		if j < 0 {
+			cs = &cfg.Cores[ci]
+			now = cs.CPU.Now
+		} else if now = pendAt[j]; schedAt[j] < now {
+			// The open slot is scheduled at a stale (earlier) clock; bump
+			// it to the pending arrival and re-pick. Legal: ci is the
+			// current winner.
+			schedAt[j] = now
+			sched.update(ci, now)
 			continue
 		}
-		cs := &cfg.Cores[ci]
-		// In batch mode, keep draining this core while its key stays
-		// strictly below the best other core's — exactly when pick would
+		// In batch mode, keep draining this slot while its key stays
+		// strictly below the best other slot's — exactly when pick would
 		// select it again — paying one pick/bound/update for the whole run
 		// instead of per request. The scheduler is static during the run,
 		// so the bound fetched here stays valid until the update below.
@@ -522,7 +427,7 @@ func runLoop(cfg *Config, scr *Scratch, perBank []int64) (int64, *sampler, error
 		}
 	drain:
 		if smp != nil {
-			for cs.CPU.Now >= smp.nextCPU {
+			for now >= smp.nextCPU {
 				smp.flush(smp.nextCPU)
 				smp.nextCPU += cfg.EpochCPU
 				if cfg.barrier != nil {
@@ -530,9 +435,18 @@ func runLoop(cfg *Config, scr *Scratch, perBank []int64) (int64, *sampler, error
 				}
 			}
 		}
-		req := cs.Gen.Next()
-		cs.CPU.AdvanceGap(req.Gap)
-		issueCPU := cs.CPU.PrepareIssue()
+		// Issue clock: a core issues once its window admits the request;
+		// an open request hits the controller at its arrival time.
+		var req trace.Request
+		var issueCPU int64
+		if cs != nil {
+			req = cs.Gen.Next()
+			cs.CPU.AdvanceGap(req.Gap)
+			issueCPU = cs.CPU.PrepareIssue()
+		} else {
+			req, issueCPU = pendReq[j], now
+			openEnd = max(openEnd, issueCPU)
+		}
 
 		// Auto-refresh interval boundary (burst semantics, §V).
 		for cfg.IntervalCPU > 0 && issueCPU >= nextInterval {
@@ -545,7 +459,7 @@ func runLoop(cfg *Config, scr *Scratch, perBank []int64) (int64, *sampler, error
 
 		coord := cfg.Policy.Decode(req.Addr)
 		if coord.Bank.Channel < chLo || coord.Bank.Channel >= chHi {
-			return 0, smp, fmt.Errorf("engine: core %d request for channel %d outside shard channels [%d,%d)",
+			return 0, smp, fmt.Errorf("engine: slot %d request for channel %d outside shard channels [%d,%d)",
 				ci, coord.Bank.Channel, chLo, chHi)
 		}
 		flat := cfg.Geometry.Flat(coord.Bank)
@@ -569,12 +483,20 @@ func runLoop(cfg *Config, scr *Scratch, perBank []int64) (int64, *sampler, error
 		if cfg.Attr != nil {
 			cfg.Attr.OnActivate(flat, trackRow)
 		}
+		// Completion: a core tracks its outstanding reads and writes; an
+		// open slot only extends the run's end.
 		if req.Write {
 			cfg.Ctrl.Write(issueBus, coord)
-			cs.CPU.NoteWrite()
+			if cs != nil {
+				cs.CPU.NoteWrite()
+			}
 		} else {
-			doneBus := cfg.Ctrl.Read(issueBus, coord)
-			cs.CPU.NoteRead(doneBus * int64(cfg.CPUPerBus))
+			doneCPU := cfg.Ctrl.Read(issueBus, coord) * int64(cfg.CPUPerBus)
+			if cs != nil {
+				cs.CPU.NoteRead(doneCPU)
+			} else {
+				openEnd = max(openEnd, doneCPU)
+			}
 		}
 		// The victim refresh queues behind the triggering activation.
 		for _, rr := range ranges {
@@ -605,19 +527,25 @@ func runLoop(cfg *Config, scr *Scratch, perBank []int64) (int64, *sampler, error
 			remaining--
 			continue
 		}
-		if cfg.Batch {
-			if now := cs.CPU.Now; now < boundClock || (now == boundClock && int32(ci) < boundIdx) {
-				goto drain
-			}
+		// Next scheduler key: a core's advanced clock, or the open slot's
+		// next arrival.
+		if cs != nil {
+			now = cs.CPU.Now
+		} else {
+			pendReq[j], pendAt[j] = cfg.Open[j].Gen.Next()
+			// Clamp a non-monotone source so the schedule stays causal.
+			now = max(pendAt[j], issueCPU)
+			pendAt[j], schedAt[j] = now, now
 		}
-		sched.update(ci, cs.CPU.Now)
+		if cfg.Batch && (now < boundClock || (now == boundClock && int32(ci) < boundIdx)) {
+			goto drain
+		}
+		sched.update(ci, now)
 	}
 
-	endCPU := openEnd
+	endCPU = openEnd
 	for i := range cfg.Cores {
-		if d := cfg.Cores[i].CPU.Drain(); d > endCPU {
-			endCPU = d
-		}
+		endCPU = max(endCPU, cfg.Cores[i].CPU.Drain())
 	}
 	return endCPU, smp, nil
 }

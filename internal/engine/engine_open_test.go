@@ -244,9 +244,7 @@ func allocsForOpenRun(t testing.TB, requests int) float64 {
 // TestOpenSteadyStateZeroAllocs extends the alloc gate to the open-loop
 // request path (attribution hook attached): no per-request garbage.
 func TestOpenSteadyStateZeroAllocs(t *testing.T) {
-	small := allocsForOpenRun(t, 2000)
-	large := allocsForOpenRun(t, 22000)
-	if extra := large - small; extra > 0 {
-		t.Errorf("open-loop steady state allocated %.0f times over 40000 extra requests (want 0)", extra)
+	if extra := steadyStateExtra(t, allocsForOpenRun); extra > 0 {
+		t.Errorf("open-loop steady state allocated %.0f times over 40000 extra requests on every attempt (want 0)", extra)
 	}
 }

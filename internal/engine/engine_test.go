@@ -244,15 +244,31 @@ func allocsForRun(t testing.TB, requests int) float64 {
 	})
 }
 
-// TestSteadyStateZeroAllocs is the alloc gate the ISSUE's bench smoke
-// demands: the per-request loop must not allocate. Comparing two runs
-// that differ only in request count cancels the setup allocations
-// exactly, so any nonzero difference is hot-path garbage.
+// steadyStateExtra returns how many more allocations a run of 22000
+// requests per slot makes than one of 2000. Under -race the runtime now
+// and then charges a stray internal allocation to one measurement, so it
+// measures up to three times and returns a positive count only when every
+// attempt saw one; a real per-request allocation shows up as thousands on
+// every attempt.
+func steadyStateExtra(t *testing.T, allocs func(testing.TB, int) float64) float64 {
+	t.Helper()
+	var extra float64
+	for attempt := 0; attempt < 3; attempt++ {
+		small := allocs(t, 2000)
+		if extra = allocs(t, 22000) - small; extra <= 0 {
+			break
+		}
+	}
+	return extra
+}
+
+// TestSteadyStateZeroAllocs is the engine's alloc gate: the per-request
+// loop must not allocate. Comparing two runs that differ only in request
+// count cancels the setup allocations exactly, so any nonzero difference
+// is hot-path garbage.
 func TestSteadyStateZeroAllocs(t *testing.T) {
-	small := allocsForRun(t, 2000)
-	large := allocsForRun(t, 22000)
-	if extra := large - small; extra > 0 {
-		t.Errorf("steady-state loop allocated %.0f times over 40000 extra requests (want 0)", extra)
+	if extra := steadyStateExtra(t, allocsForRun); extra > 0 {
+		t.Errorf("steady-state loop allocated %.0f times over 40000 extra requests on every attempt (want 0)", extra)
 	}
 }
 

@@ -233,18 +233,14 @@ func runPartition(cfg *Config) shardOut {
 	if scr == nil {
 		scr = &Scratch{}
 	}
-	scr.perBank = grow(scr.perBank, cfg.Geometry.TotalBanks())
-	out.perBank = scr.perBank
-	out.endCPU, out.smp, out.err = runLoop(cfg, scr, out.perBank)
+	out.endCPU, out.smp, out.err = runLoop(cfg, scr)
 	if out.err != nil {
 		return out
 	}
+	out.perBank = scr.perBank
 	if out.smp != nil {
 		out.boundaries = len(out.smp.samples)
-		if out.endCPU > out.smp.lastCPU || len(out.smp.samples) == 0 {
-			out.smp.flush(out.endCPU)
-		}
-		scr.samples = out.smp.samples
+		out.smp.finish(out.endCPU, scr)
 	}
 	return out
 }

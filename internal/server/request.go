@@ -68,6 +68,12 @@ type JobRequest struct {
 // park a worker for hours; sweeps that large belong in cmd/experiments.
 const maxRequests = 10_000_000
 
+// maxTrackedRows bounds a job's geometry by its total row count (banks ×
+// rows per bank), which the controller, the scheme and the oracle size
+// their tables by, so one POST cannot make a worker allocate without
+// bound. It admits every registered preset (the largest, ddr5, has 2^25).
+const maxTrackedRows = 1 << 26
+
 // normalize applies the documented defaults in place, so equal jobs
 // spelled differently produce identical configs (and cache keys), and so
 // snapshots persist the resolved request.
@@ -150,6 +156,10 @@ func (r *JobRequest) Config() (sim.Config, error) {
 			return sim.Config{}, err
 		}
 		cfg.Geometry = gs.Geometry()
+		if rows := cfg.Geometry.TotalBanks() * cfg.Geometry.RowsPerBank; rows > maxTrackedRows {
+			return sim.Config{}, fmt.Errorf("geometry %q tracks %d rows, above the %d-row limit",
+				r.Geometry, rows, maxTrackedRows)
+		}
 	}
 
 	if ol, err := workload.Lookup(r.Workload); err == nil {

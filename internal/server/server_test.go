@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"catsim/internal/dram"
 	"catsim/internal/engine"
 	"catsim/internal/sim"
 )
@@ -351,6 +352,10 @@ func TestMalformedRequests(t *testing.T) {
 		{"workload listing", `{"scheme":"sca:counters=16","workload":"nope"}`, "ol-poisson"},
 		{"unknown geometry", `{"scheme":"sca:counters=16","workload":"black","geometry":"nope"}`, "unknown preset"},
 		{"bad geometry field", `{"scheme":"sca:counters=16","workload":"black","geometry":"ddr5:bogus=1"}`, `unknown field "bogus"`},
+		{"geometry bytes overflow", `{"scheme":"sca:counters=16","workload":"black","geometry":"2ch:channels=1Mi,banks=1Mi"}`, "overflows int64"},
+		{"geometry bytes at 2^63", `{"scheme":"sca:counters=16","workload":"black","geometry":"2ch:channels=1Gi"}`, "overflows int64"},
+		{"geometry banks overflow", `{"scheme":"sca:counters=16","workload":"black","geometry":"2ch:channels=1Gi,ranks=1Gi,rows=1Gi,colbytes=1Gi"}`, "overflows int64"},
+		{"geometry too large", `{"scheme":"sca:counters=16","workload":"black","geometry":"2ch:channels=1Ki"}`, "row limit"},
 		{"bad scale", `{"scheme":"sca:counters=16","workload":"black","scale":2}`, "scale 2 out of"},
 		{"threshold underflow", `{"scheme":"sca:counters=16","workload":"black","threshold":10,"scale":0.01}`, "rounds to zero"},
 		{"huge budget", `{"scheme":"sca:counters=16","workload":"black","requests":99999999}`, "out of [1,"},
@@ -379,6 +384,17 @@ func TestMalformedRequests(t *testing.T) {
 				t.Errorf("error %q missing %q", envelope.Error, tc.want)
 			}
 		})
+	}
+}
+
+// TestGeometryLimitAdmitsPresets: the tracked-row bound rejects oversized
+// geometries only, never a registered preset.
+func TestGeometryLimitAdmitsPresets(t *testing.T) {
+	for _, p := range dram.Geometries() {
+		req := JobRequest{Scheme: "sca:counters=16", Workload: "black", Geometry: p.Name}
+		if _, err := req.Config(); err != nil {
+			t.Errorf("preset %s rejected: %v", p.Name, err)
+		}
 	}
 }
 

@@ -34,8 +34,16 @@ import (
 // next run; call Result.Clone to retain it. A Context serves one run at a
 // time — use one per worker goroutine (internal/runner pools them).
 type Context struct {
-	seq seqState
-	sh  shardState
+	built bool
+	prev  Config
+
+	policy addrmap.Policy
+	// parts holds one stack per engine partition: a sequential run is one
+	// part over the whole system, a sharded run one part per channel that
+	// has cores. ecfgs[p] wires parts[p] into the engine (the parallel
+	// slice engine.RunSharded takes).
+	parts []part
+	ecfgs []engine.Config
 
 	label     string
 	labelSpec SchemeSpec
@@ -43,20 +51,239 @@ type Context struct {
 	hasLabel  bool
 }
 
+// part is one partition's reusable stack.
+type part struct {
+	ctrl   *memctrl.Controller
+	scheme mitigation.Scheme
+	oracle *mitigation.Oracle // kept across runs that do not check protection
+
+	closed    []closedStream
+	slots     []engine.CoreSlot
+	openRT    *workload.Runtime
+	openSlots []engine.OpenSlot
+	cohort    *workload.Cohort // nil for pure closed-loop runs
+
+	channels engine.ChannelRange
+	scratch  engine.Scratch
+}
+
 // NewContext returns an empty context; the first Run populates it.
 func NewContext() *Context { return &Context{} }
 
 // Run executes one simulation, reusing the context's state wherever the
-// configuration shape allows.
+// configuration shape allows. A sharded run (see Config.sharded) takes
+// min(Cores, Channels) partitions — core i in partition i mod Channels,
+// matching the affineGen pinning, so every partition has cores — and merges
+// them with engine.RunSharded in channel order; any other run is one
+// partition through engine.RunInPlace. Reuse requires the partition count
+// of the previous run.
 func (ctx *Context) Run(cfg Config) (Result, error) {
 	cfg.fill()
 	if err := cfg.validate(); err != nil {
 		return Result{}, err
 	}
-	if cfg.sharded() {
-		return ctx.runSharded(cfg)
+	sharded := cfg.sharded()
+	n, stride := 1, 1
+	if sharded {
+		n, stride = min(cfg.Cores, cfg.Geometry.Channels), cfg.Geometry.Channels
 	}
-	return ctx.runSequential(cfg)
+	if len(ctx.parts) != n {
+		ctx.parts = make([]part, n)
+		ctx.ecfgs = make([]engine.Config, n)
+		ctx.built = false
+	}
+	prev, was := ctx.prev, ctx.built
+	// Any failure below leaves the stack half-mutated; drop it so the next
+	// run rebuilds from scratch. Re-armed on success.
+	ctx.built = false
+
+	var err error
+	if !(was && prev.Geometry == cfg.Geometry && prev.ChannelInterleaved == cfg.ChannelInterleaved) {
+		if ctx.policy, err = cachedPolicy(&cfg); err != nil {
+			return Result{}, err
+		}
+	}
+	cpuNS := 1000.0 / (float64(cfg.Timing.BusMHz) * float64(cfg.CPUPerBus))
+	for p := range ctx.parts {
+		if err := ctx.buildPart(p, &cfg, &prev, was, stride, cpuNS); err != nil {
+			return Result{}, err
+		}
+		if sharded {
+			ctx.ecfgs[p].Channels = &ctx.parts[p].channels
+		} else {
+			ctx.ecfgs[p].OnSample = cfg.OnSample
+		}
+	}
+
+	var er engine.Result
+	if !sharded {
+		er, err = engine.RunInPlace(&ctx.ecfgs[0])
+	} else if er, err = engine.RunSharded(ctx.ecfgs, cfg.Shards); err == nil && cfg.OnSample != nil {
+		// Partition samples become the run's samples only at the merge, so
+		// the hook sees the merged sequence here: the samples a sequential
+		// run delivers live, in the same order, delivered later.
+		for _, smp := range er.Samples {
+			cfg.OnSample(smp)
+		}
+	}
+	if err != nil {
+		return Result{}, err
+	}
+
+	var stats memctrl.Stats
+	var counts mitigation.Counts
+	var violations, missed, exposed int64
+	for p := range ctx.parts {
+		stats = stats.Add(ctx.parts[p].ctrl.Stats())
+		counts = counts.Add(ctx.parts[p].scheme.Counts())
+		if o := ctx.ecfgs[p].Oracle; o != nil {
+			violations += o.Violations()
+			missed += o.MissedVictimRows()
+			exposed += o.ExposedVictimRows()
+		}
+	}
+	first := ctx.parts[0].scheme
+	res, err := cfg.deriveResult(er, counts, first.Kind(), first.CountersPerBank(), stats,
+		ctx.schemeLabel(&cfg))
+	if err != nil {
+		return Result{}, err
+	}
+	res.OracleViolations, res.MissedVictimRows, res.ExposedVictimRows = violations, missed, exposed
+	if exposed > 0 {
+		res.MissedVictimRate = float64(missed) / float64(exposed)
+	}
+	if cohort := ctx.parts[0].cohort; cohort != nil {
+		// Stats takes an interface: a nil *Oracle inside it is not nil.
+		if o := ctx.ecfgs[0].Oracle; o != nil {
+			res.Tenants = cohort.Stats(o)
+		} else {
+			res.Tenants = cohort.Stats(nil)
+		}
+	}
+	ctx.prev = cfg
+	ctx.built = true
+	return res, nil
+}
+
+// buildPart readies partition p for cfg — each layer reset in place when
+// the previous run's shape allows, rebuilt otherwise — and rewrites its
+// engine config. Partition p owns cores p, p+stride, ... and channel p.
+func (ctx *Context) buildPart(p int, cfg, prev *Config, was bool, stride int, cpuNS float64) error {
+	pt := &ctx.parts[p]
+	var err error
+	if was && prev.Geometry == cfg.Geometry && prev.Timing == cfg.Timing {
+		pt.ctrl.Reset()
+	} else if pt.ctrl, err = memctrl.New(cfg.Geometry, cfg.Timing); err != nil {
+		return err
+	}
+
+	banks := cfg.Geometry.TotalBanks()
+	reuseScheme := was && sameSchemeShape(prev, cfg)
+	if reuseScheme {
+		r, ok := pt.scheme.(mitigation.Resettable)
+		reuseScheme = ok && r.ResetRun(cfg.Scheme.runSeed(cfg.Seed))
+	}
+	if !reuseScheme {
+		if pt.scheme, err = cfg.Scheme.Build(banks, cfg.Geometry.RowsPerBank, cfg.Threshold, cfg.Seed); err != nil {
+			return err
+		}
+	}
+	kind := pt.scheme.Kind()
+	if cfg.ThresholdScale < 1 && kind != mitigation.KindPRA && kind != mitigation.KindNone {
+		// See Config.ThresholdScale. The controller clamps the cost, so a
+		// scaled value of 0 is a meaningful override (the 1-cycle floor)
+		// and must be applied on rebuild and reuse alike.
+		pt.ctrl.SetVictimRowCycles(int(float64(cfg.Timing.RowRefreshCycles())*cfg.ThresholdScale + 0.5))
+	}
+
+	var oracle *mitigation.Oracle
+	if cfg.CheckProtection && kind != mitigation.KindNone {
+		if was && pt.oracle != nil && prev.Geometry == cfg.Geometry && prev.Threshold == cfg.Threshold {
+			pt.oracle.Reset()
+		} else {
+			pt.oracle = mitigation.NewOracle(banks, cfg.Geometry.RowsPerBank, cfg.Threshold)
+		}
+		oracle = pt.oracle
+	}
+
+	switch {
+	case was && sameStreamShape(prev, cfg):
+		for i := range pt.closed {
+			pt.closed[i].reseed(cfg.Seed)
+			pt.slots[i].CPU.Reset()
+		}
+		if pt.openRT != nil {
+			pt.openRT.Reset(cfg.Seed)
+		}
+	case cfg.Replay != nil:
+		// Replay wrappers are cheap views over the immutable container;
+		// rebuild them every run rather than teaching them to rewind.
+		pt.closed, pt.openRT = nil, nil
+		if pt.slots, pt.openSlots, pt.cohort, err = cfg.replayStreams(ctx.policy); err != nil {
+			return err
+		}
+	default:
+		if err = pt.newStreams(cfg, ctx.policy, p, stride, cpuNS); err != nil {
+			return err
+		}
+	}
+
+	pt.channels = engine.ChannelRange{Lo: p, Hi: p + 1}
+	ctx.ecfgs[p] = engine.Config{
+		Cores:           pt.slots,
+		Open:            pt.openSlots,
+		Ctrl:            pt.ctrl,
+		Policy:          ctx.policy,
+		Geometry:        cfg.Geometry,
+		Scheme:          pt.scheme,
+		Oracle:          oracle,
+		Scrambler:       cfg.Scrambler,
+		IgnoreScrambler: cfg.IgnoreScrambler,
+		CPUPerBus:       cfg.CPUPerBus,
+		IntervalCPU:     int64(cfg.IntervalNS / cpuNS),
+		EpochCPU:        int64(cfg.EpochNS / cpuNS),
+		CPUCycleNS:      cpuNS,
+		BusCycleNS:      1000.0 / float64(cfg.Timing.BusMHz),
+		Batch:           true,
+		Scratch:         &pt.scratch,
+	}
+	if pt.cohort != nil {
+		ctx.ecfgs[p].Attr = pt.cohort
+	}
+	return nil
+}
+
+// newStreams builds the part's generated (non-replay) streams fresh —
+// cores first, first+stride, ... plus the open-loop runtime when cfg has
+// one — keeping the per-layer handles reseed needs.
+func (pt *part) newStreams(cfg *Config, policy addrmap.Policy, first, stride int, cpuNS float64) error {
+	pt.closed = pt.closed[:0]
+	pt.slots = pt.slots[:0]
+	for i := first; i < cfg.Cores; i += stride {
+		core, err := cpu.NewCore(cfg.Window)
+		if err != nil {
+			return err
+		}
+		cs, err := cfg.closedStream(policy, i)
+		if err != nil {
+			return err
+		}
+		pt.closed = append(pt.closed, cs)
+		pt.slots = append(pt.slots, engine.CoreSlot{CPU: core, Gen: cs.gen, Requests: cfg.RequestsPerCore})
+	}
+	pt.openRT, pt.openSlots, pt.cohort = nil, nil, nil
+	if cfg.OpenLoop == nil {
+		return nil
+	}
+	rt, err := cfg.openConfig().Build(cfg.Geometry, policy, 1/cpuNS, cfg.Seed)
+	if err != nil {
+		return err
+	}
+	pt.openRT, pt.cohort = rt, rt.Cohort
+	for i, src := range rt.Sources {
+		pt.openSlots = append(pt.openSlots, engine.OpenSlot{Gen: src, Requests: rt.Counts[i]})
+	}
+	return nil
 }
 
 // schemeLabel caches the scheme's formatted figure label across runs of
@@ -140,386 +367,4 @@ func sameStreamShape(a, b *Config) bool {
 // re-derived by ResetRun).
 func sameSchemeShape(a, b *Config) bool {
 	return a.Scheme == b.Scheme && a.Threshold == b.Threshold && a.Geometry == b.Geometry
-}
-
-// seqState is the sequential engine's reusable stack.
-type seqState struct {
-	built bool
-	prev  Config
-
-	policy addrmap.Policy
-	ctrl   *memctrl.Controller
-	scheme mitigation.Scheme
-	oracle *mitigation.Oracle
-
-	closed    []closedStream
-	slots     []engine.CoreSlot
-	openRT    *workload.Runtime
-	openSlots []engine.OpenSlot
-
-	scratch engine.Scratch
-	ecfg    engine.Config
-}
-
-func (ctx *Context) runSequential(cfg Config) (Result, error) {
-	s := &ctx.seq
-	prev := s.prev
-	was := s.built
-	// Any failure below leaves the stack half-mutated; drop it so the next
-	// run rebuilds from scratch. Re-armed on success.
-	s.built = false
-
-	var err error
-	if !(was && prev.Geometry == cfg.Geometry && prev.ChannelInterleaved == cfg.ChannelInterleaved) {
-		if s.policy, err = cachedPolicy(&cfg); err != nil {
-			return Result{}, err
-		}
-	}
-	policy := s.policy
-
-	if was && prev.Geometry == cfg.Geometry && prev.Timing == cfg.Timing {
-		s.ctrl.Reset()
-	} else if s.ctrl, err = memctrl.New(cfg.Geometry, cfg.Timing); err != nil {
-		return Result{}, err
-	}
-	ctrl := s.ctrl
-
-	banks := cfg.Geometry.TotalBanks()
-	reuseScheme := was && sameSchemeShape(&prev, &cfg)
-	if reuseScheme {
-		r, ok := s.scheme.(mitigation.Resettable)
-		reuseScheme = ok && r.ResetRun(cfg.Scheme.runSeed(cfg.Seed))
-	}
-	if !reuseScheme {
-		if s.scheme, err = cfg.Scheme.Build(banks, cfg.Geometry.RowsPerBank, cfg.Threshold, cfg.Seed); err != nil {
-			return Result{}, err
-		}
-	}
-	scheme := s.scheme
-	thresholdTriggered := scheme.Kind() != mitigation.KindPRA && scheme.Kind() != mitigation.KindNone
-	if cfg.ThresholdScale < 1 && thresholdTriggered {
-		scaled := int(float64(cfg.Timing.RowRefreshCycles())*cfg.ThresholdScale + 0.5)
-		ctrl.SetVictimRowCycles(scaled)
-	}
-
-	var oracle *mitigation.Oracle
-	if cfg.CheckProtection && scheme.Kind() != mitigation.KindNone {
-		if was && s.oracle != nil && prev.Geometry == cfg.Geometry && prev.Threshold == cfg.Threshold {
-			s.oracle.Reset()
-		} else {
-			s.oracle = mitigation.NewOracle(banks, cfg.Geometry.RowsPerBank, cfg.Threshold)
-		}
-		oracle = s.oracle
-	}
-
-	cpuNS := 1000.0 / (float64(cfg.Timing.BusMHz) * float64(cfg.CPUPerBus))
-	var cohort *workload.Cohort
-	switch {
-	case was && sameStreamShape(&prev, &cfg):
-		for i := range s.closed {
-			s.closed[i].reseed(cfg.Seed)
-			s.slots[i].CPU.Reset()
-		}
-		if s.openRT != nil {
-			s.openRT.Reset(cfg.Seed)
-			cohort = s.openRT.Cohort
-		}
-	case cfg.Replay != nil:
-		// Replay wrappers are cheap views over the immutable container;
-		// rebuild them every run rather than teaching them to rewind.
-		s.closed, s.openRT = nil, nil
-		if s.slots, s.openSlots, cohort, err = cfg.replayStreams(policy); err != nil {
-			return Result{}, err
-		}
-	default:
-		if cohort, err = s.newStreams(&cfg, policy, cpuNS); err != nil {
-			return Result{}, err
-		}
-	}
-
-	s.ecfg = engine.Config{
-		Cores:           s.slots,
-		Open:            s.openSlots,
-		Ctrl:            ctrl,
-		Policy:          policy,
-		Geometry:        cfg.Geometry,
-		Scheme:          scheme,
-		Oracle:          oracle,
-		Scrambler:       cfg.Scrambler,
-		IgnoreScrambler: cfg.IgnoreScrambler,
-		CPUPerBus:       cfg.CPUPerBus,
-		IntervalCPU:     int64(cfg.IntervalNS / cpuNS),
-		EpochCPU:        int64(cfg.EpochNS / cpuNS),
-		CPUCycleNS:      cpuNS,
-		BusCycleNS:      1000.0 / float64(cfg.Timing.BusMHz),
-		Batch:           true,
-		OnSample:        cfg.OnSample,
-		Scratch:         &s.scratch,
-	}
-	if cohort != nil {
-		s.ecfg.Attr = cohort
-	}
-	er, err := engine.RunInPlace(&s.ecfg)
-	if err != nil {
-		return Result{}, err
-	}
-	res, err := cfg.deriveResult(er, scheme.Counts(), scheme.Kind(), scheme.CountersPerBank(), ctrl.Stats(),
-		ctx.schemeLabel(&cfg))
-	if err != nil {
-		return Result{}, err
-	}
-	if oracle != nil {
-		res.OracleViolations = oracle.Violations()
-		res.MissedVictimRows = oracle.MissedVictimRows()
-		res.ExposedVictimRows = oracle.ExposedVictimRows()
-		res.MissedVictimRate = oracle.MissedVictimRate()
-	}
-	if cohort != nil {
-		if oracle != nil {
-			res.Tenants = cohort.Stats(oracle)
-		} else {
-			res.Tenants = cohort.Stats(nil)
-		}
-	}
-	s.prev = cfg
-	s.built = true
-	return res, nil
-}
-
-// newStreams builds the sequential generated (non-replay) streams
-// fresh, keeping the per-layer handles reseed needs, and returns the
-// open-loop cohort (nil for pure closed-loop runs).
-func (s *seqState) newStreams(cfg *Config, policy addrmap.Policy, cpuNS float64) (*workload.Cohort, error) {
-	s.closed = s.closed[:0]
-	s.slots = s.slots[:0]
-	for i := 0; i < cfg.Cores; i++ {
-		core, err := cpu.NewCore(cfg.Window)
-		if err != nil {
-			return nil, err
-		}
-		cs, err := cfg.closedStream(policy, i)
-		if err != nil {
-			return nil, err
-		}
-		s.closed = append(s.closed, cs)
-		s.slots = append(s.slots, engine.CoreSlot{CPU: core, Gen: cs.gen, Requests: cfg.RequestsPerCore})
-	}
-	s.openRT = nil
-	s.openSlots = nil
-	if cfg.OpenLoop == nil {
-		return nil, nil
-	}
-	rt, err := cfg.openConfig().Build(cfg.Geometry, policy, 1/cpuNS, cfg.Seed)
-	if err != nil {
-		return nil, err
-	}
-	s.openRT = rt
-	for i, src := range rt.Sources {
-		s.openSlots = append(s.openSlots, engine.OpenSlot{Gen: src, Requests: rt.Counts[i]})
-	}
-	return rt.Cohort, nil
-}
-
-// shardPart is one channel partition's reusable stack.
-type shardPart struct {
-	ctrl    *memctrl.Controller
-	scheme  mitigation.Scheme
-	oracle  *mitigation.Oracle
-	closed  []closedStream
-	slots   []engine.CoreSlot
-	scratch engine.Scratch
-}
-
-// shardState is the channel-partitioned engine's reusable state.
-type shardState struct {
-	built bool
-	prev  Config
-
-	policy addrmap.Policy
-	parts  []shardPart
-	ecfgs  []engine.Config
-}
-
-// runSharded executes one simulation on the channel-partitioned engine:
-// one controller + scheme (+ oracle) instance per channel that has cores,
-// cores assigned channel ch = core index mod Channels (matching the
-// affineGen pinning), merged by engine.RunSharded in channel order. The
-// Shards value bounds the worker goroutines and nothing else.
-func (ctx *Context) runSharded(cfg Config) (Result, error) {
-	sh := &ctx.sh
-	prev := sh.prev
-	was := sh.built
-	sh.built = false
-
-	reuse := was && sameStreamShape(&prev, &cfg) && sameSchemeShape(&prev, &cfg) &&
-		prev.CheckProtection == cfg.CheckProtection
-	if reuse {
-		for p := range sh.parts {
-			r, ok := sh.parts[p].scheme.(mitigation.Resettable)
-			if !ok || !r.ResetRun(cfg.Scheme.runSeed(cfg.Seed)) {
-				reuse = false
-				break
-			}
-		}
-	}
-
-	var err error
-	cpuNS := 1000.0 / (float64(cfg.Timing.BusMHz) * float64(cfg.CPUPerBus))
-	thresholdTriggered := cfg.Scheme.Kind != mitigation.KindPRA && cfg.Scheme.Kind != mitigation.KindNone
-	// SetVictimRowCycles clamps internally, so a scaled value of 0 is a
-	// meaningful override (it becomes the 1-cycle floor) — track whether
-	// scaling applies separately from the value.
-	scaleVictim := cfg.ThresholdScale < 1 && thresholdTriggered
-	scaledCycles := 0
-	if scaleVictim {
-		scaledCycles = int(float64(cfg.Timing.RowRefreshCycles())*cfg.ThresholdScale + 0.5)
-	}
-
-	if reuse {
-		for p := range sh.parts {
-			part := &sh.parts[p]
-			part.ctrl.Reset()
-			if scaleVictim {
-				part.ctrl.SetVictimRowCycles(scaledCycles)
-			}
-			if part.oracle != nil {
-				part.oracle.Reset()
-			}
-			for i := range part.closed {
-				part.closed[i].reseed(cfg.Seed)
-				part.slots[i].CPU.Reset()
-			}
-			// Per-run engine knobs the shape comparison does not pin.
-			ec := &sh.ecfgs[p]
-			ec.IntervalCPU = int64(cfg.IntervalNS / cpuNS)
-			ec.EpochCPU = int64(cfg.EpochNS / cpuNS)
-			ec.Scrambler = cfg.Scrambler
-			ec.IgnoreScrambler = cfg.IgnoreScrambler
-		}
-	} else {
-		if sh.policy, err = cachedPolicy(&cfg); err != nil {
-			return Result{}, err
-		}
-		if err = sh.build(&cfg, cpuNS, scaleVictim, scaledCycles); err != nil {
-			return Result{}, err
-		}
-	}
-
-	workers := cfg.Shards
-	if workers > len(sh.ecfgs) {
-		workers = len(sh.ecfgs)
-	}
-	er, err := engine.RunSharded(sh.ecfgs, workers)
-	if err != nil {
-		return Result{}, err
-	}
-	// Per-partition samples only become the run's samples after the
-	// channel-order merge, so the streaming hook fires here — once, with
-	// the final merged sequence — rather than live per partition. Callers
-	// observe the identical samples in the identical order as a sequential
-	// run (locked by TestOnSampleShardedMatchesSequential); only the
-	// delivery time differs.
-	if cfg.OnSample != nil {
-		for _, smp := range er.Samples {
-			cfg.OnSample(smp)
-		}
-	}
-
-	var stats memctrl.Stats
-	var counts mitigation.Counts
-	for p := range sh.parts {
-		stats = stats.Add(sh.parts[p].ctrl.Stats())
-		counts = counts.Add(sh.parts[p].scheme.Counts())
-	}
-	first := sh.parts[0].scheme
-	res, err := cfg.deriveResult(er, counts, first.Kind(), first.CountersPerBank(), stats,
-		ctx.schemeLabel(&cfg))
-	if err != nil {
-		return Result{}, err
-	}
-	if cfg.CheckProtection && cfg.Scheme.Kind != mitigation.KindNone {
-		var missed, exposed int64
-		for p := range sh.parts {
-			o := sh.parts[p].oracle
-			res.OracleViolations += o.Violations()
-			missed += o.MissedVictimRows()
-			exposed += o.ExposedVictimRows()
-		}
-		res.MissedVictimRows, res.ExposedVictimRows = missed, exposed
-		if exposed > 0 {
-			res.MissedVictimRate = float64(missed) / float64(exposed)
-		}
-	}
-	sh.prev = cfg
-	sh.built = true
-	return res, nil
-}
-
-// build constructs the per-channel partition stacks fresh (cores assigned
-// channel ch = index mod Channels). A channel with no cores sees no
-// traffic, so it is skipped: that keeps the partition list dense
-// (engine.RunSharded requires non-empty partitions) without changing any
-// result, since the merge's pristine correction accounts for untouched
-// banks either way. Channel 0 always has core 0 (sharded requires Cores >=
-// 1), so the list is never empty.
-func (sh *shardState) build(cfg *Config, cpuNS float64, scaleVictim bool, scaledCycles int) error {
-	banks := cfg.Geometry.TotalBanks()
-	sh.parts = sh.parts[:0]
-	sh.ecfgs = sh.ecfgs[:0]
-	for ch := 0; ch < cfg.Geometry.Channels; ch++ {
-		var part shardPart
-		for i := ch; i < cfg.Cores; i += cfg.Geometry.Channels {
-			core, err := cpu.NewCore(cfg.Window)
-			if err != nil {
-				return err
-			}
-			cs, err := cfg.closedStream(sh.policy, i)
-			if err != nil {
-				return err
-			}
-			part.closed = append(part.closed, cs)
-			part.slots = append(part.slots, engine.CoreSlot{CPU: core, Gen: cs.gen, Requests: cfg.RequestsPerCore})
-		}
-		if len(part.slots) == 0 {
-			continue
-		}
-		ctrl, err := memctrl.New(cfg.Geometry, cfg.Timing)
-		if err != nil {
-			return err
-		}
-		scheme, err := cfg.Scheme.Build(banks, cfg.Geometry.RowsPerBank, cfg.Threshold, cfg.Seed)
-		if err != nil {
-			return err
-		}
-		if scaleVictim {
-			ctrl.SetVictimRowCycles(scaledCycles)
-		}
-		part.ctrl, part.scheme = ctrl, scheme
-		if cfg.CheckProtection && scheme.Kind() != mitigation.KindNone {
-			part.oracle = mitigation.NewOracle(banks, cfg.Geometry.RowsPerBank, cfg.Threshold)
-		}
-		sh.parts = append(sh.parts, part)
-		sh.ecfgs = append(sh.ecfgs, engine.Config{
-			Cores:           part.slots,
-			Ctrl:            ctrl,
-			Policy:          sh.policy,
-			Geometry:        cfg.Geometry,
-			Scheme:          scheme,
-			Oracle:          part.oracle,
-			Scrambler:       cfg.Scrambler,
-			IgnoreScrambler: cfg.IgnoreScrambler,
-			CPUPerBus:       cfg.CPUPerBus,
-			IntervalCPU:     int64(cfg.IntervalNS / cpuNS),
-			EpochCPU:        int64(cfg.EpochNS / cpuNS),
-			CPUCycleNS:      cpuNS,
-			BusCycleNS:      1000.0 / float64(cfg.Timing.BusMHz),
-			Batch:           true,
-			Channels:        &engine.ChannelRange{Lo: ch, Hi: ch + 1},
-		})
-	}
-	// Scratch pointers must be taken after the slice stops growing.
-	for p := range sh.parts {
-		sh.ecfgs[p].Scratch = &sh.parts[p].scratch
-	}
-	return nil
 }

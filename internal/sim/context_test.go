@@ -175,6 +175,15 @@ func TestContextShapeChangeRebuilds(t *testing.T) {
 
 	steps = append(steps, base) // and back
 
+	// Engine-path switches: the same streams pinned to their channels as
+	// one partition, then as two (Shards: 2), then the unpinned base again.
+	// The stack must rebuild whenever the partition count changes.
+	affine := base
+	affine.ChannelAffine = true
+	sharded := affine
+	sharded.Shards = 2
+	steps = append(steps, affine, sharded, base)
+
 	ctx := NewContext()
 	for i, cfg := range steps {
 		want, err := Run(cfg)

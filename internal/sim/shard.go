@@ -9,9 +9,10 @@ import (
 )
 
 // This file decides when a Config can take the channel-partitioned path
-// and pins generated streams to their channel. Context.runSharded builds
-// the per-channel stacks and folds them back into one Result; see
-// engine/shard.go for the determinism contract the partitioning rests on.
+// and pins generated streams to their channel. Context.Run builds one
+// partition stack per channel with cores and folds them back into one
+// Result; see engine/shard.go for the determinism contract the
+// partitioning rests on.
 
 // affineGen pins a generator's stream to one channel: every address is
 // remapped with row, rank, bank and column preserved. The wrapper sits

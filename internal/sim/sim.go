@@ -445,11 +445,10 @@ func Validate(cfg Config) error {
 func Run(cfg Config) (Result, error) { return NewContext().Run(cfg) }
 
 // deriveResult turns engine output plus end-state aggregates into the
-// reported Result. Both engine paths use it: the sequential path hands it
-// one controller's stats and one scheme's counts, the sharded path the sums
-// over its per-channel partitions — the expressions are shared so the two
-// paths agree bit for bit. label is the scheme's figure label (passed in
-// so run contexts can cache the formatted string across a sweep).
+// reported Result. Context.Run hands it the controller stats and scheme
+// counts summed over its partitions (one for a sequential run, one per
+// channel for a sharded run). label is the scheme's figure label (passed
+// in so run contexts can cache the formatted string across a sweep).
 func (c *Config) deriveResult(er engine.Result, counts mitigation.Counts, kind mitigation.Kind,
 	countersPerBank int, stats memctrl.Stats, label string) (Result, error) {
 	cpuNS := 1000.0 / (float64(c.Timing.BusMHz) * float64(c.CPUPerBus))

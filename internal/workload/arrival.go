@@ -102,21 +102,25 @@ func (s *ArrivalSpec) fill() {
 	}
 }
 
+// positive reports whether v is a finite positive number; NaN and +Inf
+// fail, so every range check written with it rejects non-finite values.
+func positive(v float64) bool { return v > 0 && !math.IsInf(v, 1) }
+
 func (s ArrivalSpec) validate() error {
 	switch s.Kind {
 	case Poisson:
-		if s.RateRPS <= 0 {
-			return fmt.Errorf("workload: poisson arrivals need a positive rate, got %g", s.RateRPS)
+		if !positive(s.RateRPS) {
+			return fmt.Errorf("workload: poisson arrivals need a finite positive rate, got %g", s.RateRPS)
 		}
 	case Bursty:
-		if s.RateRPS <= 0 {
-			return fmt.Errorf("workload: bursty arrivals need a positive rate, got %g", s.RateRPS)
+		if !positive(s.RateRPS) {
+			return fmt.Errorf("workload: bursty arrivals need a finite positive rate, got %g", s.RateRPS)
 		}
-		if s.OnFrac <= 0 || s.OnFrac > 1 {
+		if !(s.OnFrac > 0 && s.OnFrac <= 1) {
 			return fmt.Errorf("workload: bursty duty cycle %g out of (0, 1]", s.OnFrac)
 		}
-		if s.MeanBurstNS <= 0 {
-			return fmt.Errorf("workload: bursty mean burst %g ns must be positive", s.MeanBurstNS)
+		if !positive(s.MeanBurstNS) {
+			return fmt.Errorf("workload: bursty mean burst %g ns must be finite and positive", s.MeanBurstNS)
 		}
 	case Diurnal:
 		if len(s.Phases) == 0 {
@@ -124,11 +128,11 @@ func (s ArrivalSpec) validate() error {
 		}
 		anyRate := false
 		for i, p := range s.Phases {
-			if p.DurationNS <= 0 {
-				return fmt.Errorf("workload: diurnal phase %d has non-positive duration %g ns", i, p.DurationNS)
+			if !positive(p.DurationNS) {
+				return fmt.Errorf("workload: diurnal phase %d needs a finite positive duration, got %g ns", i, p.DurationNS)
 			}
-			if p.RateRPS < 0 {
-				return fmt.Errorf("workload: diurnal phase %d has negative rate %g", i, p.RateRPS)
+			if p.RateRPS != 0 && !positive(p.RateRPS) {
+				return fmt.Errorf("workload: diurnal phase %d needs a finite non-negative rate, got %g", i, p.RateRPS)
 			}
 			switch p.Mix {
 			case "", MixBase, MixFlat, MixPeak:
@@ -180,7 +184,9 @@ func (s ArrivalSpec) String() string {
 //	diurnal:phases=<rps>x<ns>[:<mix>][/<rps>x<ns>[:<mix>]...]
 //
 // Rates are requests per second of simulated time, durations simulated
-// nanoseconds, mix one of base/flat/peak.
+// nanoseconds, mix one of base/flat/peak. A parameter the kind does not
+// use is an error, and the base mix reads as "" (its String form), so
+// every accepted spec round-trips through String.
 func ParseArrival(s string) (ArrivalSpec, error) {
 	var spec ArrivalSpec
 	head, rest, _ := strings.Cut(s, ":")
@@ -203,17 +209,17 @@ func ParseArrival(s string) (ArrivalSpec, error) {
 			return spec, fmt.Errorf("workload: arrival spec %q: parameter %q is not key=value", s, kv)
 		}
 		var err error
-		switch key {
-		case "rate":
+		switch {
+		case key == "rate" && spec.Kind != Diurnal:
 			spec.RateRPS, err = strconv.ParseFloat(val, 64)
-		case "on":
+		case key == "on" && spec.Kind == Bursty:
 			spec.OnFrac, err = strconv.ParseFloat(val, 64)
-		case "burst":
+		case key == "burst" && spec.Kind == Bursty:
 			spec.MeanBurstNS, err = strconv.ParseFloat(val, 64)
-		case "phases":
+		case key == "phases" && spec.Kind == Diurnal:
 			spec.Phases, err = parsePhases(val)
 		default:
-			return spec, fmt.Errorf("workload: arrival spec %q: unknown parameter %q", s, key)
+			return spec, fmt.Errorf("workload: arrival spec %q: parameter %q does not apply to %s arrivals", s, key, spec.Kind)
 		}
 		if err != nil {
 			return spec, fmt.Errorf("workload: arrival spec %q: %v", s, err)
@@ -239,7 +245,7 @@ func parsePhases(s string) ([]Phase, error) {
 		if p.DurationNS, err = strconv.ParseFloat(dur, 64); err != nil {
 			return nil, fmt.Errorf("phase %q: bad duration: %v", part, err)
 		}
-		if hasMix {
+		if hasMix && mix != MixBase {
 			p.Mix = mix
 		}
 		out = append(out, p)

@@ -21,12 +21,41 @@ func testGeomPolicy(t *testing.T) (dram.Geometry, addrmap.Policy) {
 	return geom, policy
 }
 
+// arrivalRoundTrips are canonical specs: each parses and prints back
+// verbatim. They also seed FuzzParseArrival.
+var arrivalRoundTrips = []string{
+	"poisson:rate=2.8e+08",
+	"bursty:rate=1e+08,on=0.25,burst=50000",
+	"diurnal:phases=4.2e+08x400000:peak/2.8e+08x800000/7e+07x400000:flat",
+}
+
+// arrivalErrors must each fail to parse. They also seed FuzzParseArrival.
+var arrivalErrors = []string{
+	"steady:rate=1e8",              // unknown kind
+	"poisson",                      // missing params
+	"poisson:rate",                 // not key=value
+	"poisson:rate=0",               // rate must be positive
+	"poisson:pace=1e8",             // unknown key
+	"bursty:rate=1e8,on=1.5",       // duty out of range
+	"diurnal:phases=1e8x0",         // zero-length phase
+	"diurnal:phases=0x1000",        // no phase with a positive rate
+	"diurnal:phases=1e8x1000:warm", // unknown mix
+	"diurnal:phases=1e8",           // malformed phase
+	// Non-finite values.
+	"poisson:rate=NaN",
+	"poisson:rate=Inf",
+	"bursty:rate=1e6,on=NaN",
+	"bursty:rate=1e6,burst=Inf",
+	"diurnal:phases=1e6xInf",
+	"diurnal:phases=NaNx1000/1e6x1000",
+	// Parameters the kind does not use (String would drop them).
+	"poisson:rate=1e6,on=0.5",
+	"poisson:rate=1e6,phases=1e6x1000",
+	"diurnal:phases=1e6x1000,rate=5",
+}
+
 func TestParseArrivalRoundTrip(t *testing.T) {
-	for _, in := range []string{
-		"poisson:rate=2.8e+08",
-		"bursty:rate=1e+08,on=0.25,burst=50000",
-		"diurnal:phases=4.2e+08x400000:peak/2.8e+08x800000/7e+07x400000:flat",
-	} {
+	for _, in := range arrivalRoundTrips {
 		spec, err := ParseArrival(in)
 		if err != nil {
 			t.Fatalf("ParseArrival(%q): %v", in, err)
@@ -45,22 +74,34 @@ func TestParseArrivalRoundTrip(t *testing.T) {
 }
 
 func TestParseArrivalErrors(t *testing.T) {
-	for _, in := range []string{
-		"steady:rate=1e8",              // unknown kind
-		"poisson",                      // missing params
-		"poisson:rate",                 // not key=value
-		"poisson:rate=0",               // rate must be positive
-		"poisson:pace=1e8",             // unknown key
-		"bursty:rate=1e8,on=1.5",       // duty out of range
-		"diurnal:phases=1e8x0",         // zero-length phase
-		"diurnal:phases=0x1000",        // no phase with a positive rate
-		"diurnal:phases=1e8x1000:warm", // unknown mix
-		"diurnal:phases=1e8",           // malformed phase
-	} {
+	for _, in := range arrivalErrors {
 		if _, err := ParseArrival(in); err == nil {
 			t.Errorf("ParseArrival(%q) succeeded, want error", in)
 		}
 	}
+}
+
+// FuzzParseArrival guards the arrival grammar, which reaches the program
+// from outside through workload specs: it must never panic, and every
+// accepted spec must parse back from its String form to a DeepEqual spec.
+// The extra seed spells out the base mix that String omits.
+func FuzzParseArrival(f *testing.F) {
+	for _, s := range append(append([]string{"diurnal:phases=1e6x1000:base"}, arrivalRoundTrips...), arrivalErrors...) {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, in string) {
+		spec, err := ParseArrival(in)
+		if err != nil {
+			return
+		}
+		again, err := ParseArrival(spec.String())
+		if err != nil {
+			t.Fatalf("ParseArrival(%q) accepted, but its String %q fails: %v", in, spec.String(), err)
+		}
+		if !reflect.DeepEqual(again, spec) {
+			t.Fatalf("ParseArrival(%q): round trip via %q gives %+v, want %+v", in, spec.String(), again, spec)
+		}
+	})
 }
 
 // drainProcess draws n arrivals and returns the times.
