@@ -358,7 +358,7 @@ func (s *sampler) finish(endCPU int64, scr *Scratch) []Sample {
 // sharded path (RunSharded flushes every partition's write queue at the
 // global end, so drain timing matches a single merged run). scr.perBank
 // receives the per-bank activation tally.
-func runLoop(cfg *Config, scr *Scratch) (endCPU int64, smp *sampler, err error) {
+func runLoop(cfg *Config, scr *Scratch) (int64, *sampler, error) {
 	scr.perBank = grow(scr.perBank, cfg.Geometry.TotalBanks())
 	perBank := scr.perBank
 	nc := len(cfg.Cores)
@@ -385,7 +385,7 @@ func runLoop(cfg *Config, scr *Scratch) (endCPU int64, smp *sampler, err error) 
 	}
 	var openEnd int64
 	crossBank, hasCrossBank := cfg.Scheme.(mitigation.CrossBank)
-	smp = newSampler(cfg, scr)
+	smp := newSampler(cfg, scr)
 	nextInterval := cfg.IntervalCPU
 	chLo, chHi := 0, cfg.Geometry.Channels
 	if cfg.Channels != nil {
@@ -543,7 +543,7 @@ func runLoop(cfg *Config, scr *Scratch) (endCPU int64, smp *sampler, err error) 
 		sched.update(ci, now)
 	}
 
-	endCPU = openEnd
+	endCPU := openEnd
 	for i := range cfg.Cores {
 		endCPU = max(endCPU, cfg.Cores[i].CPU.Drain())
 	}

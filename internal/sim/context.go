@@ -70,6 +70,89 @@ type part struct {
 // NewContext returns an empty context; the first Run populates it.
 func NewContext() *Context { return &Context{} }
 
+// schemeLabel caches the scheme's formatted figure label across runs of
+// the same (spec, threshold) cell.
+func (ctx *Context) schemeLabel(cfg *Config) string {
+	if !ctx.hasLabel || ctx.labelSpec != cfg.Scheme || ctx.labelT != cfg.Threshold {
+		ctx.label = cfg.Scheme.Label(cfg.Threshold)
+		ctx.labelSpec, ctx.labelT, ctx.hasLabel = cfg.Scheme, cfg.Threshold, true
+	}
+	return ctx.label
+}
+
+// policyCache memoizes address-mapping policies process-wide: a policy is
+// a pure function of (geometry, interleave flag), immutable and
+// goroutine-safe after construction (sharded partitions already share one
+// instance), so every context — and every cell of a runner grid — reuses
+// the same table.
+var policyCache sync.Map // policyKey -> addrmap.Policy
+
+type policyKey struct {
+	geom        dram.Geometry
+	interleaved bool
+}
+
+func cachedPolicy(cfg *Config) (addrmap.Policy, error) {
+	k := policyKey{cfg.Geometry, cfg.ChannelInterleaved}
+	if v, ok := policyCache.Load(k); ok {
+		return v.(addrmap.Policy), nil
+	}
+	p, err := cfg.buildPolicy()
+	if err != nil {
+		return nil, err
+	}
+	v, _ := policyCache.LoadOrStore(k, p)
+	return v.(addrmap.Policy), nil
+}
+
+// sameStreamShape reports whether request streams built for a can be
+// rewound in place to serve b: every stream-determining field except the
+// seed must match (the seed is what reseed replays). Replay configs never
+// share streams — their wrappers are rebuilt each run.
+func sameStreamShape(a, b *Config) bool {
+	if a.Replay != nil || b.Replay != nil {
+		return false
+	}
+	if a.Geometry != b.Geometry || a.Timing != b.Timing ||
+		a.ChannelInterleaved != b.ChannelInterleaved ||
+		a.Cores != b.Cores || a.Window != b.Window ||
+		a.CPUPerBus != b.CPUPerBus ||
+		a.RequestsPerCore != b.RequestsPerCore ||
+		a.Workload != b.Workload ||
+		a.AttackOnsetFrac != b.AttackOnsetFrac ||
+		a.ChannelAffine != b.ChannelAffine {
+		return false
+	}
+	if (a.Attack == nil) != (b.Attack == nil) {
+		return false
+	}
+	if a.Attack != nil && *a.Attack != *b.Attack {
+		return false
+	}
+	if len(a.WorkloadPerCore) != len(b.WorkloadPerCore) {
+		return false
+	}
+	for i := range a.WorkloadPerCore {
+		if a.WorkloadPerCore[i] != b.WorkloadPerCore[i] {
+			return false
+		}
+	}
+	if (a.OpenLoop == nil) != (b.OpenLoop == nil) {
+		return false
+	}
+	if a.OpenLoop != nil && a.openConfig().String() != b.openConfig().String() {
+		return false
+	}
+	return true
+}
+
+// sameSchemeShape reports whether a scheme built for a serves b after a
+// ResetRun (same spec, threshold and system dimensions; the run seed is
+// re-derived by ResetRun).
+func sameSchemeShape(a, b *Config) bool {
+	return a.Scheme == b.Scheme && a.Threshold == b.Threshold && a.Geometry == b.Geometry
+}
+
 // Run executes one simulation, reusing the context's state wherever the
 // configuration shape allows. A sharded run (see Config.sharded) takes
 // min(Cores, Channels) partitions — core i in partition i mod Channels,
@@ -284,87 +367,4 @@ func (pt *part) newStreams(cfg *Config, policy addrmap.Policy, first, stride int
 		pt.openSlots = append(pt.openSlots, engine.OpenSlot{Gen: src, Requests: rt.Counts[i]})
 	}
 	return nil
-}
-
-// schemeLabel caches the scheme's formatted figure label across runs of
-// the same (spec, threshold) cell.
-func (ctx *Context) schemeLabel(cfg *Config) string {
-	if !ctx.hasLabel || ctx.labelSpec != cfg.Scheme || ctx.labelT != cfg.Threshold {
-		ctx.label = cfg.Scheme.Label(cfg.Threshold)
-		ctx.labelSpec, ctx.labelT, ctx.hasLabel = cfg.Scheme, cfg.Threshold, true
-	}
-	return ctx.label
-}
-
-// policyCache memoizes address-mapping policies process-wide: a policy is
-// a pure function of (geometry, interleave flag), immutable and
-// goroutine-safe after construction (sharded partitions already share one
-// instance), so every context — and every cell of a runner grid — reuses
-// the same table.
-var policyCache sync.Map // policyKey -> addrmap.Policy
-
-type policyKey struct {
-	geom        dram.Geometry
-	interleaved bool
-}
-
-func cachedPolicy(cfg *Config) (addrmap.Policy, error) {
-	k := policyKey{cfg.Geometry, cfg.ChannelInterleaved}
-	if v, ok := policyCache.Load(k); ok {
-		return v.(addrmap.Policy), nil
-	}
-	p, err := cfg.buildPolicy()
-	if err != nil {
-		return nil, err
-	}
-	v, _ := policyCache.LoadOrStore(k, p)
-	return v.(addrmap.Policy), nil
-}
-
-// sameStreamShape reports whether request streams built for a can be
-// rewound in place to serve b: every stream-determining field except the
-// seed must match (the seed is what reseed replays). Replay configs never
-// share streams — their wrappers are rebuilt each run.
-func sameStreamShape(a, b *Config) bool {
-	if a.Replay != nil || b.Replay != nil {
-		return false
-	}
-	if a.Geometry != b.Geometry || a.Timing != b.Timing ||
-		a.ChannelInterleaved != b.ChannelInterleaved ||
-		a.Cores != b.Cores || a.Window != b.Window ||
-		a.CPUPerBus != b.CPUPerBus ||
-		a.RequestsPerCore != b.RequestsPerCore ||
-		a.Workload != b.Workload ||
-		a.AttackOnsetFrac != b.AttackOnsetFrac ||
-		a.ChannelAffine != b.ChannelAffine {
-		return false
-	}
-	if (a.Attack == nil) != (b.Attack == nil) {
-		return false
-	}
-	if a.Attack != nil && *a.Attack != *b.Attack {
-		return false
-	}
-	if len(a.WorkloadPerCore) != len(b.WorkloadPerCore) {
-		return false
-	}
-	for i := range a.WorkloadPerCore {
-		if a.WorkloadPerCore[i] != b.WorkloadPerCore[i] {
-			return false
-		}
-	}
-	if (a.OpenLoop == nil) != (b.OpenLoop == nil) {
-		return false
-	}
-	if a.OpenLoop != nil && a.openConfig().String() != b.openConfig().String() {
-		return false
-	}
-	return true
-}
-
-// sameSchemeShape reports whether a scheme built for a serves b after a
-// ResetRun (same spec, threshold and system dimensions; the run seed is
-// re-derived by ResetRun).
-func sameSchemeShape(a, b *Config) bool {
-	return a.Scheme == b.Scheme && a.Threshold == b.Threshold && a.Geometry == b.Geometry
 }
