@@ -10,13 +10,23 @@
 //     released counter is used to split the hot region, so the tree tracks
 //     temporal changes in the access pattern without being rebuilt.
 //
-// The implementation mirrors the paper's SRAM layout (Fig. 5): an array I of
-// intermediate nodes carrying left/right pointers plus leaf flags, an array
-// C of counters, and an array W of weight registers. Row-range boundaries
-// are not stored; they are recovered during pointer-chasing traversal, and
-// the number of sequential SRAM accesses per lookup is modelled exactly as
-// the paper counts it (from 2 up to L - log2(M/4) for a tree pre-split to
-// λ = log2(M) levels).
+// The tree is an implicit binary heap (tree.go): node i's children sit at
+// 2i+1 and 2i+2, every node covers a power-of-two-aligned block of rows, and
+// per-node state lives in structure-of-arrays slabs sized for the deepest
+// allowed tree. A lookup picks each child from the row's address bits, so
+// row-range boundaries are never stored.
+//
+// The hardware the paper costs is the SRAM layout of its Fig. 5: an array I
+// of intermediate nodes carrying left/right pointers plus leaf flags, an
+// array C of counters, and an array W of weight registers. The model keeps
+// that layout's accounting. sramCost counts the sequential SRAM accesses
+// per lookup as the paper does (from 2 up to L - log2(M/4) for a tree
+// pre-split to λ = log2(M) levels), and StorageBits counts the bits of
+// Fig. 5's rows. The tree's order slice lists its internal nodes in the
+// order rows of array I are allocated, which is the order DRCAT's merge
+// search scans: which cold pair a reconfiguration merges depends on it,
+// and so do the experiment goldens. A pointer-linked transcription of
+// Fig. 5 lives in the package tests as the differential reference.
 //
 // Protection guarantee: a counter covering rows [lo, hi] is an upper bound
 // on the number of activations of every row in [lo, hi] since the last
@@ -138,24 +148,6 @@ func (c *Config) weightCap() uint8 {
 	return uint8(1<<wb - 1)
 }
 
-// inode is one row of the intermediate-node array I (paper Fig. 5b): two
-// successor pointers plus flags telling whether each successor is another
-// intermediate node (the paper's flag polarity) or a leaf counter.
-type inode struct {
-	left, right         int32
-	leftNode, rightNode bool
-}
-
-// counterState is one row of the counter array C plus the per-counter level
-// register l_i of Algorithm 1. depth is the true tree depth (used for range
-// recovery and the L-level cap); thIdx indexes the split-threshold ladder
-// and is forced to L-1 for every counter once the tree is fully built.
-type counterState struct {
-	value uint32
-	depth uint8
-	thIdx uint8
-}
-
 // Stats aggregates the observable behaviour of one tree.
 type Stats struct {
 	Accesses      int64 // row activations observed
@@ -166,261 +158,4 @@ type Stats struct {
 	Reconfigs     int64 // DRCAT merge+split reconfigurations
 	Rebuilds      int64 // full rebuilds (PRCAT interval resets)
 	MaxDepth      int   // deepest leaf observed
-}
-
-// Tree is one CAT instance. It is not safe for concurrent use; the
-// simulator drives one tree per bank from a single goroutine.
-type Tree struct {
-	cfg       Config
-	ladder    []uint32
-	lambda    int
-	weightCap uint8
-
-	inodes   []inode
-	counters []counterState
-	weights  []uint8
-	nInodes  int
-	nCtrs    int
-	full     bool
-
-	stats Stats
-}
-
-// NewTree builds a CAT in its initial (pre-split) shape.
-func NewTree(cfg Config) (*Tree, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	ladder := cfg.Ladder
-	if ladder == nil {
-		ladder = NewLadder(cfg.Counters, cfg.MaxLevels, cfg.RefreshThreshold)
-	}
-	t := &Tree{
-		cfg:       cfg,
-		ladder:    ladder,
-		lambda:    cfg.preSplit(),
-		weightCap: cfg.weightCap(),
-		inodes:    make([]inode, cfg.Counters-1+1), // M-1 max; +1 avoids a zero-length array for M=1
-		counters:  make([]counterState, cfg.Counters),
-		weights:   make([]uint8, cfg.Counters),
-	}
-	t.rebuild()
-	return t, nil
-}
-
-// rebuild restores the pre-split uniform tree with zeroed counters.
-func (t *Tree) rebuild() {
-	t.nInodes = 0
-	t.nCtrs = 0
-	t.full = false
-	for i := range t.weights {
-		t.weights[i] = 0
-	}
-	leaves := 1 << (t.lambda - 1)
-	t.buildUniform(leaves)
-	if t.nCtrs == t.cfg.Counters {
-		t.markFull()
-	}
-}
-
-// buildUniform allocates a complete subtree with the given number of leaves
-// and returns a reference to it (index plus is-node flag).
-func (t *Tree) buildUniform(leaves int) (idx int32, isNode bool) {
-	if leaves == 1 {
-		ci := int32(t.nCtrs)
-		t.nCtrs++
-		t.counters[ci] = counterState{
-			value: 0,
-			depth: uint8(t.lambda - 1),
-			thIdx: uint8(t.lambda - 1),
-		}
-		return ci, false
-	}
-	ni := int32(t.nInodes)
-	t.nInodes++
-	l, ln := t.buildUniform(leaves / 2)
-	r, rn := t.buildUniform(leaves / 2)
-	t.inodes[ni] = inode{left: l, right: r, leftNode: ln, rightNode: rn}
-	return ni, true
-}
-
-// markFull implements lines 23-25 of Algorithm 1: once every counter is
-// active, all split-threshold indices jump to L-1 so T_{l_i} = T.
-func (t *Tree) markFull() {
-	t.full = true
-	for i := 0; i < t.nCtrs; i++ {
-		t.counters[i].thIdx = uint8(t.cfg.MaxLevels - 1)
-	}
-}
-
-// Config returns the tree's configuration.
-func (t *Tree) Config() Config { return t.cfg }
-
-// Ladder returns the split-threshold ladder in use.
-func (t *Tree) Ladder() []uint32 { return t.ladder }
-
-// Stats returns a copy of the accumulated statistics.
-func (t *Tree) Stats() Stats { return t.stats }
-
-// ActiveCounters returns the number of activated counters.
-func (t *Tree) ActiveCounters() int { return t.nCtrs }
-
-// Full reports whether every counter has been activated.
-func (t *Tree) Full() bool { return t.full }
-
-// locate descends from the root to the leaf covering row, returning the
-// counter index, the covered range [lo, hi], the leaf depth, and the parent
-// linkage needed by a split (parent == -1 when the leaf is the root).
-func (t *Tree) locate(row int) (ci int32, lo, hi, depth int, parent int32, rightSide bool) {
-	lo, hi = 0, t.cfg.Rows-1
-	parent = -1
-	if t.nInodes == 0 {
-		return 0, lo, hi, 0, parent, false
-	}
-	var ref int32 // current intermediate node
-	for d := 0; ; d++ {
-		n := &t.inodes[ref]
-		mid := lo + (hi-lo)/2
-		if row <= mid {
-			hi = mid
-			if n.leftNode {
-				parent = ref
-				ref = n.left
-				continue
-			}
-			return n.left, lo, hi, d + 1, ref, false
-		}
-		lo = mid + 1
-		if n.rightNode {
-			parent = ref
-			ref = n.right
-			continue
-		}
-		return n.right, lo, hi, d + 1, ref, true
-	}
-}
-
-// sramCost models the sequential SRAM accesses for a lookup that ended at
-// the given leaf depth. With the top λ-1 intermediate levels replaced by
-// direct indexing (paper §IV-C), a lookup reads one intermediate node at
-// level λ-1, one node per additional level, and finally the counter: for a
-// leaf at depth L-1 that is (L-1) - (λ-1) + 2 = L - λ + 2 accesses, matching
-// the paper's "from 2 to L - log(M/4)" for λ = log2(M).
-func (t *Tree) sramCost(leafDepth int) int {
-	c := leafDepth - (t.lambda - 1) + 2
-	if c < 2 {
-		c = 2
-	}
-	return c
-}
-
-// Access records one activation of row. If the access drives a counter to
-// the refresh threshold, Access returns the inclusive row range to refresh
-// — the counter's range widened by one row on each side, clamped to the
-// bank (paper: "refresh all existing rows between Li-1 and Ui+1") — and
-// refresh = true.
-func (t *Tree) Access(row int) (refLo, refHi int, refresh bool) {
-	if row < 0 || row >= t.cfg.Rows {
-		panic(fmt.Sprintf("core: row %d out of range [0,%d)", row, t.cfg.Rows))
-	}
-	t.stats.Accesses++
-	ci, lo, hi, depth, parent, rightSide := t.locate(row)
-	t.stats.SRAMAccesses += int64(t.sramCost(depth))
-	if depth > t.stats.MaxDepth {
-		t.stats.MaxDepth = depth
-	}
-
-	// Counter Module (Algorithm 1 lines 4-12), with the trigger taken on
-	// the access that reaches the threshold rather than the one after it
-	// (an off-by-one in the paper's pseudocode that would let a row reach
-	// T+1 activations before its victims refresh).
-	c := &t.counters[ci]
-	if c.value < t.ladder[c.thIdx] {
-		c.value++
-	}
-	for c.value >= t.ladder[c.thIdx] {
-		if int(c.thIdx) < t.cfg.MaxLevels-1 {
-			// Reconfiguration Counter Module: split (lines 14-22). Splits
-			// are rare, so re-walking the tree afterwards keeps the logic
-			// simple; when the ladder has equal consecutive rungs the new
-			// leaf may split again immediately, hence the loop.
-			t.split(ci, lo, hi, depth, parent, rightSide)
-			ci, lo, hi, depth, parent, rightSide = t.locate(row)
-			c = &t.counters[ci]
-			continue
-		}
-		// Refresh trigger (lines 10-12).
-		c.value = 0
-		t.stats.RefreshEvents++
-		refLo, refHi = lo-1, hi+1
-		if refLo < 0 {
-			refLo = 0
-		}
-		if refHi > t.cfg.Rows-1 {
-			refHi = t.cfg.Rows - 1
-		}
-		t.stats.RowsRefreshed += int64(refHi - refLo + 1)
-		if t.cfg.Policy == DRCAT {
-			t.noteRefresh(ci)
-		}
-		return refLo, refHi, true
-	}
-	return 0, 0, false
-}
-
-// split activates a new counter as a clone of counter ci (RCM, Algorithm 1
-// lines 15-22).
-func (t *Tree) split(ci int32, lo, hi, depth int, parent int32, rightSide bool) {
-	if t.nCtrs >= t.cfg.Counters || lo == hi {
-		// No counter available or the range is a single row: saturate this
-		// counter's threshold at T so it can only trigger refreshes.
-		t.counters[ci].thIdx = uint8(t.cfg.MaxLevels - 1)
-		return
-	}
-	nc := int32(t.nCtrs)
-	t.nCtrs++
-	ni := int32(t.nInodes)
-	t.nInodes++
-
-	t.stats.Splits++
-	old := &t.counters[ci]
-	newDepth := depth + 1
-	th := old.thIdx + 1 // l_i++ for both halves (line 21-22)
-	t.counters[nc] = counterState{value: old.value, depth: uint8(newDepth), thIdx: th}
-	old.depth = uint8(newDepth)
-	old.thIdx = th
-
-	// The old counter keeps the lower half [lo, mid]; the new counter takes
-	// [mid+1, hi] (Algorithm 1 lines 17-20).
-	t.inodes[ni] = inode{left: ci, right: nc, leftNode: false, rightNode: false}
-	if parent >= 0 {
-		p := &t.inodes[parent]
-		if rightSide {
-			p.right, p.rightNode = ni, true
-		} else {
-			p.left, p.leftNode = ni, true
-		}
-	}
-	if t.cfg.Policy == DRCAT {
-		// Children inherit the parent's weight so a freshly split hot
-		// region is not immediately eligible for merging.
-		t.weights[nc] = t.weights[ci]
-	}
-	if t.nCtrs == t.cfg.Counters {
-		t.markFull()
-	}
-}
-
-// OnIntervalBoundary informs the tree that an auto-refresh interval elapsed
-// (all rows implicitly refreshed). PRCAT rebuilds the whole tree; DRCAT
-// clears counter values but keeps the learned structure and weights (§V).
-func (t *Tree) OnIntervalBoundary() {
-	if t.cfg.Policy == PRCAT {
-		t.rebuild()
-		t.stats.Rebuilds++
-		return
-	}
-	for i := 0; i < t.nCtrs; i++ {
-		t.counters[i].value = 0
-	}
 }

@@ -223,9 +223,9 @@ func TestMarkFullForcesThresholdToT(t *testing.T) {
 	if !tree.Full() {
 		t.Fatal("tree never filled")
 	}
-	for i := 0; i < tree.nCtrs; i++ {
-		if int(tree.counters[i].thIdx) != cfg.MaxLevels-1 {
-			t.Errorf("counter %d threshold index %d, want %d", i, tree.counters[i].thIdx, cfg.MaxLevels-1)
+	for _, l := range tree.Leaves() {
+		if int(tree.thIdx[l.Counter]) != cfg.MaxLevels-1 {
+			t.Errorf("counter %d threshold index %d, want %d", l.Counter, tree.thIdx[l.Counter], cfg.MaxLevels-1)
 		}
 	}
 }

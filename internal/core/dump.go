@@ -1,51 +1,9 @@
 package core
 
-import (
-	"fmt"
-	"strings"
-)
-
-// DumpTable renders the SRAM arrays in the layout of the paper's Fig. 5:
-// the intermediate-node array I (L-ptr, R-ptr, leaf flags — shown with the
-// paper's polarity, where flag 1 marks an intermediate successor), the
-// counter array C, and the weight array W. Diagnostics and documentation;
-// not on any hot path.
-func (t *Tree) DumpTable() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "I (%d rows)          L-ptr  R-ptr  L-node  R-node\n", t.nInodes)
-	for i := 0; i < t.nInodes; i++ {
-		n := &t.inodes[i]
-		fmt.Fprintf(&b, "  I%-3d               %-6s %-6s %d       %d\n",
-			i, refName(n.left, n.leftNode), refName(n.right, n.rightNode),
-			boolBit(n.leftNode), boolBit(n.rightNode))
-	}
-	fmt.Fprintf(&b, "C (%d active of %d)   value  depth  T-index  weight\n", t.nCtrs, t.cfg.Counters)
-	for i := 0; i < t.nCtrs; i++ {
-		c := &t.counters[i]
-		fmt.Fprintf(&b, "  C%-3d               %-6d %-6d %-8d %d\n",
-			i, c.value, c.depth, c.thIdx, t.weights[i])
-	}
-	return b.String()
-}
-
-func refName(idx int32, isNode bool) string {
-	if isNode {
-		return fmt.Sprintf("I%d", idx)
-	}
-	return fmt.Sprintf("C%d", idx)
-}
-
-func boolBit(v bool) int {
-	if v {
-		return 1
-	}
-	return 0
-}
-
-// StorageBits returns the on-chip storage the tree occupies, following the
-// paper's accounting (§IV-C, §V-B): each counter is log2(T) bits plus the
-// weight register for DRCAT; each intermediate-node row holds two log2(M)
-// pointers and two flags.
+// StorageBits returns the on-chip storage the tree occupies in the SRAM
+// layout of the paper's Fig. 5, following its accounting (§IV-C, §V-B):
+// each counter is log2(T) bits plus the weight register for DRCAT; each
+// intermediate-node row holds two log2(M) pointers and two flags.
 func (t *Tree) StorageBits() int {
 	m := t.cfg.Counters
 	counterBits := bitsFor(t.cfg.RefreshThreshold)

@@ -6,10 +6,13 @@ import (
 )
 
 func TestDumpTableShowsFig5Layout(t *testing.T) {
-	// Build a small tree and check the dump names every allocated row in
-	// the paper's Fig. 5 notation.
+	// Build a small reference tree and check the dump names every
+	// allocated row in the paper's Fig. 5 notation.
 	cfg := Config{Rows: 1 << 8, Counters: 8, MaxLevels: 6, RefreshThreshold: 64, PreSplit: 1}
-	tree := mustTree(t, cfg)
+	tree, err := newRefTree(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for i := 0; i < 64*4; i++ {
 		tree.Access(3)
 	}

@@ -6,7 +6,7 @@ import "fmt"
 // recovered by walking the tree. Diagnostics, tests, and the examples use
 // it to show tree shapes; the hot path never materialises it.
 type Leaf struct {
-	Counter int    // index into the counter array
+	Counter int    // heap slot of the counter
 	Lo, Hi  int    // inclusive row range
 	Depth   int    // tree level of the leaf
 	Value   uint32 // current counter value
@@ -16,130 +16,82 @@ type Leaf struct {
 // Leaves returns the active counters in row order.
 func (t *Tree) Leaves() []Leaf {
 	var out []Leaf
-	t.walk(func(l Leaf) { out = append(out, l) })
-	return out
-}
-
-// walk visits every leaf in row order.
-func (t *Tree) walk(visit func(Leaf)) {
-	if t.nInodes == 0 {
-		visit(Leaf{Counter: 0, Lo: 0, Hi: t.cfg.Rows - 1, Depth: 0,
-			Value: t.counters[0].value, Weight: t.weights[0]})
-		return
-	}
-	var rec func(ref int32, isNode bool, lo, hi, depth int)
-	rec = func(ref int32, isNode bool, lo, hi, depth int) {
-		if !isNode {
-			visit(Leaf{Counter: int(ref), Lo: lo, Hi: hi, Depth: depth,
-				Value: t.counters[ref].value, Weight: t.weights[ref]})
+	var walk func(i, depth int)
+	walk = func(i, depth int) {
+		if t.state[i] == slotInternal {
+			walk(2*i+1, depth+1)
+			walk(2*i+2, depth+1)
 			return
 		}
-		n := &t.inodes[ref]
-		mid := lo + (hi-lo)/2
-		rec(n.left, n.leftNode, lo, mid, depth+1)
-		rec(n.right, n.rightNode, mid+1, hi, depth+1)
+		// Slot i is the (i+1-2^depth)-th node of its level, left to right.
+		size := t.cfg.Rows >> depth
+		lo := (i + 1 - 1<<depth) * size
+		out = append(out, Leaf{Counter: i, Lo: lo, Hi: lo + size - 1, Depth: depth,
+			Value: t.value[i], Weight: t.weight[i]})
 	}
-	rec(0, true, 0, t.cfg.Rows-1, 0)
+	walk(0, 0)
+	return out
 }
 
 // CheckInvariants verifies the structural soundness of the tree:
 //
-//  1. the leaves partition [0, Rows) exactly, in order, without overlap;
-//  2. every active counter appears as exactly one leaf and every allocated
-//     intermediate-node row is reachable exactly once (no cycles, no leaks);
-//  3. each leaf's stored depth matches its tree position;
-//  4. threshold indices are within the ladder; and
-//  5. no counter value exceeds the refresh threshold T.
+//  1. the root slot is populated, every other populated slot hangs off an
+//     internal parent, and every internal node has both children, so the
+//     leaves partition [0, Rows) exactly;
+//  2. no populated slot lies at or beyond maxUsed, the bound of the slab
+//     scans;
+//  3. the leaf count equals the active-counter count, which is at most M;
+//  4. order lists every internal node exactly once;
+//  5. threshold indices are within the ladder; and
+//  6. no counter value exceeds the refresh threshold T.
 //
 // It returns the first violation found, or nil. Tests call it after every
 // mutation batch; it is deliberately exhaustive rather than fast.
 func (t *Tree) CheckInvariants() error {
-	seenCtr := make(map[int32]bool)
-	seenNode := make(map[int32]bool)
-	nextLo := 0
-	var firstErr error
-	fail := func(format string, args ...any) {
-		if firstErr == nil {
-			firstErr = fmt.Errorf("core: invariant violated: "+format, args...)
+	fail := func(format string, args ...any) error {
+		return fmt.Errorf("core: invariant violated: "+format, args...)
+	}
+	if t.state[0] == slotAbsent {
+		return fail("root slot is empty")
+	}
+	leaves, internal := 0, 0
+	for i, s := range t.state {
+		if s == slotAbsent {
+			continue
+		}
+		if i > 0 && t.state[(i-1)/2] != slotInternal {
+			return fail("slot %d is an orphan: its parent is not an internal node", i)
+		}
+		if i >= t.maxUsed {
+			return fail("slot %d populated beyond the scan bound %d", i, t.maxUsed)
+		}
+		if s == slotInternal {
+			internal++
+			if r := 2*i + 2; r >= len(t.state) || t.state[r-1] == slotAbsent || t.state[r] == slotAbsent {
+				return fail("internal node %d is missing a child", i)
+			}
+			continue
+		}
+		leaves++
+		if int(t.thIdx[i]) >= t.cfg.MaxLevels {
+			return fail("counter %d threshold index %d out of ladder", i, t.thIdx[i])
+		}
+		if t.value[i] > t.cfg.RefreshThreshold {
+			return fail("counter %d value %d exceeds T=%d", i, t.value[i], t.cfg.RefreshThreshold)
 		}
 	}
-
-	var rec func(ref int32, isNode bool, lo, hi, depth int)
-	rec = func(ref int32, isNode bool, lo, hi, depth int) {
-		if firstErr != nil {
-			return
-		}
-		if lo > hi {
-			fail("empty range [%d,%d] at depth %d", lo, hi, depth)
-			return
-		}
-		if !isNode {
-			if ref < 0 || int(ref) >= t.nCtrs {
-				fail("leaf pointer %d outside active counters [0,%d)", ref, t.nCtrs)
-				return
-			}
-			if seenCtr[ref] {
-				fail("counter %d reachable twice", ref)
-				return
-			}
-			seenCtr[ref] = true
-			if lo != nextLo {
-				fail("leaf %d starts at %d, want %d (gap or overlap)", ref, lo, nextLo)
-				return
-			}
-			nextLo = hi + 1
-			c := &t.counters[ref]
-			if int(c.depth) != depth {
-				fail("counter %d stored depth %d, position depth %d", ref, c.depth, depth)
-			}
-			if int(c.thIdx) >= t.cfg.MaxLevels {
-				fail("counter %d threshold index %d out of ladder", ref, c.thIdx)
-			}
-			if c.value > t.cfg.RefreshThreshold {
-				fail("counter %d value %d exceeds T=%d", ref, c.value, t.cfg.RefreshThreshold)
-			}
-			return
-		}
-		if ref < 0 || int(ref) >= t.nInodes {
-			fail("node pointer %d outside allocated rows [0,%d)", ref, t.nInodes)
-			return
-		}
-		if seenNode[ref] {
-			fail("intermediate node %d reachable twice (cycle)", ref)
-			return
-		}
-		seenNode[ref] = true
-		if depth >= t.cfg.MaxLevels {
-			fail("node %d at depth %d exceeds L=%d levels", ref, depth, t.cfg.MaxLevels)
-			return
-		}
-		n := &t.inodes[ref]
-		mid := lo + (hi-lo)/2
-		rec(n.left, n.leftNode, lo, mid, depth+1)
-		rec(n.right, n.rightNode, mid+1, hi, depth+1)
+	if leaves != t.nCtrs || t.nCtrs > t.cfg.Counters {
+		return fail("%d leaves but %d active counters (M=%d)", leaves, t.nCtrs, t.cfg.Counters)
 	}
-
-	if t.nInodes == 0 {
-		if t.nCtrs < 1 {
-			return fmt.Errorf("core: invariant violated: tree has no counters")
+	if len(t.order) != internal {
+		return fail("order lists %d nodes, %d are internal", len(t.order), internal)
+	}
+	seen := make(map[int32]bool, len(t.order))
+	for k, i := range t.order {
+		if i < 0 || int(i) >= len(t.state) || t.state[i] != slotInternal || seen[i] {
+			return fail("order[%d] = %d is not a distinct internal node", k, i)
 		}
-		if t.counters[0].depth != 0 {
-			return fmt.Errorf("core: invariant violated: root leaf depth %d", t.counters[0].depth)
-		}
-		return nil
-	}
-	rec(0, true, 0, t.cfg.Rows-1, 0)
-	if firstErr != nil {
-		return firstErr
-	}
-	if nextLo != t.cfg.Rows {
-		return fmt.Errorf("core: invariant violated: leaves cover up to %d, want %d", nextLo, t.cfg.Rows)
-	}
-	if len(seenCtr) != t.nCtrs {
-		return fmt.Errorf("core: invariant violated: %d counters reachable, %d active", len(seenCtr), t.nCtrs)
-	}
-	if len(seenNode) != t.nInodes {
-		return fmt.Errorf("core: invariant violated: %d nodes reachable, %d allocated", len(seenNode), t.nInodes)
+		seen[i] = true
 	}
 	return nil
 }

@@ -5,9 +5,8 @@ import (
 	"math/bits"
 )
 
-// FlatTree is the cache-friendly CAT layout: the same adaptive tree of
-// counters as Tree, stored as a contiguous implicit binary heap instead of
-// pointer-linked node rows. Node i's children live at 2i+1 and 2i+2, so a
+// Tree is one CAT instance (one per DRAM bank), stored as a contiguous
+// implicit binary heap. Node i's children live at 2i+1 and 2i+2, so a
 // lookup never chases a pointer — it walks a byte array of node states,
 // choosing the child from the row's address bits (every node covers a
 // power-of-two-aligned row block, so the branch direction at depth d is
@@ -16,23 +15,15 @@ import (
 // walk touches one dense byte per level and the weight-aging pass is a
 // straight byte scan.
 //
-// FlatTree is observationally equivalent to Tree: identical Access
-// return values, statistics, counter occupancy and — crucially — identical
-// DRCAT reconfiguration decisions. The pointer implementation scans its
-// intermediate-node array in allocation order when choosing the cold
-// sibling pair to merge, and recycles the merged row in place for the hot
-// split; FlatTree mirrors that discipline with a small order slice
-// (allocation slot -> heap index) so both trees always merge the same
-// node. The equivalence is locked by the differential tests in
-// flat_test.go (random traces, reconfig storms) and transitively by the
-// experiment goldens.
-//
 // The price of the implicit layout is capacity for the worst-case shape:
 // the slabs hold 2^L - 1 slots (L = MaxLevels) regardless of how many
 // counters are active — ~14 KB per bank at the paper's L = 11 — in
 // exchange for a hot path bound by one L1 line per level instead of one
 // dependent load per pointer hop.
-type FlatTree struct {
+//
+// A Tree is not safe for concurrent use; the simulator drives one tree per
+// bank from a single goroutine.
+type Tree struct {
 	cfg       Config
 	ladder    []uint32
 	lambda    int
@@ -45,10 +36,11 @@ type FlatTree struct {
 	thIdx  []uint8
 	weight []uint8
 
-	// order mirrors the pointer implementation's intermediate-node array:
-	// order[k] is the heap index of the k-th allocated internal node, with
-	// merged slots recycled in place — the scan order of DRCAT's
-	// merge-candidate search.
+	// order is Fig. 5's intermediate-node array I in row order: order[k]
+	// is the heap index of the internal node in row k. The pre-split
+	// nodes take rows in preorder, each split appends a row, and a DRCAT
+	// reconfiguration recycles the merged node's row for the hot split.
+	// DRCAT's merge-candidate search scans it.
 	order []int32
 
 	nCtrs   int
@@ -64,9 +56,8 @@ const (
 	slotLeaf     uint8 = 2
 )
 
-// NewFlatTree builds a flat CAT in its initial (pre-split) shape. It
-// accepts exactly the configurations NewTree accepts.
-func NewFlatTree(cfg Config) (*FlatTree, error) {
+// NewTree builds a CAT in its initial (pre-split) shape.
+func NewTree(cfg Config) (*Tree, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -75,7 +66,7 @@ func NewFlatTree(cfg Config) (*FlatTree, error) {
 		ladder = NewLadder(cfg.Counters, cfg.MaxLevels, cfg.RefreshThreshold)
 	}
 	slots := 1<<cfg.MaxLevels - 1
-	t := &FlatTree{
+	t := &Tree{
 		cfg:       cfg,
 		ladder:    ladder,
 		lambda:    cfg.preSplit(),
@@ -92,7 +83,7 @@ func NewFlatTree(cfg Config) (*FlatTree, error) {
 }
 
 // rebuild restores the pre-split uniform tree with zeroed counters.
-func (t *FlatTree) rebuild() {
+func (t *Tree) rebuild() {
 	for i := 0; i < t.maxUsed; i++ {
 		t.state[i] = slotAbsent
 		t.value[i] = 0
@@ -113,15 +104,15 @@ func (t *FlatTree) rebuild() {
 // Reset restores the tree to its just-constructed state — the uniform
 // pre-split shape with zeroed counters and zeroed statistics — without
 // allocating. Run contexts use it to reuse trees across repeated runs.
-func (t *FlatTree) Reset() {
+func (t *Tree) Reset() {
 	t.rebuild()
 	t.stats = Stats{}
 }
 
 // buildUniform populates a complete subtree rooted at heap index i with
-// the given number of leaves, appending internal nodes to order in
-// preorder — the allocation order of the pointer implementation.
-func (t *FlatTree) buildUniform(i, leaves int) {
+// the given number of leaves, appending its internal nodes to order in
+// preorder (Fig. 5's row-allocation order for the pre-split tree).
+func (t *Tree) buildUniform(i, leaves int) {
 	if leaves == 1 {
 		t.state[i] = slotLeaf
 		t.thIdx[i] = uint8(t.lambda - 1)
@@ -136,7 +127,7 @@ func (t *FlatTree) buildUniform(i, leaves int) {
 
 // markFull implements lines 23-25 of Algorithm 1: once every counter is
 // active, all split-threshold indices jump to L-1 so T_{l_i} = T.
-func (t *FlatTree) markFull() {
+func (t *Tree) markFull() {
 	t.full = true
 	top := uint8(t.cfg.MaxLevels - 1)
 	for i := 0; i < t.maxUsed; i++ {
@@ -147,24 +138,23 @@ func (t *FlatTree) markFull() {
 }
 
 // Config returns the tree's configuration.
-func (t *FlatTree) Config() Config { return t.cfg }
+func (t *Tree) Config() Config { return t.cfg }
 
 // Ladder returns the split-threshold ladder in use.
-func (t *FlatTree) Ladder() []uint32 { return t.ladder }
+func (t *Tree) Ladder() []uint32 { return t.ladder }
 
 // Stats returns a copy of the accumulated statistics.
-func (t *FlatTree) Stats() Stats { return t.stats }
+func (t *Tree) Stats() Stats { return t.stats }
 
 // ActiveCounters returns the number of activated counters.
-func (t *FlatTree) ActiveCounters() int { return t.nCtrs }
+func (t *Tree) ActiveCounters() int { return t.nCtrs }
 
 // Full reports whether every counter has been activated.
-func (t *FlatTree) Full() bool { return t.full }
+func (t *Tree) Full() bool { return t.full }
 
 // Weights returns the active leaf weight registers in heap order
-// (diagnostics; the pointer Tree reports the same multiset in counter
-// allocation order).
-func (t *FlatTree) Weights() []uint8 {
+// (diagnostics and tests).
+func (t *Tree) Weights() []uint8 {
 	out := make([]uint8, 0, t.nCtrs)
 	for i := 0; i < t.maxUsed; i++ {
 		if t.state[i] == slotLeaf {
@@ -177,7 +167,7 @@ func (t *FlatTree) Weights() []uint8 {
 // locate walks the state slab from the root to the leaf covering row. The
 // child at depth d is selected by row bit rowBits-1-d, so the walk is a
 // handful of dense byte loads with no pointer dependencies.
-func (t *FlatTree) locate(row int) (idx, depth int) {
+func (t *Tree) locate(row int) (idx, depth int) {
 	i := 0
 	d := 0
 	shift := t.rowBits - 1
@@ -190,9 +180,14 @@ func (t *FlatTree) locate(row int) (idx, depth int) {
 	return i, d
 }
 
-// sramCost models the sequential SRAM accesses for a lookup that ended at
-// the given leaf depth (same accounting as Tree.sramCost).
-func (t *FlatTree) sramCost(leafDepth int) int {
+// sramCost models the sequential SRAM accesses of Fig. 5's layout for a
+// lookup that ended at the given leaf depth. With the top λ-1
+// intermediate levels replaced by direct indexing (paper §IV-C), a lookup
+// reads one intermediate node at level λ-1, one node per additional
+// level, and finally the counter: for a leaf at depth L-1 that is
+// (L-1) - (λ-1) + 2 = L - λ + 2 accesses, matching the paper's "from 2 to
+// L - log(M/4)" for λ = log2(M).
+func (t *Tree) sramCost(leafDepth int) int {
 	c := leafDepth - (t.lambda - 1) + 2
 	if c < 2 {
 		c = 2
@@ -200,10 +195,12 @@ func (t *FlatTree) sramCost(leafDepth int) int {
 	return c
 }
 
-// Access records one activation of row, returning the inclusive row range
-// to refresh when a counter reaches the threshold. It is step-for-step the
-// algorithm of Tree.Access over the flat layout.
-func (t *FlatTree) Access(row int) (refLo, refHi int, refresh bool) {
+// Access records one activation of row. If the access drives a counter to
+// the refresh threshold, Access returns the inclusive row range to refresh
+// — the counter's range widened by one row on each side, clamped to the
+// bank (paper: "refresh all existing rows between Li-1 and Ui+1") — and
+// refresh = true.
+func (t *Tree) Access(row int) (refLo, refHi int, refresh bool) {
 	if row < 0 || row >= t.cfg.Rows {
 		panic(fmt.Sprintf("core: row %d out of range [0,%d)", row, t.cfg.Rows))
 	}
@@ -214,11 +211,16 @@ func (t *FlatTree) Access(row int) (refLo, refHi int, refresh bool) {
 		t.stats.MaxDepth = depth
 	}
 
+	// Counter Module (Algorithm 1 lines 4-12), with the trigger taken on
+	// the access that reaches the threshold rather than the one after it
+	// (an off-by-one in the paper's pseudocode that would let a row reach
+	// T+1 activations before its victims refresh).
 	if t.value[i] < t.ladder[t.thIdx[i]] {
 		t.value[i]++
 	}
 	for t.value[i] >= t.ladder[t.thIdx[i]] {
 		if int(t.thIdx[i]) < t.cfg.MaxLevels-1 {
+			// Reconfiguration Counter Module: split (lines 14-22).
 			t.split(i, depth)
 			if t.state[i] == slotInternal {
 				// Descend into the half still covering row; with equal
@@ -228,8 +230,8 @@ func (t *FlatTree) Access(row int) (refLo, refHi int, refresh bool) {
 			}
 			continue
 		}
-		// Refresh trigger. The leaf covers the power-of-two-aligned block
-		// of Rows>>depth rows containing row.
+		// Refresh trigger (lines 10-12). The leaf covers the
+		// power-of-two-aligned block of Rows>>depth rows containing row.
 		t.value[i] = 0
 		t.stats.RefreshEvents++
 		size := t.cfg.Rows >> depth
@@ -254,7 +256,7 @@ func (t *FlatTree) Access(row int) (refLo, refHi int, refresh bool) {
 // split activates a new counter by turning leaf i at the given depth into
 // an internal node with two cloned leaf children (RCM, Algorithm 1 lines
 // 15-22).
-func (t *FlatTree) split(i, depth int) {
+func (t *Tree) split(i, depth int) {
 	l, r := 2*i+1, 2*i+2
 	if t.nCtrs >= t.cfg.Counters || t.cfg.Rows>>depth == 1 || r >= len(t.state) {
 		// No counter available or the range is a single row: saturate this
@@ -283,10 +285,14 @@ func (t *FlatTree) split(i, depth int) {
 	}
 }
 
-// noteRefresh performs DRCAT's weight bookkeeping for the hot leaf and,
-// when its weight saturates, attempts one merge+split reconfiguration
-// (paper §V-B). The aging pass is a dense scan over the weight slab.
-func (t *FlatTree) noteRefresh(hot int) {
+// noteRefresh performs DRCAT's weight bookkeeping for the hot leaf (paper
+// §V-B, Fig. 7). Every counter carries a small weight register. When a
+// counter reaches the refresh threshold its weight is incremented
+// (saturating) and all other weights are decremented (floored at zero), so
+// weights age out unless a region keeps triggering refreshes. When the hot
+// counter saturates its weight, noteRefresh attempts one merge+split
+// reconfiguration. The aging pass is a dense scan over the weight slab.
+func (t *Tree) noteRefresh(hot int) {
 	st, w := t.state, t.weight
 	wHot := w[hot]
 	for j := 0; j < t.maxUsed; j++ {
@@ -306,12 +312,16 @@ func (t *FlatTree) noteRefresh(hot int) {
 	}
 }
 
-// reconfigure merges the coldest sibling pair and splits the hot counter
-// in place. The candidate scan follows order — the pointer tree's
-// intermediate-node allocation order — so both implementations always
-// pick the same pair; the merged node's order slot is recycled for the
-// new split node, exactly like the pointer tree reuses the SRAM row.
-func (t *FlatTree) reconfigure(hot int) bool {
+// reconfigure reshapes the tree around the hot counter: it finds an
+// internal node whose two children are zero-weight leaves, merges the two
+// cold counters (keeping the larger value so the per-row activation upper
+// bound is preserved), and reuses the released counter and
+// intermediate-node row to split the hot counter in half. The candidate
+// scan follows order, Fig. 5's row order, and the merged node's row is
+// recycled for the new split node. It returns false when no
+// reconfiguration is possible (no all-cold sibling pair, the hot counter
+// is already at maximum depth, or the tree is trivial).
+func (t *Tree) reconfigure(hot int) bool {
 	if len(t.order) < 2 {
 		return false // degenerate tree: nothing to merge without emptying it
 	}
@@ -320,8 +330,8 @@ func (t *FlatTree) reconfigure(hot int) bool {
 		return false // splitting would exceed the L-level cap
 	}
 
-	// Step 1: find the first (allocation-order) internal node whose
-	// children are two cold leaves, neither of them the hot counter.
+	// Step 1: scan order for the first internal node whose children
+	// are two cold leaves, neither of them the hot counter.
 	cand, candSlot := -1, -1
 	for k, oi := range t.order {
 		j := int(oi)
@@ -376,7 +386,7 @@ func (t *FlatTree) reconfigure(hot int) bool {
 // OnIntervalBoundary informs the tree that an auto-refresh interval
 // elapsed. PRCAT rebuilds the whole tree; DRCAT clears counter values but
 // keeps the learned structure and weights (§V).
-func (t *FlatTree) OnIntervalBoundary() {
+func (t *Tree) OnIntervalBoundary() {
 	if t.cfg.Policy == PRCAT {
 		t.rebuild()
 		t.stats.Rebuilds++

@@ -2,16 +2,16 @@ package core
 
 import (
 	"fmt"
-	"sort"
 	"testing"
 
 	"catsim/internal/rng"
 )
 
-// The flat implicit-heap tree must be observationally indistinguishable
-// from the pointer-linked reference: same Access return values on every
-// call, same statistics, same occupancy, same DRCAT reconfiguration
-// decisions. These differential tests drive both implementations with
+// The implicit-heap Tree must be observationally indistinguishable from
+// refTree, the pointer-linked transcription of Fig. 5 in reftree_test.go:
+// same Access return values on every call, same statistics, same
+// occupancy, same DRCAT reconfiguration decisions and the same leaves in
+// row order. These differential tests drive both implementations with
 // identical traces — uniform random rows, hammering storms that force
 // refresh/reconfigure churn, and interval boundaries — and fail on the
 // first divergence.
@@ -34,51 +34,48 @@ func diffConfigs() []Config {
 
 // comparePair asserts both trees agree on one access and on all summary
 // state. step identifies the failing access in the trace.
-func comparePair(t *testing.T, ref *Tree, flat *FlatTree, row, step int) {
+func comparePair(t *testing.T, ref *refTree, tree *Tree, row, step int) {
 	t.Helper()
 	rl, rh, rr := ref.Access(row)
-	fl, fh, fr := flat.Access(row)
+	fl, fh, fr := tree.Access(row)
 	if rl != fl || rh != fh || rr != fr {
-		t.Fatalf("step %d row %d: pointer (%d,%d,%v) != flat (%d,%d,%v)",
+		t.Fatalf("step %d row %d: reference (%d,%d,%v) != tree (%d,%d,%v)",
 			step, row, rl, rh, rr, fl, fh, fr)
 	}
-	if ref.Stats() != flat.Stats() {
-		t.Fatalf("step %d: stats diverge\npointer %+v\nflat    %+v", step, ref.Stats(), flat.Stats())
+	if ref.stats != tree.Stats() {
+		t.Fatalf("step %d: stats diverge\nreference %+v\ntree      %+v", step, ref.stats, tree.Stats())
 	}
-	if ref.ActiveCounters() != flat.ActiveCounters() || ref.Full() != flat.Full() {
-		t.Fatalf("step %d: occupancy diverges: pointer %d/%v, flat %d/%v",
-			step, ref.ActiveCounters(), ref.Full(), flat.ActiveCounters(), flat.Full())
+	if ref.nCtrs != tree.ActiveCounters() || ref.full != tree.Full() {
+		t.Fatalf("step %d: occupancy diverges: reference %d/%v, tree %d/%v",
+			step, ref.nCtrs, ref.full, tree.ActiveCounters(), tree.Full())
 	}
 }
 
-// compareWeights checks the weight-register multiset matches (the two
-// layouts report weights in different orders).
-func compareWeights(t *testing.T, ref *Tree, flat *FlatTree, step int) {
+// compareLeaves checks both trees have the same leaves in row order:
+// range, depth, value and weight register. Leaf.Counter is ignored — it
+// is a counter-array index in the reference and a heap slot in Tree.
+func compareLeaves(t *testing.T, ref *refTree, tree *Tree, step int) {
 	t.Helper()
-	rw, fw := ref.Weights(), flat.Weights()
-	if len(rw) != len(fw) {
-		t.Fatalf("step %d: weight count %d != %d", step, len(rw), len(fw))
+	rl, tl := ref.Leaves(), tree.Leaves()
+	if len(rl) != len(tl) {
+		t.Fatalf("step %d: %d reference leaves, %d tree leaves", step, len(rl), len(tl))
 	}
-	sort.Slice(rw, func(i, j int) bool { return rw[i] < rw[j] })
-	sort.Slice(fw, func(i, j int) bool { return fw[i] < fw[j] })
-	for i := range rw {
-		if rw[i] != fw[i] {
-			t.Fatalf("step %d: weight multisets diverge: %v vs %v", step, rw, fw)
+	for i := range rl {
+		r, f := rl[i], tl[i]
+		r.Counter, f.Counter = 0, 0
+		if r != f {
+			t.Fatalf("step %d: leaf %d diverges\nreference %+v\ntree      %+v", step, i, r, f)
 		}
 	}
 }
 
-func newPair(t *testing.T, cfg Config) (*Tree, *FlatTree) {
+func newPair(t *testing.T, cfg Config) (*refTree, *Tree) {
 	t.Helper()
-	ref, err := NewTree(cfg)
+	ref, err := newRefTree(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	flat, err := NewFlatTree(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return ref, flat
+	return ref, mustTree(t, cfg)
 }
 
 // TestFlatMatchesPointerRandomTrace drives both trees with uniform random
@@ -87,18 +84,19 @@ func TestFlatMatchesPointerRandomTrace(t *testing.T) {
 	for _, cfg := range diffConfigs() {
 		cfg := cfg
 		t.Run(fmt.Sprintf("%s_M%d_R%d", cfg.Policy, cfg.Counters, cfg.Rows), func(t *testing.T) {
-			ref, flat := newPair(t, cfg)
+			ref, tree := newPair(t, cfg)
 			src := rng.NewXoshiro256(42)
 			for step := 0; step < 60000; step++ {
 				row := int(rng.Float64(src) * float64(cfg.Rows))
-				comparePair(t, ref, flat, row, step)
+				comparePair(t, ref, tree, row, step)
 				if step%7919 == 7918 {
+					compareLeaves(t, ref, tree, step)
 					ref.OnIntervalBoundary()
-					flat.OnIntervalBoundary()
-					compareWeights(t, ref, flat, step)
+					tree.OnIntervalBoundary()
+					compareLeaves(t, ref, tree, step)
 				}
 			}
-			compareWeights(t, ref, flat, -1)
+			compareLeaves(t, ref, tree, -1)
 		})
 	}
 }
@@ -111,7 +109,7 @@ func TestFlatMatchesPointerReconfigStorm(t *testing.T) {
 	for _, cfg := range diffConfigs() {
 		cfg := cfg
 		t.Run(fmt.Sprintf("%s_M%d_R%d", cfg.Policy, cfg.Counters, cfg.Rows), func(t *testing.T) {
-			ref, flat := newPair(t, cfg)
+			ref, tree := newPair(t, cfg)
 			src := rng.NewXoshiro256(7)
 			base := 0
 			for step := 0; step < 80000; step++ {
@@ -131,31 +129,30 @@ func TestFlatMatchesPointerReconfigStorm(t *testing.T) {
 				default:
 					row = base % cfg.Rows
 				}
-				comparePair(t, ref, flat, row, step)
+				comparePair(t, ref, tree, row, step)
 				if step%17389 == 17388 {
+					compareLeaves(t, ref, tree, step)
 					ref.OnIntervalBoundary()
-					flat.OnIntervalBoundary()
+					tree.OnIntervalBoundary()
+					compareLeaves(t, ref, tree, step)
 				}
 			}
-			st := flat.Stats()
+			st := tree.Stats()
 			if cfg.Policy == DRCAT && cfg.Counters >= 4 && cfg.Counters < cfg.Rows && st.Reconfigs == 0 {
 				t.Errorf("storm produced no reconfigs (refreshes %d) — test not exercising DRCAT surgery", st.RefreshEvents)
 			}
-			compareWeights(t, ref, flat, -1)
+			compareLeaves(t, ref, tree, -1)
 		})
 	}
 }
 
-// TestFlatProtectionInvariant spot-checks the flat tree's own guarantee
+// TestFlatProtectionInvariant spot-checks the tree's own guarantee
 // independently of the reference: between refreshes of a row's
 // neighbourhood, no row accumulates more than RefreshThreshold
 // activations without Access reporting a refresh range covering it.
 func TestFlatProtectionInvariant(t *testing.T) {
 	cfg := Config{Rows: 512, Counters: 16, MaxLevels: 9, RefreshThreshold: 32, Policy: DRCAT}
-	flat, err := NewFlatTree(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tree := mustTree(t, cfg)
 	acts := make([]uint32, cfg.Rows)
 	src := rng.NewXoshiro256(99)
 	hot := 100
@@ -170,14 +167,14 @@ func TestFlatProtectionInvariant(t *testing.T) {
 		if acts[row] > cfg.RefreshThreshold {
 			t.Fatalf("step %d: row %d reached %d activations without refresh", step, row, acts[row])
 		}
-		lo, hi, refresh := flat.Access(row)
+		lo, hi, refresh := tree.Access(row)
 		if refresh {
 			for r := lo; r <= hi; r++ {
 				acts[r] = 0
 			}
 		}
 		if step%5000 == 4999 {
-			flat.OnIntervalBoundary()
+			tree.OnIntervalBoundary()
 			for i := range acts {
 				acts[i] = 0
 			}

@@ -6,19 +6,14 @@ import (
 	"catsim/internal/core"
 )
 
-// CAT adapts internal/core's adaptive counter trees (one per bank) to the
-// Scheme interface. Policy PRCAT rebuilds each tree every interval; DRCAT
-// keeps the learned shape and reconfigures dynamically (paper §V).
-//
-// The per-bank trees are core.FlatTree — the contiguous implicit-heap
-// layout — because OnActivate is the simulator's per-request hot path.
-// core.Tree (the pointer-linked SRAM mirror of the paper's Fig. 5) remains
-// the reference implementation; the two are observationally identical,
-// locked by the differential tests in internal/core.
+// CAT adapts internal/core's adaptive counter trees (one core.Tree per
+// bank) to the Scheme interface. Policy PRCAT rebuilds each tree every
+// interval; DRCAT keeps the learned shape and reconfigures dynamically
+// (paper §V).
 type CAT struct {
 	name    string
 	kind    Kind
-	trees   []*core.FlatTree
+	trees   []*core.Tree
 	scratch []RefreshRange
 }
 
@@ -35,11 +30,11 @@ func NewCAT(banks int, cfg core.Config) (*CAT, error) {
 	c := &CAT{
 		name:    fmt.Sprintf("%s_%d", cfg.Policy, cfg.Counters),
 		kind:    kind,
-		trees:   make([]*core.FlatTree, banks),
+		trees:   make([]*core.Tree, banks),
 		scratch: make([]RefreshRange, 0, 1),
 	}
 	for b := range c.trees {
-		t, err := core.NewFlatTree(cfg)
+		t, err := core.NewTree(cfg)
 		if err != nil {
 			return nil, err
 		}
@@ -58,7 +53,7 @@ func (c *CAT) Kind() Kind { return c.kind }
 func (c *CAT) CountersPerBank() int { return c.trees[0].Config().Counters }
 
 // Tree exposes the per-bank tree for diagnostics and examples.
-func (c *CAT) Tree(bank int) *core.FlatTree { return c.trees[bank] }
+func (c *CAT) Tree(bank int) *core.Tree { return c.trees[bank] }
 
 // OnActivate implements Scheme.
 func (c *CAT) OnActivate(bank, row int) []RefreshRange {
@@ -131,7 +126,7 @@ func (c *CAT) MaxTreeDepth() int {
 // catBuilder adapts NewCAT to the spec registry for one tree policy.
 func catBuilder(policy core.Policy) Builder {
 	return Builder{
-		ShardSafe: true, // one FlatTree per bank, no shared state
+		ShardSafe: true, // one tree per bank, no shared state
 		Params: []ParamDef{
 			{Name: "counters", Doc: "tree counters per bank M"},
 			{Name: "levels", Doc: "maximum tree levels L (default 11)"},
