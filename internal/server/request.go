@@ -34,7 +34,8 @@ type JobRequest struct {
 	// open-loop workloads).
 	Cores int `json:"cores,omitempty"`
 	// Requests is the per-core request budget (open-loop: the total
-	// arrival budget). Default 6000.
+	// arrival budget). Default 6000. A closed-loop job's total,
+	// Cores × Requests, is capped at 10,000,000.
 	Requests int `json:"requests,omitempty"`
 	// Attacker embeds an attacker tenant issuing this fraction of
 	// arrivals (open-loop workloads only).
@@ -49,7 +50,8 @@ type JobRequest struct {
 	Seed uint64 `json:"seed,omitempty"`
 	// EpochNS slices the run into fixed epochs of this many nanoseconds;
 	// each completed epoch streams out as one sample. 0 disables
-	// sampling (the stream then carries only the final result).
+	// sampling (the stream then carries only the final result). Epochs
+	// shorter than the scaled auto-refresh interval / 4096 are rejected.
 	EpochNS float64 `json:"epoch_ns,omitempty"`
 	// Epochs is a convenience alternative to EpochNS: the scaled
 	// auto-refresh interval divided into this many epochs. Mutually
@@ -64,9 +66,15 @@ type JobRequest struct {
 	Shards int `json:"shards,omitempty"`
 }
 
-// maxRequests bounds a single job's request budget so one POST cannot
-// park a worker for hours; sweeps that large belong in cmd/experiments.
+// maxRequests bounds a single job's total request budget (closed-loop:
+// cores × per-core requests) so one POST cannot park a worker for hours;
+// sweeps that large belong in cmd/experiments.
 const maxRequests = 10_000_000
+
+// maxEpochs bounds sampling: an epoch shorter than the scaled auto-refresh
+// interval over maxEpochs is rejected, so one job cannot record (and hold,
+// snapshot and stream) an unbounded number of samples.
+const maxEpochs = 4096
 
 // maxTrackedRows bounds a job's geometry by its total row count (banks ×
 // rows per bank), which the controller, the scheme and the oracle size
@@ -150,6 +158,10 @@ func (r *JobRequest) Config() (sim.Config, error) {
 	if r.Epochs > 0 {
 		cfg.EpochNS = cfg.IntervalNS / float64(r.Epochs)
 	}
+	if minNS := cfg.IntervalNS / maxEpochs; cfg.EpochNS > 0 && cfg.EpochNS < minNS {
+		return sim.Config{}, fmt.Errorf("epochs of %g ns are shorter than the %g ns minimum (interval / %d)",
+			cfg.EpochNS, minNS, maxEpochs)
+	}
 	if r.Geometry != "" {
 		gs, err := dram.ParseGeometry(r.Geometry)
 		if err != nil {
@@ -178,6 +190,10 @@ func (r *JobRequest) Config() (sim.Config, error) {
 		}
 		if r.Attacker > 0 {
 			return sim.Config{}, fmt.Errorf("attacker needs an open-loop workload, got closed-loop %q", r.Workload)
+		}
+		if r.Cores > maxRequests/r.Requests {
+			return sim.Config{}, fmt.Errorf("%d cores × %d requests exceeds the %d-request job budget",
+				r.Cores, r.Requests, maxRequests)
 		}
 		cfg.Cores = r.Cores
 		cfg.RequestsPerCore = r.Requests

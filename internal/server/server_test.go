@@ -330,40 +330,47 @@ func TestSSEFraming(t *testing.T) {
 	}
 }
 
+// malformedRequests are POST bodies the server must reject with a 400
+// whose error contains want.
+var malformedRequests = []struct {
+	name string
+	body string
+	want string // substring of the error body
+}{
+	{"not json", `{`, "bad request body"},
+	{"unknown field", `{"scheme":"sca:counters=16","workload":"black","bogus":1}`, "bogus"},
+	{"missing workload", `{"scheme":"sca:counters=16"}`, "missing workload"},
+	{"missing scheme", `{"workload":"black"}`, "missing scheme"},
+	{"unknown scheme kind", `{"scheme":"bogus:counters=1","workload":"black"}`, "unknown scheme kind"},
+	{"scheme kind listing", `{"scheme":"bogus:counters=1","workload":"black"}`, "valid:"},
+	{"bad scheme param", `{"scheme":"sca:bogus=1","workload":"black"}`, `unknown param "bogus"`},
+	{"bad param value", `{"scheme":"sca:counters=abc","workload":"black"}`, "want number"},
+	{"unknown workload", `{"scheme":"sca:counters=16","workload":"nope"}`, `unknown workload "nope"`},
+	{"workload listing", `{"scheme":"sca:counters=16","workload":"nope"}`, "ol-poisson"},
+	{"unknown geometry", `{"scheme":"sca:counters=16","workload":"black","geometry":"nope"}`, "unknown preset"},
+	{"bad geometry field", `{"scheme":"sca:counters=16","workload":"black","geometry":"ddr5:bogus=1"}`, `unknown field "bogus"`},
+	{"geometry bytes overflow", `{"scheme":"sca:counters=16","workload":"black","geometry":"2ch:channels=1Mi,banks=1Mi"}`, "overflows int64"},
+	{"geometry bytes at 2^63", `{"scheme":"sca:counters=16","workload":"black","geometry":"2ch:channels=1Gi"}`, "overflows int64"},
+	{"geometry banks overflow", `{"scheme":"sca:counters=16","workload":"black","geometry":"2ch:channels=1Gi,ranks=1Gi,rows=1Gi,colbytes=1Gi"}`, "overflows int64"},
+	{"geometry too large", `{"scheme":"sca:counters=16","workload":"black","geometry":"2ch:channels=1Ki"}`, "row limit"},
+	{"bad scale", `{"scheme":"sca:counters=16","workload":"black","scale":2}`, "scale 2 out of"},
+	{"threshold underflow", `{"scheme":"sca:counters=16","workload":"black","threshold":10,"scale":0.01}`, "rounds to zero"},
+	{"huge budget", `{"scheme":"sca:counters=16","workload":"black","requests":99999999}`, "out of [1,"},
+	{"huge closed-loop total", `{"scheme":"sca:counters=16","workload":"black","cores":4096,"requests":10000000}`, "request job budget"},
+	{"huge core count", `{"scheme":"sca:counters=16","workload":"black","cores":4194304}`, "request job budget"},
+	{"epoch too short", `{"scheme":"sca:counters=16","workload":"black","epoch_ns":1}`, "shorter than"},
+	{"too many epochs", `{"scheme":"sca:counters=16","workload":"black","epochs":1000000000000}`, "shorter than"},
+	{"epochs conflict", `{"scheme":"sca:counters=16","workload":"black","epochs":4,"epoch_ns":100}`, "mutually exclusive"},
+	{"attacker on closed loop", `{"scheme":"sca:counters=16","workload":"black","attacker":0.5}`, "open-loop"},
+	{"shards without affine", `{"scheme":"sca:counters=16","workload":"black","shards":4}`, "channel-affine"},
+}
+
 // TestMalformedRequests is the 400-table satellite: every Parse* grammar
 // error surfaces as a 400 whose body carries the valid-set listing the
 // CLIs print on exit 2.
 func TestMalformedRequests(t *testing.T) {
 	_, ts := newTestServer(t, Options{Workers: 1})
-	cases := []struct {
-		name string
-		body string
-		want string // substring of the error body
-	}{
-		{"not json", `{`, "bad request body"},
-		{"unknown field", `{"scheme":"sca:counters=16","workload":"black","bogus":1}`, "bogus"},
-		{"missing workload", `{"scheme":"sca:counters=16"}`, "missing workload"},
-		{"missing scheme", `{"workload":"black"}`, "missing scheme"},
-		{"unknown scheme kind", `{"scheme":"bogus:counters=1","workload":"black"}`, "unknown scheme kind"},
-		{"scheme kind listing", `{"scheme":"bogus:counters=1","workload":"black"}`, "valid:"},
-		{"bad scheme param", `{"scheme":"sca:bogus=1","workload":"black"}`, `unknown param "bogus"`},
-		{"bad param value", `{"scheme":"sca:counters=abc","workload":"black"}`, "want number"},
-		{"unknown workload", `{"scheme":"sca:counters=16","workload":"nope"}`, `unknown workload "nope"`},
-		{"workload listing", `{"scheme":"sca:counters=16","workload":"nope"}`, "ol-poisson"},
-		{"unknown geometry", `{"scheme":"sca:counters=16","workload":"black","geometry":"nope"}`, "unknown preset"},
-		{"bad geometry field", `{"scheme":"sca:counters=16","workload":"black","geometry":"ddr5:bogus=1"}`, `unknown field "bogus"`},
-		{"geometry bytes overflow", `{"scheme":"sca:counters=16","workload":"black","geometry":"2ch:channels=1Mi,banks=1Mi"}`, "overflows int64"},
-		{"geometry bytes at 2^63", `{"scheme":"sca:counters=16","workload":"black","geometry":"2ch:channels=1Gi"}`, "overflows int64"},
-		{"geometry banks overflow", `{"scheme":"sca:counters=16","workload":"black","geometry":"2ch:channels=1Gi,ranks=1Gi,rows=1Gi,colbytes=1Gi"}`, "overflows int64"},
-		{"geometry too large", `{"scheme":"sca:counters=16","workload":"black","geometry":"2ch:channels=1Ki"}`, "row limit"},
-		{"bad scale", `{"scheme":"sca:counters=16","workload":"black","scale":2}`, "scale 2 out of"},
-		{"threshold underflow", `{"scheme":"sca:counters=16","workload":"black","threshold":10,"scale":0.01}`, "rounds to zero"},
-		{"huge budget", `{"scheme":"sca:counters=16","workload":"black","requests":99999999}`, "out of [1,"},
-		{"epochs conflict", `{"scheme":"sca:counters=16","workload":"black","epochs":4,"epoch_ns":100}`, "mutually exclusive"},
-		{"attacker on closed loop", `{"scheme":"sca:counters=16","workload":"black","attacker":0.5}`, "open-loop"},
-		{"shards without affine", `{"scheme":"sca:counters=16","workload":"black","shards":4}`, "channel-affine"},
-	}
-	for _, tc := range cases {
+	for _, tc := range malformedRequests {
 		t.Run(tc.name, func(t *testing.T) {
 			resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(tc.body))
 			if err != nil {
@@ -385,6 +392,63 @@ func TestMalformedRequests(t *testing.T) {
 			}
 		})
 	}
+}
+
+// FuzzJobRequest decodes arbitrary POST bodies the way the submit handler
+// does (unknown fields rejected) and checks what the server relies on: it
+// never panics; an accepted closed-loop job asks for at most maxRequests
+// requests in total; and the normalized request, round-tripped through
+// JSON as a snapshot persists it, is accepted again with the same
+// sim.CacheKey, so snapshot resume rebuilds the same job.
+func FuzzJobRequest(f *testing.F) {
+	for _, tc := range malformedRequests {
+		f.Add(tc.body)
+	}
+	for _, req := range []JobRequest{
+		testJob(),
+		{Scheme: "drcat:counters=64,levels=11", Workload: "ol-bursty", Requests: 4000, Attacker: 0.25, Threshold: 1600, Seed: 7, Epochs: 8},
+		{Scheme: "sca:counters=16", Workload: "black", Geometry: "ddr5", Cores: 8, Affine: true, Shards: 8, EpochNS: 5000, Oracle: true},
+	} {
+		body, err := json.Marshal(req)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(string(body))
+	}
+	decode := func(body []byte) (JobRequest, error) {
+		var req JobRequest
+		dec := json.NewDecoder(bytes.NewReader(body))
+		dec.DisallowUnknownFields()
+		return req, dec.Decode(&req)
+	}
+	f.Fuzz(func(t *testing.T, body string) {
+		req, err := decode([]byte(body))
+		if err != nil {
+			return
+		}
+		cfg, err := req.Config()
+		if err != nil {
+			return
+		}
+		if cfg.OpenLoop == nil && int64(cfg.Cores)*int64(cfg.RequestsPerCore) > maxRequests {
+			t.Fatalf("accepted %d cores × %d requests, above %d", cfg.Cores, cfg.RequestsPerCore, maxRequests)
+		}
+		persisted, err := json.Marshal(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		again, err := decode(persisted)
+		if err != nil {
+			t.Fatalf("normalized request %s does not decode: %v", persisted, err)
+		}
+		cfg2, err := again.Config()
+		if err != nil {
+			t.Fatalf("normalized request %s rejected: %v", persisted, err)
+		}
+		if k1, k2 := sim.CacheKey(cfg), sim.CacheKey(cfg2); k1 != k2 {
+			t.Fatalf("cache key changed across normalization:\n%s\n%s", k1, k2)
+		}
+	})
 }
 
 // TestGeometryLimitAdmitsPresets: the tracked-row bound rejects oversized
