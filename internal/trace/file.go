@@ -1,80 +1,6 @@
 package trace
 
-import (
-	"bufio"
-	"fmt"
-	"io"
-)
-
-// Trace file format: a line-oriented text format so real platform traces
-// (e.g. converted USIMM/MSC traces) can drive the simulator in place of
-// the synthetic models. Each line is
-//
-//	R|W <hex address> <gap cycles>
-//
-// with '#' comment lines ignored. WriteTrace and ReadTrace round-trip the
-// format; FileTrace adapts a parsed trace to the Generator interface,
-// replaying it in a loop so runs of any length can be driven.
-
-// WriteTrace writes n requests from gen to w.
-func WriteTrace(w io.Writer, gen Generator, n int) error {
-	bw := bufio.NewWriter(w)
-	if _, err := fmt.Fprintf(bw, "# catsim trace: %s, %d requests\n", gen.Name(), n); err != nil {
-		return err
-	}
-	for i := 0; i < n; i++ {
-		r := gen.Next()
-		op := byte('R')
-		if r.Write {
-			op = 'W'
-		}
-		if _, err := fmt.Fprintf(bw, "%c %x %d\n", op, r.Addr, r.Gap); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
-}
-
-// ReadTrace parses every request from r.
-func ReadTrace(r io.Reader) ([]Request, error) {
-	var out []Request
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<16), 1<<20)
-	line := 0
-	for sc.Scan() {
-		line++
-		text := sc.Text()
-		if len(text) == 0 || text[0] == '#' {
-			continue
-		}
-		var op string
-		var req Request
-		if _, err := fmt.Sscanf(text, "%1s %x %d", &op, &req.Addr, &req.Gap); err != nil {
-			return nil, fmt.Errorf("trace: line %d: %w", line, err)
-		}
-		switch op {
-		case "R":
-		case "W":
-			req.Write = true
-		default:
-			return nil, fmt.Errorf("trace: line %d: bad op %q", line, op)
-		}
-		if req.Addr < 0 || req.Gap < 0 {
-			return nil, fmt.Errorf("trace: line %d: negative field", line)
-		}
-		if req.Gap == 0 {
-			req.Gap = 1
-		}
-		out = append(out, req)
-	}
-	if err := sc.Err(); err != nil {
-		return nil, err
-	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("trace: empty trace")
-	}
-	return out, nil
-}
+import "fmt"
 
 // FileTrace replays a parsed request list as a Generator, looping at the
 // end so it can drive runs longer than the trace.

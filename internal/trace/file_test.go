@@ -1,64 +1,6 @@
 package trace
 
-import (
-	"bytes"
-	"strings"
-	"testing"
-)
-
-func TestTraceRoundTrip(t *testing.T) {
-	spec, _ := Lookup("comm1")
-	g := testGeom()
-	gen, err := NewSynthetic(spec, g.TotalBytes(), g.LineBytes, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	const n = 5000
-	if err := WriteTrace(&buf, gen, n); err != nil {
-		t.Fatal(err)
-	}
-	reqs, err := ReadTrace(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(reqs) != n {
-		t.Fatalf("parsed %d requests, want %d", len(reqs), n)
-	}
-	// Re-generate the same stream and compare.
-	gen2, _ := NewSynthetic(spec, g.TotalBytes(), g.LineBytes, 5)
-	for i, got := range reqs {
-		want := gen2.Next()
-		if got != want {
-			t.Fatalf("request %d: got %+v, want %+v", i, got, want)
-		}
-	}
-}
-
-func TestReadTraceRejectsGarbage(t *testing.T) {
-	cases := []string{
-		"",
-		"X 1f4 10\n",
-		"R zz 10\n",
-		"R 1f4\n",
-	}
-	for i, c := range cases {
-		if _, err := ReadTrace(strings.NewReader(c)); err == nil {
-			t.Errorf("case %d: expected parse error", i)
-		}
-	}
-}
-
-func TestReadTraceSkipsComments(t *testing.T) {
-	in := "# header\nR 40 5\n\nW 80 7\n"
-	reqs, err := ReadTrace(strings.NewReader(in))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(reqs) != 2 || reqs[0].Addr != 0x40 || !reqs[1].Write {
-		t.Errorf("reqs = %+v", reqs)
-	}
-}
+import "testing"
 
 func TestFileTraceLoops(t *testing.T) {
 	ft, err := NewFileTrace("loop", []Request{{Addr: 64, Gap: 1}, {Addr: 128, Gap: 2}})

@@ -85,7 +85,7 @@ func (s *Stream) validate(i int) error {
 }
 
 // Generator adapts a closed stream to the Generator interface, replaying
-// it in a loop like a parsed text trace.
+// it in a loop through FileTrace.
 func (s *Stream) Generator() (*FileTrace, error) {
 	if s.Open {
 		return nil, fmt.Errorf("trace: stream %q is open-loop; use OpenReplay", s.Name)
