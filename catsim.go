@@ -24,7 +24,8 @@
 //	spec, _ := catsim.ParseScheme("comet:threshold=32768,counters=512,depth=4")
 //	scheme, _ := catsim.Build(spec, catsim.Default2Channel())
 //
-// The adaptive tree itself is also directly constructible:
+// The adaptive tree itself — the same implicit-heap tree each PRCAT/DRCAT
+// scheme runs per bank — is also directly constructible:
 //
 //	tree, _ := catsim.NewTree(catsim.TreeConfig{
 //	    Rows: 65536, Counters: 64, MaxLevels: 11,
