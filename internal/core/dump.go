@@ -18,8 +18,8 @@ func (t *Tree) StorageBits() int {
 	for 1<<ptrBits < m {
 		ptrBits++
 	}
-	inodeBits := 2*ptrBits + 2
-	return m*counterBits + (m-1)*inodeBits
+	nodeRowBits := 2*ptrBits + 2
+	return m*counterBits + (m-1)*nodeRowBits
 }
 
 func bitsFor(v uint32) int {

@@ -10,41 +10,37 @@ import (
 // TestCheckInvariantsCatchesCorruption corrupts a grown DRCAT tree one
 // field at a time and expects CheckInvariants to report each violation.
 func TestCheckInvariantsCatchesCorruption(t *testing.T) {
-	// shallowLeaf returns the heap slot of the first leaf in row order
-	// that could still hold children.
-	shallowLeaf := func(tr *Tree) int {
-		for _, l := range tr.Leaves() {
-			if l.Depth < tr.cfg.MaxLevels-1 {
-				return l.Counter
-			}
-		}
-		t.Fatal("no leaf above the depth cap")
-		return 0
-	}
 	cases := []struct {
 		name    string
-		corrupt func(tr *Tree)
+		corrupt func(t *testing.T, tr *Tree)
 		want    string
 	}{
-		{"value above T", func(tr *Tree) {
+		{"value above T", func(t *testing.T, tr *Tree) {
 			tr.value[tr.Leaves()[0].Counter] = tr.cfg.RefreshThreshold + 1
 		}, "exceeds T"},
-		{"threshold index out of range", func(tr *Tree) {
+		{"threshold index out of range", func(t *testing.T, tr *Tree) {
 			tr.thIdx[tr.Leaves()[0].Counter] = uint8(tr.cfg.MaxLevels)
 		}, "out of ladder"},
-		{"orphan slot", func(tr *Tree) {
-			tr.state[2*shallowLeaf(tr)+1] = slotLeaf
+		{"orphan slot", func(t *testing.T, tr *Tree) {
+			// Give the first leaf that could still split a child.
+			for _, l := range tr.Leaves() {
+				if l.Depth < tr.cfg.MaxLevels-1 {
+					tr.state[2*l.Counter+1] = slotLeaf
+					return
+				}
+			}
+			t.Fatal("no leaf above the depth cap")
 		}, "orphan"},
-		{"missing child", func(tr *Tree) {
+		{"missing child", func(t *testing.T, tr *Tree) {
 			tr.state[2] = slotAbsent // the root's right child
 		}, "missing a child"},
-		{"scan bound too low", func(tr *Tree) {
+		{"scan bound too low", func(t *testing.T, tr *Tree) {
 			tr.maxUsed = 1
 		}, "beyond the scan bound"},
-		{"order entry dropped", func(tr *Tree) {
+		{"order entry dropped", func(t *testing.T, tr *Tree) {
 			tr.order = tr.order[:len(tr.order)-1]
 		}, "order lists"},
-		{"nCtrs off by one", func(tr *Tree) {
+		{"nCtrs off by one", func(t *testing.T, tr *Tree) {
 			tr.nCtrs++
 		}, "active counters"},
 	}
@@ -68,7 +64,7 @@ func TestCheckInvariantsCatchesCorruption(t *testing.T) {
 			if tree.Stats().Reconfigs == 0 {
 				t.Fatal("traffic produced no reconfigurations")
 			}
-			tc.corrupt(tree)
+			tc.corrupt(t, tree)
 			err := tree.CheckInvariants()
 			if err == nil || !strings.Contains(err.Error(), tc.want) {
 				t.Errorf("CheckInvariants() = %v, want an error containing %q", err, tc.want)

@@ -37,10 +37,10 @@ func diffConfigs() []Config {
 func comparePair(t *testing.T, ref *refTree, tree *Tree, row, step int) {
 	t.Helper()
 	rl, rh, rr := ref.Access(row)
-	fl, fh, fr := tree.Access(row)
-	if rl != fl || rh != fh || rr != fr {
+	tl, th, tr := tree.Access(row)
+	if rl != tl || rh != th || rr != tr {
 		t.Fatalf("step %d row %d: reference (%d,%d,%v) != tree (%d,%d,%v)",
-			step, row, rl, rh, rr, fl, fh, fr)
+			step, row, rl, rh, rr, tl, th, tr)
 	}
 	if ref.stats != tree.Stats() {
 		t.Fatalf("step %d: stats diverge\nreference %+v\ntree      %+v", step, ref.stats, tree.Stats())
@@ -56,15 +56,15 @@ func comparePair(t *testing.T, ref *refTree, tree *Tree, row, step int) {
 // is a counter-array index in the reference and a heap slot in Tree.
 func compareLeaves(t *testing.T, ref *refTree, tree *Tree, step int) {
 	t.Helper()
-	rl, tl := ref.Leaves(), tree.Leaves()
-	if len(rl) != len(tl) {
-		t.Fatalf("step %d: %d reference leaves, %d tree leaves", step, len(rl), len(tl))
+	want, got := ref.Leaves(), tree.Leaves()
+	if len(want) != len(got) {
+		t.Fatalf("step %d: %d reference leaves, %d tree leaves", step, len(want), len(got))
 	}
-	for i := range rl {
-		r, f := rl[i], tl[i]
-		r.Counter, f.Counter = 0, 0
-		if r != f {
-			t.Fatalf("step %d: leaf %d diverges\nreference %+v\ntree      %+v", step, i, r, f)
+	for i := range want {
+		w, g := want[i], got[i]
+		w.Counter, g.Counter = 0, 0
+		if w != g {
+			t.Fatalf("step %d: leaf %d diverges\nreference %+v\ntree      %+v", step, i, w, g)
 		}
 	}
 }
