@@ -44,8 +44,8 @@ race-shard:
 	$(GO) run -race ./cmd/catsim -geometry ddr5 -cores 8 -affine -shards 8 -workload black -scheme DRCAT -scale 0.02
 
 # Fuzz smoke: each parser that takes outside input (trace containers, the
-# scheme-spec, geometry and arrival grammars, catsim-server job bodies)
-# fuzzed for a fixed budget.
+# scheme-spec, geometry and arrival grammars, catsim-server job bodies and
+# snapshots) fuzzed for a fixed budget.
 # go test -fuzz accepts one package and one target per invocation.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzReadContainer$$' -fuzztime=10s ./internal/trace
@@ -53,6 +53,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzParseGeometry$$' -fuzztime=10s ./internal/dram
 	$(GO) test -run '^$$' -fuzz '^FuzzParseArrival$$' -fuzztime=10s ./internal/workload
 	$(GO) test -run '^$$' -fuzz '^FuzzJobRequest$$' -fuzztime=10s ./internal/server
+	$(GO) test -run '^$$' -fuzz '^FuzzReadSnapshot$$' -fuzztime=10s ./internal/server
 
 # Benchmark smoke: every benchmark once, no measurement repetition.
 bench:

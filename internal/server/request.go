@@ -1,7 +1,10 @@
 package server
 
 import (
+	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"strings"
 
 	"catsim/internal/dram"
@@ -81,6 +84,21 @@ const maxEpochs = 4096
 // their tables by, so one POST cannot make a worker allocate without
 // bound. It admits every registered preset (the largest, ddr5, has 2^25).
 const maxTrackedRows = 1 << 26
+
+// decodeJobRequest decodes a POST /v1/jobs body: exactly one JSON object,
+// with no unknown fields and nothing but whitespace after it.
+func decodeJobRequest(r io.Reader) (JobRequest, error) {
+	var req JobRequest
+	dec := json.NewDecoder(r)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&req); err != nil {
+		return JobRequest{}, err
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return JobRequest{}, errors.New("unexpected data after the job object")
+	}
+	return req, nil
+}
 
 // normalize applies the documented defaults in place, so equal jobs
 // spelled differently produce identical configs (and cache keys), and so

@@ -310,10 +310,8 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusServiceUnavailable, "server shutting down")
 		return
 	}
-	var req JobRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
+	req, err := decodeJobRequest(http.MaxBytesReader(w, r.Body, 1<<20))
+	if err != nil {
 		httpError(w, http.StatusBadRequest, "bad request body: %v", err)
 		return
 	}

@@ -53,7 +53,7 @@ func newTestServer(t *testing.T, o Options) (*Server, *httptest.Server) {
 }
 
 // submit POSTs a job and decodes the submission response.
-func submit(t *testing.T, ts *httptest.Server, req JobRequest, wantCode int) jobStatus {
+func submit(t testing.TB, ts *httptest.Server, req JobRequest, wantCode int) jobStatus {
 	t.Helper()
 	body, err := json.Marshal(req)
 	if err != nil {
@@ -76,7 +76,7 @@ func submit(t *testing.T, ts *httptest.Server, req JobRequest, wantCode int) job
 }
 
 // streamBody fetches a job's full NDJSON stream to completion.
-func streamBody(t *testing.T, ts *httptest.Server, id string) []byte {
+func streamBody(t testing.TB, ts *httptest.Server, id string) []byte {
 	t.Helper()
 	resp, err := http.Get(ts.URL + "/v1/jobs/" + id + "/stream")
 	if err != nil {
@@ -339,6 +339,8 @@ var malformedRequests = []struct {
 }{
 	{"not json", `{`, "bad request body"},
 	{"unknown field", `{"scheme":"sca:counters=16","workload":"black","bogus":1}`, "bogus"},
+	{"trailing bytes", `{"scheme":"sca:counters=16","workload":"black","requests":100} garbage`, "after the job object"},
+	{"second object", `{"scheme":"sca:counters=16","workload":"black","requests":100}{"workload":"nope"}`, "after the job object"},
 	{"missing workload", `{"scheme":"sca:counters=16"}`, "missing workload"},
 	{"missing scheme", `{"workload":"black"}`, "missing scheme"},
 	{"unknown scheme kind", `{"scheme":"bogus:counters=1","workload":"black"}`, "unknown scheme kind"},
@@ -394,12 +396,12 @@ func TestMalformedRequests(t *testing.T) {
 	}
 }
 
-// FuzzJobRequest decodes arbitrary POST bodies the way the submit handler
-// does (unknown fields rejected) and checks what the server relies on: it
-// never panics; an accepted closed-loop job asks for at most maxRequests
-// requests in total; and the normalized request, round-tripped through
-// JSON as a snapshot persists it, is accepted again with the same
-// sim.CacheKey, so snapshot resume rebuilds the same job.
+// FuzzJobRequest decodes arbitrary POST bodies with the submit handler's
+// decoder and checks what the server relies on: it never panics; an
+// accepted closed-loop job asks for at most maxRequests requests in
+// total; and the normalized request, round-tripped through JSON as a
+// snapshot persists it, is accepted again with the same sim.CacheKey, so
+// snapshot resume rebuilds the same job.
 func FuzzJobRequest(f *testing.F) {
 	for _, tc := range malformedRequests {
 		f.Add(tc.body)
@@ -415,14 +417,8 @@ func FuzzJobRequest(f *testing.F) {
 		}
 		f.Add(string(body))
 	}
-	decode := func(body []byte) (JobRequest, error) {
-		var req JobRequest
-		dec := json.NewDecoder(bytes.NewReader(body))
-		dec.DisallowUnknownFields()
-		return req, dec.Decode(&req)
-	}
 	f.Fuzz(func(t *testing.T, body string) {
-		req, err := decode([]byte(body))
+		req, err := decodeJobRequest(strings.NewReader(body))
 		if err != nil {
 			return
 		}
@@ -437,7 +433,7 @@ func FuzzJobRequest(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		again, err := decode(persisted)
+		again, err := decodeJobRequest(bytes.NewReader(persisted))
 		if err != nil {
 			t.Fatalf("normalized request %s does not decode: %v", persisted, err)
 		}

@@ -50,12 +50,17 @@ type snapshotFile struct {
 	Jobs []snapshotJob `json:"jobs"`
 }
 
-// writeSnapshot writes the versioned envelope around the JSON payload.
+// writeSnapshot writes f as a snapshot file.
 func writeSnapshot(w io.Writer, f *snapshotFile) error {
 	payload, err := json.Marshal(f)
 	if err != nil {
 		return fmt.Errorf("server: encoding snapshot: %w", err)
 	}
+	return writeEnvelope(w, payload)
+}
+
+// writeEnvelope writes the versioned envelope around a JSON payload.
+func writeEnvelope(w io.Writer, payload []byte) error {
 	h := fnv.New64a()
 	out := io.MultiWriter(w, h)
 	if _, err := out.Write(snapshotMagic[:]); err != nil {
@@ -71,7 +76,7 @@ func writeSnapshot(w io.Writer, f *snapshotFile) error {
 	}
 	var sum [8]byte
 	binary.LittleEndian.PutUint64(sum[:], h.Sum64())
-	_, err = w.Write(sum[:])
+	_, err := w.Write(sum[:])
 	return err
 }
 

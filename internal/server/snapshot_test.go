@@ -6,6 +6,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -13,8 +14,44 @@ import (
 	"catsim/internal/sim"
 )
 
+// failingJob passes static validation but fails once it runs (SCA
+// counters must divide the rows per bank, and 7 does not), so it
+// persists as a failed job.
+func failingJob() JobRequest {
+	return JobRequest{Scheme: "sca:counters=7", Workload: "black", Requests: 100}
+}
+
+// savedSnapshot returns the snapshot a one-worker server writes when it
+// closes after taking reqs: each run to completion when run is set, else
+// all still queued, as on a server killed before its workers started.
+func savedSnapshot(t testing.TB, run bool, reqs ...JobRequest) []byte {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "state.snap")
+	s, err := New(Options{Workers: 1, SnapshotPath: path})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if run {
+		s.Start()
+	}
+	ts := httptest.NewServer(s.Handler())
+	for _, req := range reqs {
+		st := submit(t, ts, req, 202)
+		if run {
+			streamBody(t, ts, st.ID) // returns once the job is terminal
+		}
+	}
+	ts.Close()
+	closeServer(t, s)
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data
+}
+
 // closeServer shuts a server down with a generous bound.
-func closeServer(t *testing.T, s *Server) {
+func closeServer(t testing.TB, s *Server) {
 	t.Helper()
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
@@ -109,7 +146,7 @@ func TestSnapshotResumesQueuedJobs(t *testing.T) {
 
 // TestSnapshotPersistsFailedJobs: failed state round-trips with its error.
 func TestSnapshotPersistsFailedJobs(t *testing.T) {
-	req := JobRequest{Scheme: "sca:counters=7", Workload: "black", Requests: 100}
+	req := failingJob()
 	if cfg, err := req.Config(); err != nil {
 		t.Fatalf("config should pass static validation, got %v", err)
 	} else if _, err := sim.Run(cfg); err == nil {
@@ -146,20 +183,7 @@ func TestSnapshotPersistsFailedJobs(t *testing.T) {
 // descriptive error rather than a silently empty server.
 func TestSnapshotCorruptionIsLoud(t *testing.T) {
 	dir := t.TempDir()
-	snap := filepath.Join(dir, "state.snap")
-	s1, err := New(Options{Workers: 1, SnapshotPath: snap})
-	if err != nil {
-		t.Fatal(err)
-	}
-	s1.Start()
-	ts1 := httptest.NewServer(s1.Handler())
-	submit(t, ts1, testJob(), 202)
-	ts1.Close()
-	closeServer(t, s1)
-	good, err := os.ReadFile(snap)
-	if err != nil {
-		t.Fatal(err)
-	}
+	good := savedSnapshot(t, true, testJob())
 
 	corrupt := func(name string, data []byte, want string) {
 		t.Run(name, func(t *testing.T) {
@@ -218,4 +242,80 @@ func TestPeriodicSnapshot(t *testing.T) {
 	}
 	ts.Close()
 	closeServer(t, s)
+}
+
+// FuzzReadSnapshot feeds arbitrary bytes to the snapshot reader, raw and
+// as the payload of a valid envelope, so the checksum passes and the JSON
+// decoding and job restore run. Neither may panic. A server restored from
+// the wrapped bytes holds every persisted job, and saving it and
+// restoring that file gives back the same jobs.
+func FuzzReadSnapshot(f *testing.F) {
+	for _, snap := range [][]byte{
+		savedSnapshot(f, true, testJob(), failingJob()),
+		savedSnapshot(f, false, testJob()),
+	} {
+		f.Add(snap)
+		f.Add(snap[len(snapshotMagic)+2 : len(snap)-8]) // the JSON payload
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		readSnapshot(bytes.NewReader(data))
+
+		var file bytes.Buffer
+		if err := writeEnvelope(&file, data); err != nil {
+			t.Fatal(err)
+		}
+		dir := t.TempDir()
+		path := filepath.Join(dir, "fuzz.snap")
+		if err := os.WriteFile(path, file.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		s1, err := New(Options{Workers: 1, SnapshotPath: path})
+		if err != nil {
+			return
+		}
+		persisted, err := readSnapshot(bytes.NewReader(file.Bytes()))
+		if err != nil {
+			t.Fatalf("server restored from a snapshot the reader rejects: %v", err)
+		}
+		restored := s1.store.jobs()
+		if len(restored) != len(persisted.Jobs) {
+			t.Fatalf("restored %d of %d persisted jobs", len(restored), len(persisted.Jobs))
+		}
+		for i, sj := range persisted.Jobs {
+			j := restored[i]
+			if j.ID != sj.ID || j.State().String() != sj.State {
+				t.Fatalf("persisted job %s/%s restored as %s/%v", sj.ID, sj.State, j.ID, j.State())
+			}
+			switch j.state {
+			case StateDone:
+				if len(j.samples) != len(sj.Samples) || !reflect.DeepEqual(j.result, *sj.Result) {
+					t.Fatalf("done job %s lost its samples or result", sj.ID)
+				}
+			case StateFailed:
+				if j.errMsg != sj.Error {
+					t.Fatalf("failed job %s restored error %q, want %q", sj.ID, j.errMsg, sj.Error)
+				}
+			}
+		}
+
+		resaved := filepath.Join(dir, "resaved.snap")
+		if err := s1.SaveSnapshot(resaved); err != nil {
+			t.Fatal(err)
+		}
+		s2, err := New(Options{Workers: 1, SnapshotPath: resaved})
+		if err != nil {
+			t.Fatalf("restoring a saved snapshot: %v", err)
+		}
+		again := s2.store.jobs()
+		if len(again) != len(restored) {
+			t.Fatalf("save and restore kept %d of %d jobs", len(again), len(restored))
+		}
+		for i, j := range restored {
+			k := again[i]
+			if k.ID != j.ID || k.state != j.state || k.errMsg != j.errMsg ||
+				!reflect.DeepEqual(k.samples, j.samples) || !reflect.DeepEqual(k.result, j.result) {
+				t.Fatalf("job %s changed across save and restore", j.ID)
+			}
+		}
+	})
 }
