@@ -121,7 +121,7 @@ func BenchmarkFig8GridSequentialNoCache(b *testing.B) {
 	o.Parallel = 1
 	o.NoCache = true
 	for i := 0; i < b.N; i++ {
-		if _, err := experiments.RunFig8(o, 16384, io.Discard); err != nil {
+		if _, err := experiments.RunFig8(o, 16384); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -130,7 +130,7 @@ func BenchmarkFig8GridSequentialNoCache(b *testing.B) {
 func BenchmarkFig8GridParallelCached(b *testing.B) {
 	o := benchOpts()
 	for i := 0; i < b.N; i++ {
-		if _, err := experiments.RunFig8(o, 16384, io.Discard); err != nil {
+		if _, err := experiments.RunFig8(o, 16384); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -141,10 +141,10 @@ func BenchmarkReproduceFigs89SequentialNoCache(b *testing.B) {
 	o.Parallel = 1
 	o.NoCache = true
 	for i := 0; i < b.N; i++ {
-		if _, err := experiments.Fig8(io.Discard, o); err != nil {
+		if err := RunExperiment(io.Discard, "fig8", o); err != nil {
 			b.Fatal(err)
 		}
-		if _, err := experiments.Fig9(io.Discard, o); err != nil {
+		if err := RunExperiment(io.Discard, "fig9", o); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -154,10 +154,10 @@ func BenchmarkReproduceFigs89ParallelCached(b *testing.B) {
 	o := benchOpts()
 	for i := 0; i < b.N; i++ {
 		o.Cache = runner.NewCache() // one shared cache per reproduction
-		if _, err := experiments.Fig8(io.Discard, o); err != nil {
+		if err := RunExperiment(io.Discard, "fig8", o); err != nil {
 			b.Fatal(err)
 		}
-		if _, err := experiments.Fig9(io.Discard, o); err != nil {
+		if err := RunExperiment(io.Discard, "fig9", o); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -167,7 +167,7 @@ func BenchmarkReproduceFigs89ParallelCached(b *testing.B) {
 
 func BenchmarkTable1SystemConfig(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if err := experiments.Table1(io.Discard); err != nil {
+		if err := RunExperiment(io.Discard, "table1", ExperimentOptions{}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -175,7 +175,7 @@ func BenchmarkTable1SystemConfig(b *testing.B) {
 
 func BenchmarkTable2HardwareModel(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := experiments.Table2(io.Discard); err != nil {
+		if err := RunExperiment(io.Discard, "table2", ExperimentOptions{}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -183,7 +183,7 @@ func BenchmarkTable2HardwareModel(b *testing.B) {
 
 func BenchmarkFig1PRAUnsurvivability(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := experiments.Fig1(io.Discard); err != nil {
+		if err := RunExperiment(io.Discard, "fig1", ExperimentOptions{}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -204,7 +204,7 @@ func BenchmarkFig1LFSRMonteCarlo(b *testing.B) {
 func BenchmarkFig2SCAEnergySweep(b *testing.B) {
 	o := benchOpts()
 	for i := 0; i < b.N; i++ {
-		if _, err := experiments.Fig2(io.Discard, o); err != nil {
+		if err := RunExperiment(io.Discard, "fig2", o); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -213,7 +213,7 @@ func BenchmarkFig2SCAEnergySweep(b *testing.B) {
 func BenchmarkFig3RowHistograms(b *testing.B) {
 	o := benchOpts()
 	for i := 0; i < b.N; i++ {
-		if _, err := experiments.Fig3(io.Discard, o); err != nil {
+		if err := RunExperiment(io.Discard, "fig3", o); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -222,7 +222,7 @@ func BenchmarkFig3RowHistograms(b *testing.B) {
 func BenchmarkFig8CMRPO(b *testing.B) {
 	o := benchOpts()
 	for i := 0; i < b.N; i++ {
-		if _, err := experiments.RunFig8(o, 16384, io.Discard); err != nil {
+		if _, err := experiments.RunFig8(o, 16384); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -232,7 +232,7 @@ func BenchmarkFig9ETO(b *testing.B) {
 	// Fig. 9 derives from the same paired runs as Fig. 8 at T=32K.
 	o := benchOpts()
 	for i := 0; i < b.N; i++ {
-		if _, err := experiments.RunFig8(o, 32768, io.Discard); err != nil {
+		if _, err := experiments.RunFig8(o, 32768); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -242,7 +242,7 @@ func BenchmarkFig10CounterDepthSweep(b *testing.B) {
 	o := benchOpts()
 	o.Workloads = []string{"black"}
 	for i := 0; i < b.N; i++ {
-		if _, err := experiments.RunFig10(o, 32768, io.Discard); err != nil {
+		if _, err := experiments.RunFig10(o, 32768); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -252,7 +252,7 @@ func BenchmarkFig11MappingAndCores(b *testing.B) {
 	o := benchOpts()
 	o.Workloads = []string{"black"}
 	for i := 0; i < b.N; i++ {
-		if _, err := experiments.RunFig11(o, 16384, io.Discard); err != nil {
+		if _, err := experiments.RunFig11(o, 16384); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -262,7 +262,7 @@ func BenchmarkFig12ThresholdSweep(b *testing.B) {
 	o := benchOpts()
 	o.Workloads = []string{"black"}
 	for i := 0; i < b.N; i++ {
-		if _, err := experiments.Fig12(io.Discard, o); err != nil {
+		if err := RunExperiment(io.Discard, "fig12", o); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -271,7 +271,7 @@ func BenchmarkFig12ThresholdSweep(b *testing.B) {
 func BenchmarkFig13KernelAttacks(b *testing.B) {
 	o := benchOpts()
 	for i := 0; i < b.N; i++ {
-		if _, err := experiments.Fig13(io.Discard, o); err != nil {
+		if err := RunExperiment(io.Discard, "fig13", o); err != nil {
 			b.Fatal(err)
 		}
 	}

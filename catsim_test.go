@@ -6,7 +6,6 @@ import (
 	"strings"
 	"testing"
 
-	"catsim/internal/experiments"
 	"catsim/internal/mitigation"
 	"catsim/internal/rng"
 	"catsim/internal/sim"
@@ -228,11 +227,10 @@ func TestReproduceAllCoversRegistry(t *testing.T) {
 func TestReproduceAllAnalyticPieces(t *testing.T) {
 	// Only the cheap pieces; the figure sweeps have their own tests.
 	var buf bytes.Buffer
-	if err := experiments.Table1(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := experiments.Fig1(&buf); err != nil {
-		t.Fatal(err)
+	for _, name := range []string{"table1", "fig1"} {
+		if err := RunExperiment(&buf, name, ExperimentOptions{}); err != nil {
+			t.Fatal(err)
+		}
 	}
 	out := buf.String()
 	if !strings.Contains(out, "Chipkill") || !strings.Contains(out, "Table I") {

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"io"
 
 	"catsim/internal/core"
 	"catsim/internal/mitigation"
@@ -11,12 +10,12 @@ import (
 	"catsim/internal/trace"
 )
 
-// Ablations beyond the paper's own sweeps (DESIGN.md §6). They isolate the
-// design choices the paper calls out — the split-threshold model (§IV-D),
-// the DRCAT weight-register width (§V-B) and the pre-split depth λ (§IV-C)
-// — by replaying identical access streams through tree variants and
-// counting refreshed rows (the CMRPO driver) and SRAM traffic (the dynamic
-// energy and latency driver).
+// Ablations beyond the paper's own sweeps. They isolate the design choices
+// the paper calls out — the split-threshold model (§IV-D), the DRCAT
+// weight-register width (§V-B) and the pre-split depth λ (§IV-C) — by
+// replaying identical access streams through tree variants and counting
+// refreshed rows (the CMRPO driver) and SRAM traffic (the dynamic energy
+// and latency driver).
 
 func init() {
 	Register(Experiment{
@@ -150,15 +149,6 @@ func ablationLaddersReport(o Options) ([]AblationPoint, *Report, error) {
 	return out, rep, nil
 }
 
-// AblationLadders renders the ladder-model ablation as a text table.
-func AblationLadders(w io.Writer, o Options) ([]AblationPoint, error) {
-	out, rep, err := ablationLaddersReport(o)
-	if err != nil {
-		return nil, err
-	}
-	return out, rep.renderText(w)
-}
-
 // AblationWeightBits sweeps the DRCAT weight-register width. The paper uses
 // 2 bits: wider registers react more slowly to phase changes (weights take
 // longer to saturate and to age out), narrower ones thrash.
@@ -200,15 +190,6 @@ func ablationWeightBitsReport(o Options) ([]AblationPoint, *Report, error) {
 	return out, rep, nil
 }
 
-// AblationWeightBits renders the weight-register ablation as a text table.
-func AblationWeightBits(w io.Writer, o Options) ([]AblationPoint, error) {
-	out, rep, err := ablationWeightBitsReport(o)
-	if err != nil {
-		return nil, err
-	}
-	return out, rep.renderText(w)
-}
-
 // AblationPreSplit sweeps the pre-split depth λ (paper §IV-C: a deeper
 // pre-split reduces pointer-chasing SRAM accesses but spends counters on
 // regions that may stay cold).
@@ -248,15 +229,6 @@ func ablationPreSplitReport(o Options) ([]AblationPoint, *Report, error) {
 		rep.Rows = append(rep.Rows, Row{p.Variant, p.RowsRefreshed, p.SRAMPerAccess})
 	}
 	return out, rep, nil
-}
-
-// AblationPreSplit renders the pre-split ablation as a text table.
-func AblationPreSplit(w io.Writer, o Options) ([]AblationPoint, error) {
-	out, rep, err := ablationPreSplitReport(o)
-	if err != nil {
-		return nil, err
-	}
-	return out, rep.renderText(w)
 }
 
 // AblationCounterCache compares the CAL'15 counter-cache baseline against
@@ -315,14 +287,4 @@ func ablationCounterCacheReport(o Options) ([]Cell, *Report, error) {
 			r.Result.CMRPO, r.Result.Counts.RowsRefreshed, r.Result.Counts.ExtraMemAcc})
 	}
 	return out, rep, nil
-}
-
-// AblationCounterCache renders the counter-cache comparison as a text
-// table.
-func AblationCounterCache(w io.Writer, o Options) ([]Cell, error) {
-	out, rep, err := ablationCounterCacheReport(o)
-	if err != nil {
-		return nil, err
-	}
-	return out, rep.renderText(w)
 }

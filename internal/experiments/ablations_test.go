@@ -1,13 +1,9 @@
 package experiments
 
-import (
-	"bytes"
-	"testing"
-)
+import "testing"
 
 func TestAblationLadders(t *testing.T) {
-	var buf bytes.Buffer
-	points, err := AblationLadders(&buf, tiny())
+	points, _, err := ablationLaddersReport(tiny())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -32,8 +28,7 @@ func TestAblationLadders(t *testing.T) {
 }
 
 func TestAblationWeightBits(t *testing.T) {
-	var buf bytes.Buffer
-	points, err := AblationWeightBits(&buf, tiny())
+	points, _, err := ablationWeightBitsReport(tiny())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,8 +43,7 @@ func TestAblationWeightBits(t *testing.T) {
 }
 
 func TestAblationPreSplit(t *testing.T) {
-	var buf bytes.Buffer
-	points, err := AblationPreSplit(&buf, tiny())
+	points, _, err := ablationPreSplitReport(tiny())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,8 +61,7 @@ func TestAblationPreSplit(t *testing.T) {
 func TestAblationCounterCache(t *testing.T) {
 	o := tiny()
 	o.Workloads = []string{"black"}
-	var buf bytes.Buffer
-	cells, err := AblationCounterCache(&buf, o)
+	cells, _, err := ablationCounterCacheReport(o)
 	if err != nil {
 		t.Fatal(err)
 	}

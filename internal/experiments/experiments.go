@@ -1,8 +1,8 @@
 // Package experiments regenerates every table and figure of the paper's
-// evaluation. Each generator returns the measured data and renders a
-// text table shaped like the paper's plot (same rows/series), so results
-// can be compared side by side with the published numbers; EXPERIMENTS.md
-// records that comparison.
+// evaluation. Each generator registers under a name and emits Reports
+// shaped like the paper's plot (same rows/series), so results can be
+// compared side by side with the published numbers; RunExperiment and
+// RunAll render them as text, JSON or CSV.
 //
 // Runs are deterministic. The Scale option shrinks the experiment
 // self-similarly: the simulated auto-refresh interval, the refresh
@@ -54,8 +54,9 @@ type Options struct {
 	// Quiet suppresses progress lines on long sweeps.
 	Quiet bool
 	// Progress receives live progress lines during sweeps (nil = none).
-	// The text wrappers (Fig8(w, o), ...) and ReproduceAll point it at
-	// the output writer, reproducing the historical interleaving.
+	// catsim.ReproduceAll, catsim.RunExperiment and the CLI's text format
+	// point it at the output writer, so progress lines interleave with
+	// the tables.
 	Progress io.Writer
 	// LFSRTrials is the Monte-Carlo trial count for the lfsr study
 	// (0 = 100).
@@ -91,9 +92,6 @@ type Options struct {
 	// Context cancels in-flight grids (nil = context.Background()).
 	Context context.Context
 }
-
-// DefaultOptions is used by the CLI when no flags are given.
-func DefaultOptions() Options { return Options{Scale: 0.25, Seed: 1} }
 
 func (o *Options) fill() error {
 	if o.Scale <= 0 || o.Scale > 1 {
@@ -247,11 +245,4 @@ func (o *Options) meta() Meta {
 		m.ContextBuilds, m.ContextReuses = o.Pool.Stats()
 	}
 	return m
-}
-
-// textEmit streams reports through the text renderer to w — the emit
-// function behind the historical Fig8(w, o)-style wrappers.
-func textEmit(w io.Writer) func(*Report) error {
-	r := NewTextRenderer(w)
-	return r.Report
 }

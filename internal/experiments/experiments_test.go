@@ -2,12 +2,12 @@ package experiments
 
 import (
 	"bytes"
-	"io"
 	"strings"
 	"testing"
 
 	"catsim/internal/mitigation"
 	"catsim/internal/reliability"
+	"catsim/internal/runner"
 	"catsim/internal/sim"
 	"catsim/internal/trace"
 )
@@ -33,8 +33,7 @@ func tiny() Options {
 }
 
 func TestFig1GridAndChipkillCrossing(t *testing.T) {
-	var buf bytes.Buffer
-	points, err := Fig1(&buf)
+	points, rep, err := fig1Report()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,6 +60,10 @@ func TestFig1GridAndChipkillCrossing(t *testing.T) {
 	if find(0.004, 8192) <= reliability.ChipkillReference {
 		t.Error("p=0.004/T=8K should exceed the Chipkill line")
 	}
+	var buf bytes.Buffer
+	if err := rep.renderText(&buf); err != nil {
+		t.Fatal(err)
+	}
 	if !strings.Contains(buf.String(), "Chipkill") {
 		t.Error("table missing Chipkill reference")
 	}
@@ -68,8 +71,7 @@ func TestFig1GridAndChipkillCrossing(t *testing.T) {
 
 func TestLFSRStudyQualitativeClaims(t *testing.T) {
 	skipIfShort(t)
-	var buf bytes.Buffer
-	res, err := LFSRStudy(&buf, 40)
+	res, _, err := lfsrReport(40)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,9 +87,7 @@ func TestLFSRStudyQualitativeClaims(t *testing.T) {
 }
 
 func TestFig2EnergyShape(t *testing.T) {
-	o := tiny()
-	var buf bytes.Buffer
-	points, err := Fig2(&buf, o)
+	points, _, err := fig2Report(tiny())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,9 +114,7 @@ func TestFig2EnergyShape(t *testing.T) {
 }
 
 func TestFig3SkewMatchesMotivation(t *testing.T) {
-	o := tiny()
-	var buf bytes.Buffer
-	rows, err := Fig3(&buf, o)
+	rows, _, err := fig3Report(tiny())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,15 +130,18 @@ func TestFig3SkewMatchesMotivation(t *testing.T) {
 
 func TestTable1And2Render(t *testing.T) {
 	var buf bytes.Buffer
-	if err := Table1(&buf); err != nil {
+	if err := table1Report().renderText(&buf); err != nil {
 		t.Fatal(err)
 	}
-	rows, err := Table2(&buf)
+	rows, rep, err := table2Report()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(rows) != 5 {
 		t.Fatalf("table II rows = %d, want 5", len(rows))
+	}
+	if err := rep.renderText(&buf); err != nil {
+		t.Fatal(err)
 	}
 	out := buf.String()
 	for _, want := range []string{"64K rows/bank", "PRNG", "DRCAT"} {
@@ -153,7 +154,7 @@ func TestTable1And2Render(t *testing.T) {
 func TestFig8OrderingsHold(t *testing.T) {
 	skipIfShort(t)
 	o := tiny()
-	data, err := RunFig8(o, 16384, io.Discard)
+	data, err := RunFig8(o, 16384)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,7 +191,7 @@ func TestFig10SweepShape(t *testing.T) {
 	skipIfShort(t)
 	o := tiny()
 	o.Workloads = []string{"black", "comm1"}
-	points, err := RunFig10(o, 32768, io.Discard)
+	points, err := RunFig10(o, 32768)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,11 +218,62 @@ func TestFig10SweepShape(t *testing.T) {
 	}
 }
 
+// TestFig10WorkloadSelection: with no workloads selected fig10 sweeps its
+// six-workload subset; an explicit selection, all 18 included, is swept
+// as given.
+func TestFig10WorkloadSelection(t *testing.T) {
+	skipIfShort(t)
+	for _, tc := range []struct {
+		selected []string
+		want     int
+	}{
+		{nil, len(fig10WorkloadSubset)},
+		{trace.WorkloadNames(), len(trace.WorkloadNames())},
+	} {
+		o := Options{Scale: 0.001, Quiet: true, Workloads: tc.selected, Cache: runner.NewCache()}
+		points, err := RunFig10(o, 32768)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if runs := len(o.Cache.Runs()); runs != len(points)*tc.want {
+			t.Errorf("selection %v: %d runs for %d bars, want %d workloads per bar",
+				tc.selected, runs, len(points), tc.want)
+		}
+	}
+}
+
+// TestFig10And11MetaFromFilledOptions: fig10 and fig11 reports carry the
+// filled options' metadata (default seed and intervals, cache and pool
+// counters), as every other figure's do.
+func TestFig10And11MetaFromFilledOptions(t *testing.T) {
+	skipIfShort(t)
+	for _, name := range []string{"fig10", "fig11"} {
+		var metas []Meta
+		o := Options{Scale: 0.002, Workloads: []string{"black"}, Quiet: true}
+		err := RunExperiment(name, o, renderFunc(func(r *Report) error {
+			metas = append(metas, r.Meta)
+			return nil
+		}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(metas) != 2 {
+			t.Fatalf("%s: %d reports, want one per threshold", name, len(metas))
+		}
+		for _, m := range metas {
+			if m.Seed != 1 || m.Intervals != 1 || m.CacheRuns == 0 || m.ContextBuilds == 0 ||
+				len(m.Workloads) != 1 || m.Workloads[0] != "black" {
+				t.Errorf("%s T=%d: meta %+v lacks the filled options", name, m.Threshold, m)
+			}
+		}
+	}
+}
+
 func TestFig11MappingStudy(t *testing.T) {
 	skipIfShort(t)
 	o := tiny()
 	o.Workloads = []string{"black", "comm1"}
-	points, err := RunFig11(o, 16384, io.Discard)
+	points, err := RunFig11(o, 16384)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -250,9 +302,7 @@ func TestFig11MappingStudy(t *testing.T) {
 
 func TestFig13AttackOrdering(t *testing.T) {
 	skipIfShort(t)
-	o := tiny()
-	var buf bytes.Buffer
-	points, err := Fig13(&buf, o)
+	points, _, err := fig13Report(tiny())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -262,8 +312,7 @@ func TestFig13AttackOrdering(t *testing.T) {
 	// Paper: SCA's coarse refreshes cost far more than the CAT schemes'
 	// under attack. CMRPO (refresh rows) is the robust signal at test
 	// scale; ETO at this scale is noise-level (full-scale runs show the
-	// ordering clearly — see EXPERIMENTS.md), so compare means with a
-	// noise allowance.
+	// ordering clearly), so compare means with a noise allowance.
 	byScheme := map[string][]Fig13Point{}
 	for _, p := range points {
 		key := "CAT"
@@ -333,8 +382,7 @@ func TestMultiIntervalDRCATCatchesUpToPRCAT(t *testing.T) {
 
 func TestHeadlinesAllPass(t *testing.T) {
 	skipIfShort(t)
-	var buf bytes.Buffer
-	hs, err := Headlines(&buf, tiny())
+	hs, _, err := headlinesReport(tiny())
 	if err != nil {
 		t.Fatal(err)
 	}

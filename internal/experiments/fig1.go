@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"io"
 
 	"catsim/internal/reliability"
 	"catsim/internal/rng"
@@ -77,17 +76,6 @@ func fig1Report() ([]Fig1Point, *Report, error) {
 	return out, rep, nil
 }
 
-// Fig1 evaluates PRA's 5-year unsurvivability for the paper's grid:
-// refresh thresholds 32K/24K/16K/8K and p from 0.001 to 0.006, with the
-// paper's Q0 per threshold, against the Chipkill reference.
-func Fig1(w io.Writer) ([]Fig1Point, error) {
-	out, rep, err := fig1Report()
-	if err != nil {
-		return nil, err
-	}
-	return out, rep.renderText(w)
-}
-
 // LFSRStudyResult reproduces the §III-A Monte-Carlo observation that PRA's
 // guarantee collapses with a cheap LFSR-based PRNG. It reports:
 //
@@ -159,20 +147,4 @@ func lfsrReport(trials int) (LFSRStudyResult, *Report, error) {
 	rep.Notes = append(rep.Notes, fmt.Sprintf(
 		"maximal LFSR (phase-aware attacker)\talways fails\t\t1.0\t0 (overhead %.3fx)", res.SyncRatio))
 	return res, rep, nil
-}
-
-// LFSRStudyParams mirrors the paper's T=16K, p=0.005 experiment.
-func LFSRStudy(w io.Writer, trials int) (LFSRStudyResult, error) {
-	res, rep, err := lfsrReport(trials)
-	if err != nil {
-		return res, err
-	}
-	return res, rep.renderText(w)
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"io"
 	"math/bits"
 
 	"catsim/internal/mitigation"
@@ -19,31 +18,38 @@ type Fig10Point struct {
 	CMRPO  float64
 }
 
-// fig10WorkloadSubset is the representative subset used for the sweep: one
+// fig10WorkloadSubset is the sweep's default workload set: one
 // heavily-skewed, one phase-changing, one streaming, one commercial, one
-// bio and one moderate PARSEC workload. The full 18-workload sweep is a
-// --scale/--workloads flag away; the subset keeps the 100+-cell sweep
-// tractable while spanning the behaviour space (see DESIGN.md D7).
+// bio and one moderate PARSEC workload. The subset keeps the 100+-cell
+// sweep tractable while spanning the behaviour space; an explicit
+// workload selection (the CLI's -workloads flag) replaces it.
 var fig10WorkloadSubset = []string{"black", "face", "libq", "comm1", "mum", "ferret"}
 
+// fillFig10 fills o, defaulting an empty workload selection to
+// fig10WorkloadSubset instead of the paper's 18.
+func fillFig10(o *Options) error {
+	if len(o.Workloads) == 0 {
+		o.Workloads = fig10WorkloadSubset
+	}
+	return o.fill()
+}
+
 // RunFig10 sweeps DRCAT over M in {32..512} and L in {log2(M)+1 .. 14},
-// with SCA_M as the reference at each M, for one refresh threshold.
-// RunFig10Policy does the same for a chosen CAT kind (the paper's §VIII-A
+// with SCA_M as the reference at each M, for one refresh threshold. With
+// no workloads selected it sweeps a six-workload representative subset
+// instead of the paper's 18. RunFig10Policy does the same for a chosen CAT kind (the paper's §VIII-A
 // reports the PRCAT sensitivity separately: "CMRPO for PRCAT is about 4%
 // and 7% for T=32K and T=16K with 10 and 11 CAT levels").
-func RunFig10(o Options, threshold uint32, progress io.Writer) ([]Fig10Point, error) {
-	return RunFig10Policy(o, threshold, mitigation.KindDRCAT, progress)
+func RunFig10(o Options, threshold uint32) ([]Fig10Point, error) {
+	return RunFig10Policy(o, threshold, mitigation.KindDRCAT)
 }
 
 // RunFig10Policy sweeps the given CAT kind (KindDRCAT or KindPRCAT).
-func RunFig10Policy(o Options, threshold uint32, kind mitigation.Kind, progress io.Writer) ([]Fig10Point, error) {
+func RunFig10Policy(o Options, threshold uint32, kind mitigation.Kind) ([]Fig10Point, error) {
 	if kind != mitigation.KindDRCAT && kind != mitigation.KindPRCAT {
 		return nil, fmt.Errorf("experiments: fig10 sweeps CAT kinds, got %v", kind)
 	}
-	if len(o.Workloads) == 18 {
-		o.Workloads = fig10WorkloadSubset
-	}
-	if err := o.fill(); err != nil {
+	if err := fillFig10(&o); err != nil {
 		return nil, err
 	}
 	// Flatten the (M, L) sweep into a bar list, then expand every bar into
@@ -86,9 +92,9 @@ func RunFig10Policy(o Options, threshold uint32, kind mitigation.Kind, progress 
 		sizes[len(sizes)-1] += len(o.Workloads)
 	}
 	var pg *progressGroups
-	if progress != nil && !o.Quiet {
+	if o.Progress != nil && !o.Quiet {
 		pg = newProgressGroups(sizes, func(g int, _ []runner.CellResult) {
-			fmt.Fprintf(progress, "  M=%d done\n", groupM[g])
+			fmt.Fprintf(o.Progress, "  M=%d done\n", groupM[g])
 		})
 	}
 	results, err := pg.attach(o.engine()).Grid(o.Context, cells)
@@ -110,30 +116,20 @@ func init() {
 	Register(Experiment{
 		Name:        "fig10",
 		Description: "DRCAT counter/depth sensitivity sweep with SCA references at T=32K/16K (paper Fig. 10)",
-		Run: func(o Options, emit func(*Report) error) error {
-			_, err := fig10Reports(o, emit)
-			return err
-		},
+		Run:         fig10Reports,
 	})
 }
 
-// Fig10 renders the counter/depth sensitivity sweep for T = 32K and 16K.
-func Fig10(w io.Writer, o Options) (map[uint32][]Fig10Point, error) {
-	o.Progress = w
-	return fig10Reports(o, textEmit(w))
-}
-
-// fig10Reports measures both thresholds and emits one report each. The
-// options are deliberately not filled here: RunFig10's workload-subset
-// substitution must see the caller's raw workload list.
-func fig10Reports(o Options, emit func(*Report) error) (map[uint32][]Fig10Point, error) {
-	out := map[uint32][]Fig10Point{}
+// fig10Reports measures both thresholds and emits one report each.
+func fig10Reports(o Options, emit func(*Report) error) error {
+	if err := fillFig10(&o); err != nil {
+		return err
+	}
 	for _, threshold := range []uint32{32768, 16384} {
-		points, err := RunFig10(o, threshold, o.Progress)
+		points, err := RunFig10(o, threshold)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		out[threshold] = points
 		rep := &Report{
 			Name:  "fig10",
 			Title: fmt.Sprintf("Fig. 10: CMRPO per bank for DRCAT (M=32..512, L up to 14), T=%dK", threshold/1024),
@@ -153,10 +149,10 @@ func fig10Reports(o Options, emit func(*Report) error) (map[uint32][]Fig10Point,
 				fmt.Sprintf("minimum-CMRPO DRCAT config: M=%d, L=%d (paper: M=64, L=11)", m, l))
 		}
 		if err := emit(rep); err != nil {
-			return nil, err
+			return err
 		}
 	}
-	return out, nil
+	return nil
 }
 
 // BestDRCATConfig returns the (M, L) minimising DRCAT's CMRPO.

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"io"
 
 	"catsim/internal/dram"
 	"catsim/internal/mitigation"
@@ -50,7 +49,7 @@ type Fig11Point struct {
 // system's scheme lineup shares its per-workload baselines through the
 // cache; the whole system × scheme × workload grid runs on the worker
 // pool.
-func RunFig11(o Options, threshold uint32, progress io.Writer) ([]Fig11Point, error) {
+func RunFig11(o Options, threshold uint32) ([]Fig11Point, error) {
 	if err := o.fill(); err != nil {
 		return nil, err
 	}
@@ -89,11 +88,11 @@ func RunFig11(o Options, threshold uint32, progress io.Writer) ([]Fig11Point, er
 	// Progress groups by system: each system's whole scheme lineup.
 	systems := Fig11Systems()
 	var pg *progressGroups
-	if progress != nil && !o.Quiet {
+	if o.Progress != nil && !o.Quiet {
 		perSystem := len(bars) / len(systems) * len(o.Workloads)
 		pg = newProgressGroups(uniform(len(systems), perSystem),
 			func(g int, _ []runner.CellResult) {
-				fmt.Fprintf(progress, "  %s done\n", systems[g].Name)
+				fmt.Fprintf(o.Progress, "  %s done\n", systems[g].Name)
 			})
 	}
 	results, err := pg.attach(o.engine()).Grid(o.Context, cells)
@@ -121,10 +120,7 @@ func init() {
 	Register(Experiment{
 		Name:        "fig11",
 		Description: "CMRPO by system size and mapping policy at T=32K/16K (paper Fig. 11, §VIII-B)",
-		Run: func(o Options, emit func(*Report) error) error {
-			_, err := fig11Reports(o, emit)
-			return err
-		},
+		Run:         fig11Reports,
 	})
 	Register(Experiment{
 		Name:        "fig12",
@@ -139,20 +135,16 @@ func init() {
 	})
 }
 
-// Fig11 renders the mapping-policy and core-count study for T = 32K, 16K.
-func Fig11(w io.Writer, o Options) (map[uint32][]Fig11Point, error) {
-	o.Progress = w
-	return fig11Reports(o, textEmit(w))
-}
-
-func fig11Reports(o Options, emit func(*Report) error) (map[uint32][]Fig11Point, error) {
-	out := map[uint32][]Fig11Point{}
+// fig11Reports measures both thresholds and emits one report each.
+func fig11Reports(o Options, emit func(*Report) error) error {
+	if err := o.fill(); err != nil {
+		return err
+	}
 	for _, threshold := range []uint32{32768, 16384} {
-		points, err := RunFig11(o, threshold, o.Progress)
+		points, err := RunFig11(o, threshold)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		out[threshold] = points
 		rep := &Report{
 			Name:  "fig11",
 			Title: fmt.Sprintf("Fig. 11: CMRPO per bank by system and mapping policy, T=%dK", threshold/1024),
@@ -169,10 +161,10 @@ func fig11Reports(o Options, emit func(*Report) error) (map[uint32][]Fig11Point,
 			rep.Rows = append(rep.Rows, Row{p.System, p.Scheme, p.CMRPO, p.ETO})
 		}
 		if err := emit(rep); err != nil {
-			return nil, err
+			return err
 		}
 	}
-	return out, nil
+	return nil
 }
 
 // Fig12Point is one bar of Fig. 12 (threshold sensitivity).
@@ -266,14 +258,4 @@ func fig12Report(o Options) ([]Fig12Point, *Report, error) {
 		})
 	}
 	return out, rep, nil
-}
-
-// Fig12 renders the threshold-sensitivity sweep as a text table.
-func Fig12(w io.Writer, o Options) ([]Fig12Point, error) {
-	o.Progress = w
-	points, rep, err := fig12Report(o)
-	if err != nil {
-		return nil, err
-	}
-	return points, rep.renderText(w)
 }

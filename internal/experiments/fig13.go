@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"io"
 
 	"catsim/internal/mitigation"
 	"catsim/internal/runner"
@@ -135,14 +134,4 @@ func fig13Report(o Options) ([]Fig13Point, *Report, error) {
 		})
 	}
 	return out, rep, nil
-}
-
-// Fig13 renders the kernel-attack study as a text table.
-func Fig13(w io.Writer, o Options) ([]Fig13Point, error) {
-	o.Progress = w
-	points, rep, err := fig13Report(o)
-	if err != nil {
-		return nil, err
-	}
-	return points, rep.renderText(w)
 }

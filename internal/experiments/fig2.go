@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"io"
 
 	"catsim/internal/addrmap"
 	"catsim/internal/dram"
@@ -158,15 +157,6 @@ func fig2Report(o Options) ([]Fig2Point, *Report, error) {
 	return points, rep, nil
 }
 
-// Fig2 renders the SCA energy-breakdown sweep as a text table.
-func Fig2(w io.Writer, o Options) ([]Fig2Point, error) {
-	points, rep, err := fig2Report(o)
-	if err != nil {
-		return nil, err
-	}
-	return points, rep.renderText(w)
-}
-
 // MinTotalM returns the M with the smallest total energy.
 func MinTotalM(points []Fig2Point) int {
 	best, bestM := -1.0, 0
@@ -245,15 +235,6 @@ func fig3Report(o Options) ([]Fig3Row, *Report, error) {
 			r.Summary.TouchedRows, r.Summary.MaxPerRow, r.Summary.Top16Frac, r.Summary.Top256Frac})
 	}
 	return out, rep, nil
-}
-
-// Fig3 renders the row-access skew study as a text table.
-func Fig3(w io.Writer, o Options) ([]Fig3Row, error) {
-	rows, rep, err := fig3Report(o)
-	if err != nil {
-		return nil, err
-	}
-	return rows, rep.renderText(w)
 }
 
 func topK(rows []int64, k int) []int64 {

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"io"
 
 	"catsim/internal/mitigation"
 	"catsim/internal/runner"
@@ -46,7 +45,7 @@ func (d *Fig8Data) MeanETO(scheme string) float64 {
 // scheme × workload grid runs on the options' worker pool; the paired
 // KindNone baselines are shared through the cache, so the five schemes
 // cost one baseline run per workload, not five.
-func RunFig8(o Options, threshold uint32, progress io.Writer) (*Fig8Data, error) {
+func RunFig8(o Options, threshold uint32) (*Fig8Data, error) {
 	if err := o.fill(); err != nil {
 		return nil, err
 	}
@@ -65,7 +64,7 @@ func RunFig8(o Options, threshold uint32, progress io.Writer) (*Fig8Data, error)
 		}
 	}
 	var pg *progressGroups
-	if progress != nil && !o.Quiet {
+	if o.Progress != nil && !o.Quiet {
 		pg = newProgressGroups(uniform(len(specs), len(o.Workloads)),
 			func(g int, done []runner.CellResult) {
 				mc, me := 0.0, 0.0
@@ -74,7 +73,7 @@ func RunFig8(o Options, threshold uint32, progress io.Writer) (*Fig8Data, error)
 					me += r.ETO
 				}
 				n := float64(len(done))
-				fmt.Fprintf(progress, "  %s done (mean CMRPO %s, mean ETO %s)\n",
+				fmt.Fprintf(o.Progress, "  %s done (mean CMRPO %s, mean ETO %s)\n",
 					specs[g].Label(threshold), pct(mc/n), pct(me/n))
 			})
 	}
@@ -107,52 +106,34 @@ func init() {
 		Name:        "fig8",
 		Description: "per-workload CMRPO matrix for the paper's scheme lineup at T=32K/16K (paper Fig. 8)",
 		Run: func(o Options, emit func(*Report) error) error {
-			_, err := fig89Reports("fig8", o,
+			return fig89Reports("fig8", o,
 				"Fig. 8: CMRPO (percent of regular refresh power)",
 				func(c Cell) float64 { return c.CMRPO }, emit)
-			return err
 		},
 	})
 	Register(Experiment{
 		Name:        "fig9",
 		Description: "per-workload execution-time overhead from the Fig. 8 runs (paper Fig. 9)",
 		Run: func(o Options, emit func(*Report) error) error {
-			_, err := fig89Reports("fig9", o,
+			return fig89Reports("fig9", o,
 				"Fig. 9: execution time overhead (ETO)",
 				func(c Cell) float64 { return c.ETO }, emit)
-			return err
 		},
 	})
-}
-
-// Fig8 renders the CMRPO matrix (Fig. 8) for T = 32K and 16K.
-func Fig8(w io.Writer, o Options) (map[uint32]*Fig8Data, error) {
-	o.Progress = w
-	return fig89Reports("fig8", o, "Fig. 8: CMRPO (percent of regular refresh power)",
-		func(c Cell) float64 { return c.CMRPO }, textEmit(w))
-}
-
-// Fig9 renders the ETO matrix (Fig. 9) from the same runs.
-func Fig9(w io.Writer, o Options) (map[uint32]*Fig8Data, error) {
-	o.Progress = w
-	return fig89Reports("fig9", o, "Fig. 9: execution time overhead (ETO)",
-		func(c Cell) float64 { return c.ETO }, textEmit(w))
 }
 
 // fig89Reports measures both thresholds and emits one report per
 // threshold as it completes, so text rendering interleaves with the
 // sweep's progress lines.
-func fig89Reports(name string, o Options, title string, metric func(Cell) float64, emit func(*Report) error) (map[uint32]*Fig8Data, error) {
+func fig89Reports(name string, o Options, title string, metric func(Cell) float64, emit func(*Report) error) error {
 	if err := o.fill(); err != nil {
-		return nil, err
+		return err
 	}
-	out := map[uint32]*Fig8Data{}
 	for _, threshold := range []uint32{32768, 16384} {
-		data, err := RunFig8(o, threshold, o.Progress)
+		data, err := RunFig8(o, threshold)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		out[threshold] = data
 		rep := &Report{
 			Name:  name,
 			Title: fmt.Sprintf("%s, T=%dK", title, threshold/1024),
@@ -179,8 +160,8 @@ func fig89Reports(name string, o Options, title string, metric func(Cell) float6
 		}
 		rep.Rows = append(rep.Rows, mean)
 		if err := emit(rep); err != nil {
-			return nil, err
+			return err
 		}
 	}
-	return out, nil
+	return nil
 }

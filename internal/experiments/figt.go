@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"io"
 
 	"catsim/internal/mitigation"
 	"catsim/internal/runner"
@@ -10,15 +9,15 @@ import (
 	"catsim/internal/trace"
 )
 
-// FigT is the time-series study the end-of-run aggregates could never
-// show: the run sliced into fixed-duration epochs by the simulation
-// engine, exposing DRCAT's adaptation dynamics (tree occupancy growing
-// from the pre-split shape, reconfigurations tracking workload drift) and
-// each tracker's missed-victim exposure as the phases shift — benign
-// warmup for the first half of the run, then a double-sided attack blend
-// switching on at the midpoint. Every run attaches the crosstalk oracle,
-// so the epoch rows show *when* protection is earned or lost, not just
-// whether the totals came out right.
+// The figt experiment is the time-series study the end-of-run aggregates
+// could never show: the run sliced into fixed-duration epochs by the
+// simulation engine, exposing DRCAT's adaptation dynamics (tree occupancy
+// growing from the pre-split shape, reconfigurations tracking workload
+// drift) and each tracker's missed-victim exposure as the phases shift —
+// benign warmup for the first half of the run, then a double-sided attack
+// blend switching on at the midpoint. Every run attaches the crosstalk
+// oracle, so the epoch rows show *when* protection is earned or lost, not
+// just whether the totals came out right.
 
 // FigTPoint is one epoch of one scheme's trajectory.
 type FigTPoint struct {
@@ -176,18 +175,4 @@ func figtReport(o Options) ([]FigTPoint, *Report, error) {
 		})
 	}
 	return out, rep, nil
-}
-
-// FigT renders the time-series study as a text table; a nil writer keeps
-// the data-only behaviour.
-func FigT(w io.Writer, o Options) ([]FigTPoint, error) {
-	if w == nil {
-		w = io.Discard // data-only callers
-	}
-	o.Progress = w
-	points, rep, err := figtReport(o)
-	if err != nil {
-		return nil, err
-	}
-	return points, rep.renderText(w)
 }

@@ -1,12 +1,12 @@
 package experiments
 
 import (
-	"bytes"
 	"reflect"
 	"strings"
 	"testing"
 
 	"catsim/internal/mitigation"
+	"catsim/internal/runner"
 )
 
 // TestFigTOutputIdenticalAcrossParallelism extends the suite's
@@ -17,20 +17,21 @@ func TestFigTOutputIdenticalAcrossParallelism(t *testing.T) {
 	var rendered []string
 	var points [][]FigTPoint
 	for _, p := range []int{1, 8} {
-		var buf bytes.Buffer
-		pts, err := FigT(&buf, para(p))
+		o := para(p)
+		o.Cache = runner.NewCache()
+		rendered = append(rendered, runText(t, "figt", o))
+		pts, _, err := figtReport(o)
 		if err != nil {
 			t.Fatal(err)
 		}
-		rendered = append(rendered, buf.String())
 		points = append(points, pts)
 	}
 	if rendered[0] != rendered[1] {
-		t.Errorf("FigT output differs between parallelism 1 and 8:\n--- p=1\n%s\n--- p=8\n%s",
+		t.Errorf("figt output differs between parallelism 1 and 8:\n--- p=1\n%s\n--- p=8\n%s",
 			rendered[0], rendered[1])
 	}
 	if !reflect.DeepEqual(points[0], points[1]) {
-		t.Error("FigT points differ between parallelism 1 and 8")
+		t.Error("figt points differ between parallelism 1 and 8")
 	}
 	if !strings.Contains(rendered[0], "missed victims)") {
 		t.Error("progress lines missing from non-quiet run")
@@ -43,7 +44,7 @@ func TestFigTOutputIdenticalAcrossParallelism(t *testing.T) {
 // deterministic trackers never miss a victim even across the onset.
 func TestFigTTrajectoryShape(t *testing.T) {
 	skipIfShort(t)
-	pts, err := FigT(nil, tiny())
+	pts, _, err := figtReport(tiny())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +91,7 @@ func TestFigTSchemeOverride(t *testing.T) {
 	skipIfShort(t)
 	o := tiny()
 	o.Schemes = []mitigation.SchemeSpec{mustParse(t, "sca:counters=128")}
-	pts, err := FigT(nil, o)
+	pts, _, err := figtReport(o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,18 +113,18 @@ func TestFigTCellsCacheAcrossCalls(t *testing.T) {
 	if err := (&o).fill(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := FigT(nil, o); err != nil {
+	if _, _, err := figtReport(o); err != nil {
 		t.Fatal(err)
 	}
 	runs := len(o.Cache.Runs())
 	if runs == 0 {
 		t.Fatal("no runs recorded in the shared cache")
 	}
-	if _, err := FigT(nil, o); err != nil {
+	if _, _, err := figtReport(o); err != nil {
 		t.Fatal(err)
 	}
 	if got := len(o.Cache.Runs()); got != runs {
-		t.Errorf("second FigT executed %d new runs, want 0", got-runs)
+		t.Errorf("second figt run executed %d new runs, want 0", got-runs)
 	}
 }
 

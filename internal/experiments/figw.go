@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"io"
 
 	"catsim/internal/dram"
 	"catsim/internal/mitigation"
@@ -12,15 +11,15 @@ import (
 	"catsim/internal/workload"
 )
 
-// FigW is the open-loop multi-tenant study: mitigation schemes under
-// datacenter-style arrival processes (Poisson, bursty on/off, diurnal
-// phases) over a cohort of thousands of Zipf-skewed tenants, with and
-// without an embedded attacker tenant. Where the paper's closed-loop
-// methodology measures overhead for co-scheduled SPEC cores, this sweep
-// asks the hosting question instead: when one tenant of thousands turns
-// hostile, how much refresh work does each scheme spend, and how much of
-// it lands in innocent tenants' rows (the per-tenant attribution that
-// sim.Result.Tenants carries).
+// The figw experiment is the open-loop multi-tenant study: mitigation
+// schemes under datacenter-style arrival processes (Poisson, bursty
+// on/off, diurnal phases) over a cohort of thousands of Zipf-skewed
+// tenants, with and without an embedded attacker tenant. Where the paper's
+// closed-loop methodology measures overhead for co-scheduled SPEC cores,
+// this sweep asks the hosting question instead: when one tenant of
+// thousands turns hostile, how much refresh work does each scheme spend,
+// and how much of it lands in innocent tenants' rows (the per-tenant
+// attribution that sim.Result.Tenants carries).
 
 // FigWPoint is one (workload, attacker fraction, scheme) measurement.
 type FigWPoint struct {
@@ -244,18 +243,4 @@ func figwReport(o Options) ([]FigWPoint, *Report, error) {
 		})
 	}
 	return out, rep, nil
-}
-
-// FigW renders the open-loop study as a text table; a nil writer keeps
-// the data-only behaviour.
-func FigW(w io.Writer, o Options) ([]FigWPoint, error) {
-	if w == nil {
-		w = io.Discard
-	}
-	o.Progress = w
-	points, rep, err := figwReport(o)
-	if err != nil {
-		return nil, err
-	}
-	return points, rep.renderText(w)
 }

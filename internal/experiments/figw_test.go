@@ -51,7 +51,7 @@ func TestFigWRespectsSelection(t *testing.T) {
 	o := para(4)
 	o.Workloads = []string{"ol-poisson"}
 	o.Schemes = []mitigation.SchemeSpec{mustParse(t, "drcat:counters=64,levels=11")}
-	pts, err := FigW(nil, o)
+	pts, _, err := figwReport(o)
 	if err != nil {
 		t.Fatal(err)
 	}

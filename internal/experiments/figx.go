@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"io"
 
 	"catsim/internal/mitigation"
 	"catsim/internal/runner"
@@ -10,17 +9,17 @@ import (
 	"catsim/internal/trace"
 )
 
-// FigX is the beyond-the-paper protection study the 2018 evaluation could
-// not run: the adaptive tree (DRCAT) against its 2018 contemporaries
-// (SCA, counter cache) and the modern tracker generation (CoMeT, ABACuS,
-// DSAC) under adversarial attack patterns (double-sided, many-sided,
-// bank-sweep — plus the paper's Gaussian kernels as the reference),
-// sweeping scheme × refresh threshold × pattern on the shared runner grid.
-// Every run attaches the crosstalk oracle, so the rendered table pairs
-// each scheme's overhead (CMRPO, ETO) with its measured protection
-// (missed-victim rate, violations): the deterministic trackers must show
-// zero misses at any overhead, while DSAC's misses quantify what its
-// cheapness costs under pressure.
+// The figx experiment is the beyond-the-paper protection study the 2018
+// evaluation could not run: the adaptive tree (DRCAT) against its 2018
+// contemporaries (SCA, counter cache) and the modern tracker generation
+// (CoMeT, ABACuS, DSAC) under adversarial attack patterns (double-sided,
+// many-sided, bank-sweep — plus the paper's Gaussian kernels as the
+// reference), sweeping scheme × refresh threshold × pattern on the shared
+// runner grid. Every run attaches the crosstalk oracle, so the rendered
+// table pairs each scheme's overhead (CMRPO, ETO) with its measured
+// protection (missed-victim rate, violations): the deterministic trackers
+// must show zero misses at any overhead, while DSAC's misses quantify what
+// its cheapness costs under pressure.
 
 // FigXPoint is one row of the overhead-vs-protection table.
 type FigXPoint struct {
@@ -195,20 +194,6 @@ func figxReport(o Options) ([]FigXPoint, *Report, error) {
 		})
 	}
 	return out, rep, nil
-}
-
-// FigX renders the protection study as a text table; a nil writer keeps
-// the historical data-only behaviour.
-func FigX(w io.Writer, o Options) ([]FigXPoint, error) {
-	if w == nil {
-		w = io.Discard // data-only callers
-	}
-	o.Progress = w
-	points, rep, err := figxReport(o)
-	if err != nil {
-		return nil, err
-	}
-	return points, rep.renderText(w)
 }
 
 // figXBenign picks the attack carrier: the first memory-intensive workload

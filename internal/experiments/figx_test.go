@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"bytes"
 	"reflect"
 	"strings"
 	"testing"
@@ -10,28 +9,30 @@ import (
 	"catsim/internal/trace"
 )
 
-// TestFigXOutputIdenticalAcrossParallelism is the ISSUE-2 acceptance
-// determinism contract: the cross-scheme protection experiment renders
-// byte-identical output and returns identical points at -parallel 1 and 8.
+// TestFigXOutputIdenticalAcrossParallelism is the determinism contract
+// for the cross-scheme protection experiment: byte-identical output and
+// identical points at -parallel 1 and 8. The points are read back from
+// the cache the rendered run filled.
 func TestFigXOutputIdenticalAcrossParallelism(t *testing.T) {
 	skipIfShort(t)
 	var rendered []string
 	var points [][]FigXPoint
 	for _, p := range []int{1, 8} {
-		var buf bytes.Buffer
-		pts, err := FigX(&buf, para(p))
+		o := para(p)
+		o.Cache = runner.NewCache()
+		rendered = append(rendered, runText(t, "figx", o))
+		pts, _, err := figxReport(o)
 		if err != nil {
 			t.Fatal(err)
 		}
-		rendered = append(rendered, buf.String())
 		points = append(points, pts)
 	}
 	if rendered[0] != rendered[1] {
-		t.Errorf("FigX output differs between parallelism 1 and 8:\n--- p=1\n%s\n--- p=8\n%s",
+		t.Errorf("figx output differs between parallelism 1 and 8:\n--- p=1\n%s\n--- p=8\n%s",
 			rendered[0], rendered[1])
 	}
 	if !reflect.DeepEqual(points[0], points[1]) {
-		t.Error("FigX points differ between parallelism 1 and 8")
+		t.Error("figx points differ between parallelism 1 and 8")
 	}
 	if !strings.Contains(rendered[0], "missed victims across schemes") {
 		t.Error("progress lines missing from non-quiet run")
@@ -45,8 +46,7 @@ func TestFigXOutputIdenticalAcrossParallelism(t *testing.T) {
 // victims (the pattern is not a no-op).
 func TestFigXDeterministicSchemesNeverMissVictims(t *testing.T) {
 	skipIfShort(t)
-	o := tiny()
-	pts, err := FigX(nil, o)
+	pts, _, err := figxReport(tiny())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,14 +71,14 @@ func TestFigXDeterministicSchemesNeverMissVictims(t *testing.T) {
 
 // TestFigXSharesBaselinesAndCache verifies the experiment runs on the
 // shared runner cache: the per-(threshold, pattern) no-mitigation baseline
-// executes once for all six schemes, and a second FigX call over the same
+// executes once for all six schemes, and a second figx run over the same
 // shared cache re-runs nothing.
 func TestFigXSharesBaselinesAndCache(t *testing.T) {
 	skipIfShort(t)
 	o := para(8)
 	o.Cache = runner.NewCache()
 	o.Quiet = true
-	if _, err := FigX(nil, o); err != nil {
+	if _, _, err := figxReport(o); err != nil {
 		t.Fatal(err)
 	}
 	baselines := 0
@@ -91,11 +91,11 @@ func TestFigXSharesBaselinesAndCache(t *testing.T) {
 		t.Errorf("%d baseline executions, want %d (one per threshold × pattern)", baselines, want)
 	}
 	runs := len(o.Cache.Runs())
-	if _, err := FigX(nil, o); err != nil {
+	if _, _, err := figxReport(o); err != nil {
 		t.Fatal(err)
 	}
 	if got := len(o.Cache.Runs()); got != runs {
-		t.Errorf("second FigX over the shared cache executed %d new simulations", got-runs)
+		t.Errorf("second figx run over the shared cache executed %d new simulations", got-runs)
 	}
 }
 

@@ -3,17 +3,18 @@ package experiments
 import (
 	"bytes"
 	"flag"
-	"io"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
 // The golden-file tests lock the text renderer's bytes to the output the
 // hand-written per-figure renderers produced before the Report refactor:
-// every generator, run at a fixed small scale, must reproduce its checked-
-// in testdata/golden/<name>.golden byte for byte — progress lines, table
-// alignment, trailing notes and all. Regenerate deliberately with
+// every registered experiment, run at a fixed small scale, must reproduce
+// its checked-in testdata/golden/<name>.golden byte for byte — progress
+// lines, table alignment, trailing notes and all. Regenerate deliberately
+// with
 //
 //	go test ./internal/experiments -run TestGoldenText -update
 //
@@ -21,63 +22,41 @@ import (
 var updateGolden = flag.Bool("update", false, "rewrite the golden files")
 
 func goldenOptions() Options {
-	return Options{Scale: 0.05, Seed: 1, Workloads: []string{"black", "comm1"}}
+	return Options{Scale: 0.05, Seed: 1, Workloads: []string{"black", "comm1"}, LFSRTrials: 50}
 }
 
-// goldenGenerators drives every generator through its text wrapper — the
-// same entry points ReproduceAll and the CLI's text format use.
-func goldenGenerators() []struct {
-	name string
-	run  func(w io.Writer) error
-} {
-	o := goldenOptions
-	return []struct {
-		name string
-		run  func(w io.Writer) error
-	}{
-		{"table1", func(w io.Writer) error { return Table1(w) }},
-		{"table2", func(w io.Writer) error { _, err := Table2(w); return err }},
-		{"fig1", func(w io.Writer) error { _, err := Fig1(w); return err }},
-		{"lfsr", func(w io.Writer) error { _, err := LFSRStudy(w, 50); return err }},
-		{"fig2", func(w io.Writer) error { _, err := Fig2(w, o()); return err }},
-		{"fig3", func(w io.Writer) error { _, err := Fig3(w, o()); return err }},
-		{"fig8", func(w io.Writer) error { _, err := Fig8(w, o()); return err }},
-		{"fig9", func(w io.Writer) error { _, err := Fig9(w, o()); return err }},
-		{"fig10", func(w io.Writer) error { _, err := Fig10(w, o()); return err }},
-		{"fig11", func(w io.Writer) error { _, err := Fig11(w, o()); return err }},
-		{"fig12", func(w io.Writer) error { _, err := Fig12(w, o()); return err }},
-		{"fig13", func(w io.Writer) error { _, err := Fig13(w, o()); return err }},
-		{"figx", func(w io.Writer) error { _, err := FigX(w, o()); return err }},
-		{"figt", func(w io.Writer) error { _, err := FigT(w, o()); return err }},
-		{"figw", func(w io.Writer) error { _, err := FigW(w, o()); return err }},
-		{"ablations", func(w io.Writer) error {
-			if _, err := AblationLadders(w, o()); err != nil {
-				return err
-			}
-			if _, err := AblationWeightBits(w, o()); err != nil {
-				return err
-			}
-			if _, err := AblationPreSplit(w, o()); err != nil {
-				return err
-			}
-			_, err := AblationCounterCache(w, o())
-			return err
-		}},
-		{"headlines", func(w io.Writer) error { _, err := Headlines(w, o()); return err }},
+// runText runs a registered experiment through the text renderer with
+// its progress lines on the same writer, as the CLI's text format does.
+func runText(t *testing.T, name string, o Options) string {
+	t.Helper()
+	var buf bytes.Buffer
+	o.Progress = &buf
+	if err := RunExperiment(name, o, NewTextRenderer(&buf)); err != nil {
+		t.Fatal(err)
 	}
+	return buf.String()
 }
 
+// TestGoldenText runs every registered experiment and requires a golden
+// file for each, and an experiment for each golden file.
 func TestGoldenText(t *testing.T) {
 	skipIfShort(t)
-	for _, g := range goldenGenerators() {
-		t.Run(g.name, func(t *testing.T) {
-			var buf bytes.Buffer
-			if err := g.run(&buf); err != nil {
-				t.Fatal(err)
-			}
-			path := filepath.Join("testdata", "golden", g.name+".golden")
+	files, err := filepath.Glob(filepath.Join("testdata", "golden", "*.golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range files {
+		name := strings.TrimSuffix(filepath.Base(f), ".golden")
+		if _, ok := Lookup(name); !ok {
+			t.Errorf("%s has no registered experiment", f)
+		}
+	}
+	for _, name := range Names() {
+		t.Run(name, func(t *testing.T) {
+			got := []byte(runText(t, name, goldenOptions()))
+			path := filepath.Join("testdata", "golden", name+".golden")
 			if *updateGolden {
-				if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+				if err := os.WriteFile(path, got, 0o644); err != nil {
 					t.Fatal(err)
 				}
 				return
@@ -86,9 +65,9 @@ func TestGoldenText(t *testing.T) {
 			if err != nil {
 				t.Fatalf("missing golden (run with -update to create): %v", err)
 			}
-			if !bytes.Equal(buf.Bytes(), want) {
+			if !bytes.Equal(got, want) {
 				t.Errorf("output differs from %s\n--- got ---\n%s\n--- want ---\n%s",
-					path, firstDiffContext(buf.Bytes(), want), firstDiffContext(want, buf.Bytes()))
+					path, firstDiffContext(got, want), firstDiffContext(want, got))
 			}
 		})
 	}

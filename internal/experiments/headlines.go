@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"io"
 
 	"catsim/internal/reliability"
 )
@@ -29,10 +28,9 @@ func init() {
 }
 
 // headlinesReport evaluates the paper's key comparative claims
-// programmatically and builds a verdict table: the executable form of
-// EXPERIMENTS.md's summary. It runs a compact measurement set at the
-// configured scale (workload subset recommended; the full-table numbers
-// come from the individual figure targets).
+// programmatically and builds a verdict table. It runs a compact
+// measurement set at the configured scale (workload subset recommended;
+// the full-table numbers come from the individual figure targets).
 func headlinesReport(o Options) ([]Headline, *Report, error) {
 	if err := o.fill(); err != nil {
 		return nil, nil, err
@@ -67,7 +65,7 @@ func headlinesReport(o Options) ([]Headline, *Report, error) {
 		fmt.Sprintf("weak-LFSR failure prob %.2f", lf.FailProb))
 
 	// 3. Fig. 2 U-shape with a small-M minimum.
-	fig2, err := Fig2(io.Discard, o)
+	fig2, _, err := fig2Report(o)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -76,7 +74,7 @@ func headlinesReport(o Options) ([]Headline, *Report, error) {
 		minM >= 32 && minM <= 256, fmt.Sprintf("minimum at M=%d", minM))
 
 	// 4. Fig. 3 skew.
-	fig3, err := Fig3(io.Discard, o)
+	fig3, _, err := fig3Report(o)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -88,8 +86,11 @@ func headlinesReport(o Options) ([]Headline, *Report, error) {
 		fmt.Sprintf("top-256 shares: %.0f%%, %.0f%%",
 			fig3[0].Summary.Top256Frac*100, fig3[1].Summary.Top256Frac*100))
 
-	// 5+6. Fig. 8/9 orderings at T=16K.
-	data, err := RunFig8(o, 16384, io.Discard)
+	// 5+6. Fig. 8/9 orderings at T=16K. The sweeps' progress lines would
+	// interleave with the caller's output, which shows only the verdicts.
+	quiet := o
+	quiet.Progress = nil
+	data, err := RunFig8(quiet, 16384)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -105,7 +106,7 @@ func headlinesReport(o Options) ([]Headline, *Report, error) {
 			data.MeanETO("DRCAT_64")*100, data.MeanETO("SCA_64")*100))
 
 	// 7. Fig. 8 threshold collapse: SCA roughly doubles from 32K to 16K.
-	data32, err := RunFig8(o, 32768, io.Discard)
+	data32, err := RunFig8(quiet, 32768)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -131,13 +132,4 @@ func headlinesReport(o Options) ([]Headline, *Report, error) {
 		rep.Rows = append(rep.Rows, Row{h.Claim, verdict, h.Note})
 	}
 	return out, rep, nil
-}
-
-// Headlines renders the claim verdicts as a text table.
-func Headlines(w io.Writer, o Options) ([]Headline, error) {
-	out, rep, err := headlinesReport(o)
-	if err != nil {
-		return nil, err
-	}
-	return out, rep.renderText(w)
 }

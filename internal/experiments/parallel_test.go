@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"bytes"
 	"errors"
 	"reflect"
 	"strings"
@@ -61,16 +60,24 @@ func TestProgressGroupsSuppressFailedGroups(t *testing.T) {
 	}
 }
 
+// The determinism tests below read each figure's data back from the
+// cache its rendered run filled.
+
 func TestFig8OutputIdenticalAcrossParallelism(t *testing.T) {
 	var rendered []string
-	var data []map[uint32]*Fig8Data
+	var data [][]*Fig8Data
 	for _, p := range []int{1, 8} {
-		var buf bytes.Buffer
-		d, err := Fig8(&buf, para(p))
-		if err != nil {
-			t.Fatal(err)
+		o := para(p)
+		o.Cache = runner.NewCache()
+		rendered = append(rendered, runText(t, "fig8", o))
+		var d []*Fig8Data
+		for _, th := range []uint32{32768, 16384} {
+			dt, err := RunFig8(o, th)
+			if err != nil {
+				t.Fatal(err)
+			}
+			d = append(d, dt)
 		}
-		rendered = append(rendered, buf.String())
 		data = append(data, d)
 	}
 	if rendered[0] != rendered[1] {
@@ -89,12 +96,13 @@ func TestFig12OutputIdenticalAcrossParallelism(t *testing.T) {
 	var rendered []string
 	var points [][]Fig12Point
 	for _, p := range []int{1, 8} {
-		var buf bytes.Buffer
-		pts, err := Fig12(&buf, para(p))
+		o := para(p)
+		o.Cache = runner.NewCache()
+		rendered = append(rendered, runText(t, "fig12", o))
+		pts, _, err := fig12Report(o)
 		if err != nil {
 			t.Fatal(err)
 		}
-		rendered = append(rendered, buf.String())
 		points = append(points, pts)
 	}
 	if rendered[0] != rendered[1] {
@@ -108,18 +116,7 @@ func TestFig12OutputIdenticalAcrossParallelism(t *testing.T) {
 func TestAblationsIdenticalAcrossParallelism(t *testing.T) {
 	var outs []string
 	for _, p := range []int{1, 8} {
-		o := para(p)
-		var buf bytes.Buffer
-		if _, err := AblationLadders(&buf, o); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := AblationPreSplit(&buf, o); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := AblationCounterCache(&buf, o); err != nil {
-			t.Fatal(err)
-		}
-		outs = append(outs, buf.String())
+		outs = append(outs, runText(t, "ablations", para(p)))
 	}
 	if outs[0] != outs[1] {
 		t.Error("ablation output differs between parallelism 1 and 8")
@@ -130,20 +127,21 @@ func TestFigWOutputIdenticalAcrossParallelism(t *testing.T) {
 	var rendered []string
 	var points [][]FigWPoint
 	for _, p := range []int{1, 8} {
-		var buf bytes.Buffer
-		pts, err := FigW(&buf, para(p))
+		o := para(p)
+		o.Cache = runner.NewCache()
+		rendered = append(rendered, runText(t, "figw", o))
+		pts, _, err := figwReport(o)
 		if err != nil {
 			t.Fatal(err)
 		}
-		rendered = append(rendered, buf.String())
 		points = append(points, pts)
 	}
 	if rendered[0] != rendered[1] {
-		t.Errorf("FigW output differs between parallelism 1 and 8:\n--- p=1\n%s\n--- p=8\n%s",
+		t.Errorf("figw output differs between parallelism 1 and 8:\n--- p=1\n%s\n--- p=8\n%s",
 			rendered[0], rendered[1])
 	}
 	if !reflect.DeepEqual(points[0], points[1]) {
-		t.Error("FigW points differ between parallelism 1 and 8")
+		t.Error("figw points differ between parallelism 1 and 8")
 	}
 }
 
@@ -151,7 +149,7 @@ func TestCachedRunsMatchUncached(t *testing.T) {
 	run := func(noCache bool) *Fig8Data {
 		o := para(8)
 		o.NoCache = noCache
-		d, err := RunFig8(o, 16384, nil)
+		d, err := RunFig8(o, 16384)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -172,13 +170,13 @@ func TestBaselineRunsOncePerWorkloadThresholdSeed(t *testing.T) {
 	o.Cache = runner.NewCache()
 	thresholds := []uint32{32768, 16384}
 	for _, th := range thresholds { // Fig. 8
-		if _, err := RunFig8(o, th, nil); err != nil {
+		if _, err := RunFig8(o, th); err != nil {
 			t.Fatal(err)
 		}
 	}
 	afterFig8 := len(o.Cache.Runs())
 	for _, th := range thresholds { // Fig. 9 reuses the same paired runs
-		if _, err := RunFig8(o, th, nil); err != nil {
+		if _, err := RunFig8(o, th); err != nil {
 			t.Fatal(err)
 		}
 	}

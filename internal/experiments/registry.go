@@ -5,15 +5,15 @@ import (
 	"sort"
 )
 
-// The experiment registry: every generator self-registers an Experiment
-// from its file's init, and every caller — catsim.ReproduceAll, the
-// cmd/experiments CLI, tests — iterates the registry instead of carrying
-// its own target list, so a new generator is reachable everywhere the
-// moment it registers.
+// The experiment registry is the one way to run a generator: every
+// generator self-registers an Experiment from its file's init, and every
+// caller — catsim.ReproduceAll, the cmd/experiments CLI, the golden-file
+// tests — runs it by name through RunExperiment or RunAll into a Renderer,
+// so a new generator is reachable everywhere the moment it registers.
 
 // RunFunc measures one experiment and emits its report(s) as each
-// completes, which lets text rendering interleave with the generator's
-// live progress lines exactly as the historical output did.
+// completes, so text rendering interleaves with the generator's live
+// progress lines (Options.Progress).
 type RunFunc func(o Options, emit func(*Report) error) error
 
 // Experiment is one registered generator.

@@ -6,9 +6,10 @@ import (
 	"testing"
 
 	"catsim/internal/mitigation"
+	"catsim/internal/runner"
 )
 
-// Render-path tests: the full figure wrappers (both thresholds, formatted
+// Render-path tests: the registered figures (both thresholds, formatted
 // tables) at minimal scale, checking the output carries the paper-shaped
 // rows and series.
 
@@ -18,12 +19,17 @@ func micro() Options {
 
 func TestFig8RenderBothThresholds(t *testing.T) {
 	var buf bytes.Buffer
-	data, err := Fig8(&buf, micro())
+	text := NewTextRenderer(&buf)
+	var thresholds []uint32
+	err := RunExperiment("fig8", micro(), renderFunc(func(r *Report) error {
+		thresholds = append(thresholds, r.Meta.Threshold)
+		return text.Report(r)
+	}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(data) != 2 || data[32768] == nil || data[16384] == nil {
-		t.Fatalf("missing thresholds: %v", data)
+	if len(thresholds) != 2 || thresholds[0] != 32768 || thresholds[1] != 16384 {
+		t.Fatalf("report thresholds = %v, want [32768 16384]", thresholds)
 	}
 	out := buf.String()
 	for _, want := range []string{"T=32K", "T=16K", "DRCAT_64", "PRA_0.002", "PRA_0.003", "Mean", "black"} {
@@ -34,15 +40,16 @@ func TestFig8RenderBothThresholds(t *testing.T) {
 }
 
 func TestFig9RenderSharesRuns(t *testing.T) {
-	var buf bytes.Buffer
-	data, err := Fig9(&buf, micro())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), "execution time overhead") {
+	o := micro()
+	o.Cache = runner.NewCache()
+	if !strings.Contains(runText(t, "fig9", o), "execution time overhead") {
 		t.Error("output missing ETO title")
 	}
-	for _, d := range data {
+	for _, th := range []uint32{32768, 16384} {
+		d, err := RunFig8(o, th)
+		if err != nil {
+			t.Fatal(err)
+		}
 		for _, s := range d.Schemes {
 			if len(d.Cells[s]) != 1 {
 				t.Errorf("scheme %s has %d cells", s, len(d.Cells[s]))
@@ -54,7 +61,7 @@ func TestFig9RenderSharesRuns(t *testing.T) {
 func TestFig10PRCATVariant(t *testing.T) {
 	skipIfShort(t)
 	o := micro()
-	points, err := RunFig10Policy(o, 32768, mitigation.KindPRCAT, nil)
+	points, err := RunFig10Policy(o, 32768, mitigation.KindPRCAT)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,13 +80,16 @@ func TestFig10PRCATVariant(t *testing.T) {
 }
 
 func TestFig12RenderAllThresholds(t *testing.T) {
-	var buf bytes.Buffer
-	points, err := Fig12(&buf, micro())
+	points, rep, err := fig12Report(micro())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(points) != 16 { // 4 thresholds x 4 schemes
 		t.Fatalf("points = %d, want 16", len(points))
+	}
+	var buf bytes.Buffer
+	if err := rep.renderText(&buf); err != nil {
+		t.Fatal(err)
 	}
 	out := buf.String()
 	for _, want := range []string{"64K", "8K", "PRA_0.001", "PRA_0.005", "DRCAT_128"} {

@@ -11,10 +11,10 @@ import (
 )
 
 // A Report is the structured result of one experiment table: a column
-// schema, rows of typed cells and per-report metadata. Generators return
-// Reports instead of printing, and pluggable Renderers turn them into the
-// paper-shaped text tables (byte-identical to the historical output,
-// locked by the golden-file tests), JSON or CSV.
+// schema, rows of typed cells and per-report metadata. Generators emit
+// Reports instead of printing, and the Renderer given to RunExperiment or
+// RunAll turns them into the paper-shaped text tables (locked byte for
+// byte by the golden-file tests), JSON or CSV.
 
 // Column describes one column of a report.
 type Column struct {

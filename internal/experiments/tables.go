@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"io"
 
 	"catsim/internal/dram"
 	"catsim/internal/energy"
@@ -51,12 +50,6 @@ func table1Report() *Report {
 				t.TRCD, t.TRP, t.TCAS, t.TRAS, t.TRC, t.TRFC, t.TREFI)},
 		},
 	}
-}
-
-// Table1 prints the system configuration (paper Table I) as wired into the
-// simulator defaults.
-func Table1(w io.Writer) error {
-	return table1Report().renderText(w)
 }
 
 // Table2Row is one row of the reproduced Table II.
@@ -111,14 +104,4 @@ func table2Report() ([]Table2Row, *Report, error) {
 		energy.PRNGAreaMM2, energy.PRNGThroughputGbps, energy.PRNGPowerMW,
 		energy.PRNGEfficiencyNJPerBit, energy.PRNGEnergyPerActivationNJ))
 	return rows, rep, nil
-}
-
-// Table2 prints the hardware energy/area table for M = 32..512 alongside
-// the PRNG specification, from the calibrated synthesis model.
-func Table2(w io.Writer) ([]Table2Row, error) {
-	rows, rep, err := table2Report()
-	if err != nil {
-		return nil, err
-	}
-	return rows, rep.renderText(w)
 }
