@@ -12,7 +12,7 @@
 // and NewStochastic (DSAC-style stochastic counting) — plus a protection
 // harness: adversarial attack patterns (double-sided, many-sided,
 // bank-sweep) and an oracle-checked missed-victim rate, swept across
-// schemes and thresholds by experiments.FigX.
+// schemes and thresholds by the figx experiment.
 //
 // This package is a thin facade over the internal packages for downstream
 // users; see README.md for the architecture and cmd/experiments for the
@@ -145,7 +145,7 @@ func NewABACuS(banks, rowsPerBank, entries int, threshold uint32) (Scheme, error
 // NewStochastic builds a DSAC-style stochastic-approximate tracker (Hong
 // et al., 2023): m exact counters per bank with probabilistic
 // replace-minimum insertion. Cheap but probabilistic — its protection gap
-// under adversarial patterns is what experiments.FigX quantifies.
+// under adversarial patterns is what the figx experiment quantifies.
 func NewStochastic(banks, rowsPerBank, m int, threshold uint32, src rng.Source) (Scheme, error) {
 	return mitigation.NewStochastic(banks, rowsPerBank, m, threshold, src)
 }

@@ -4,9 +4,9 @@
 // Synopsys synthesis at 45 nm plus CACTI SRAM models), the PRNG used by
 // PRA, and the CMRPO metric (§VI, §VII-B).
 //
-// The published Table II numbers are embedded as calibration anchors;
-// log-log interpolation extends them to any counter count, which is what
-// Fig. 2's 16..65536-counter sweep needs (DESIGN.md substitution S4).
+// The published Table II numbers (M = 32..512) are embedded as
+// calibration anchors; log-log interpolation extends them to any counter
+// count, which is what Fig. 2's 16..65536-counter sweep needs.
 package energy
 
 import (
@@ -61,8 +61,7 @@ const (
 // static term alone exceed several of the paper's reported totals (e.g.
 // DRCAT-64's 1.39e4 nJ/interval is already 8.7% of the 2.5 mW baseline,
 // above the ~4% total of Fig. 8). One global derate, applied uniformly to
-// every scheme, reconciles the table with the reported CMRPO levels;
-// EXPERIMENTS.md discusses the calibration.
+// every scheme, reconciles the table with the reported CMRPO levels.
 const StaticPowerFraction = 0.25
 
 // DRAMAccessNJ is the energy of one extra DRAM access (counter-cache miss

@@ -6,8 +6,9 @@
 // requests — the source of the paper's execution-time overhead).
 //
 // The model deliberately works at bank/channel occupancy granularity
-// rather than per-command DDR cycles; DESIGN.md substitution S1 explains
-// why that preserves the CMRPO and ETO behaviour the paper measures.
+// rather than per-command DDR cycles: CMRPO depends only on which rows are
+// refreshed, and ETO on how long victim refreshes keep banks from demand
+// requests, and bank occupancy captures both.
 package memctrl
 
 import (

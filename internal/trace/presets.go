@@ -9,7 +9,7 @@ import "fmt"
 // group of rows dominate overall accesses" for blackscholes and facesim,
 // streaming for libquantum/streamcluster, large scattered footprints for
 // the bio workloads, and phase drift for the multithreaded traces — not to
-// replay the original instruction streams (see DESIGN.md, substitution S2).
+// replay the original instruction streams.
 var presets = []Spec{
 	// Commercial server traces: intense, skewed across many hot pages,
 	// drifting (the MSC comm traces are the most memory-intensive group).
