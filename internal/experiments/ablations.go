@@ -1,8 +1,6 @@
 package experiments
 
 import (
-	"fmt"
-
 	"catsim/internal/core"
 	"catsim/internal/mitigation"
 	"catsim/internal/rng"
@@ -22,33 +20,20 @@ func init() {
 		Name:        "ablations",
 		Description: "beyond-paper design-choice ablations: ladder model, weight bits, pre-split depth, counter-cache baseline",
 		Run: func(o Options, emit func(*Report) error) error {
-			if _, rep, err := ablationLaddersReport(o); err != nil {
-				return err
-			} else if err := emit(rep); err != nil {
-				return err
-			}
-			if _, rep, err := ablationWeightBitsReport(o); err != nil {
-				return err
-			} else if err := emit(rep); err != nil {
-				return err
-			}
-			if _, rep, err := ablationPreSplitReport(o); err != nil {
-				return err
-			} else if err := emit(rep); err != nil {
-				return err
+			for _, tree := range []func(Options) ([]AblationPoint, *Report, error){
+				ablationLaddersReport, ablationWeightBitsReport, ablationPreSplitReport,
+			} {
+				if err := single(tree)(o, emit); err != nil {
+					return err
+				}
 			}
 			// The counter-cache comparison runs full simulations per
 			// workload; default to the CLI's historical 4-workload subset
 			// when the caller did not restrict the set.
-			ccOpts := o
-			if len(ccOpts.Workloads) == 0 {
-				ccOpts.Workloads = []string{"black", "comm1", "face", "libq"}
+			if len(o.Workloads) == 0 {
+				o.Workloads = []string{"black", "comm1", "face", "libq"}
 			}
-			_, rep, err := ablationCounterCacheReport(ccOpts)
-			if err != nil {
-				return err
-			}
-			return emit(rep)
+			return single(ablationCounterCacheReport)(o, emit)
 		},
 	})
 }
@@ -96,139 +81,93 @@ func replayStream(cfg core.Config, seed uint64, n int) (AblationPoint, error) {
 	}, nil
 }
 
-// AblationLadders compares the three split-threshold models: the published
-// canonical profile (the default), the geometric ladder generalising the
-// paper's worked example, and the uniform ladder (no adaptive splitting
-// below T — an SCA-shaped tree).
-func ablationLaddersReport(o Options) ([]AblationPoint, *Report, error) {
+// treeAblation replays the ablation stream through one DRCAT_64 tree
+// (L=11, T=32K scaled) per variant, apply(i, cfg) configuring variant i,
+// and tabulates the measurements with cols and row.
+func treeAblation(o Options, name, title string, variants []string, apply func(i int, cfg *core.Config),
+	cols []Column, row func(AblationPoint) Row) ([]AblationPoint, *Report, error) {
 	if err := o.fill(); err != nil {
 		return nil, nil, err
 	}
-	const rows, m, l = 1 << 16, 64, 11
 	threshold := scaledThreshold(32768, o.Scale)
 	n := int(2 * CPUCyclesPerInterval / 60 * o.Scale)
-	base := core.Config{Rows: rows, Counters: m, MaxLevels: l,
-		RefreshThreshold: threshold, Policy: core.DRCAT}
-
-	variants := []struct {
-		name   string
-		ladder []uint32
-	}{
-		{"published profile (default)", core.NewLadder(m, l, threshold)},
-		{"geometric T/2^(L-1-l)", core.GeometricLadder(l, threshold)},
-		{"uniform (all rungs at T)", core.UniformLadder(l, threshold)},
-	}
 	out, err := runner.Map(o.Context, o.Parallel, len(variants),
 		func(i int) (AblationPoint, error) {
-			cfg := base
-			cfg.Ladder = variants[i].ladder
+			cfg := core.Config{Rows: 1 << 16, Counters: 64, MaxLevels: 11,
+				RefreshThreshold: threshold, Policy: core.DRCAT}
+			apply(i, &cfg)
 			p, err := replayStream(cfg, o.Seed, n)
 			if err != nil {
 				return AblationPoint{}, err
 			}
-			p.Variant = variants[i].name
+			p.Variant = variants[i]
 			return p, nil
 		})
 	if err != nil {
 		return nil, nil, err
 	}
-	rep := &Report{
-		Name:  "ablations/ladders",
-		Title: "Ablation: split-threshold ladder model (DRCAT_64, L=11, T=32K)",
-		Columns: []Column{
+	rep := &Report{Name: name, Title: title, Columns: cols, Meta: o.meta()}
+	for _, p := range out {
+		rep.Rows = append(rep.Rows, row(p))
+	}
+	return out, rep, nil
+}
+
+// AblationLadders compares the three split-threshold models: the published
+// canonical profile (the default), the geometric ladder generalising the
+// paper's worked example, and the uniform ladder (no adaptive splitting
+// below T — an SCA-shaped tree).
+func ablationLaddersReport(o Options) ([]AblationPoint, *Report, error) {
+	return treeAblation(o, "ablations/ladders", "Ablation: split-threshold ladder model (DRCAT_64, L=11, T=32K)",
+		[]string{"published profile (default)", "geometric T/2^(L-1-l)", "uniform (all rungs at T)"},
+		func(i int, cfg *core.Config) {
+			switch i {
+			case 0:
+				cfg.Ladder = core.NewLadder(cfg.Counters, cfg.MaxLevels, cfg.RefreshThreshold)
+			case 1:
+				cfg.Ladder = core.GeometricLadder(cfg.MaxLevels, cfg.RefreshThreshold)
+			case 2:
+				cfg.Ladder = core.UniformLadder(cfg.MaxLevels, cfg.RefreshThreshold)
+			}
+		},
+		[]Column{
 			{Name: "ladder", Type: "string"},
 			{Name: "rows_refreshed", Header: "rows refreshed", Type: "int", Format: "%d"},
 			{Name: "refresh_events", Header: "refresh events", Type: "int", Format: "%d"},
 			{Name: "sram_per_access", Header: "SRAM/access", Type: "float", Format: "%.2f"},
 		},
-		Meta: o.meta(),
-	}
-	for _, p := range out {
-		rep.Rows = append(rep.Rows, Row{p.Variant, p.RowsRefreshed, p.RefreshEvents, p.SRAMPerAccess})
-	}
-	return out, rep, nil
+		func(p AblationPoint) Row { return Row{p.Variant, p.RowsRefreshed, p.RefreshEvents, p.SRAMPerAccess} })
 }
 
 // AblationWeightBits sweeps the DRCAT weight-register width. The paper uses
 // 2 bits: wider registers react more slowly to phase changes (weights take
 // longer to saturate and to age out), narrower ones thrash.
 func ablationWeightBitsReport(o Options) ([]AblationPoint, *Report, error) {
-	if err := o.fill(); err != nil {
-		return nil, nil, err
-	}
-	const rows, m, l = 1 << 16, 64, 11
-	threshold := scaledThreshold(32768, o.Scale)
-	n := int(2 * CPUCyclesPerInterval / 60 * o.Scale)
-	widths := []int{1, 2, 3, 4}
-	out, err := runner.Map(o.Context, o.Parallel, len(widths),
-		func(i int) (AblationPoint, error) {
-			cfg := core.Config{Rows: rows, Counters: m, MaxLevels: l,
-				RefreshThreshold: threshold, Policy: core.DRCAT, WeightBits: widths[i]}
-			p, err := replayStream(cfg, o.Seed, n)
-			if err != nil {
-				return AblationPoint{}, err
-			}
-			p.Variant = fmt.Sprintf("%d-bit", widths[i])
-			return p, nil
-		})
-	if err != nil {
-		return nil, nil, err
-	}
-	rep := &Report{
-		Name:  "ablations/weightbits",
-		Title: "Ablation: DRCAT weight-register width (paper: 2 bits)",
-		Columns: []Column{
+	return treeAblation(o, "ablations/weightbits", "Ablation: DRCAT weight-register width (paper: 2 bits)",
+		[]string{"1-bit", "2-bit", "3-bit", "4-bit"},
+		func(i int, cfg *core.Config) { cfg.WeightBits = i + 1 },
+		[]Column{
 			{Name: "bits", Type: "string"},
 			{Name: "rows_refreshed", Header: "rows refreshed", Type: "int", Format: "%d"},
 			{Name: "reconfigurations", Type: "int", Format: "%d"},
 		},
-		Meta: o.meta(),
-	}
-	for _, p := range out {
-		rep.Rows = append(rep.Rows, Row{p.Variant, p.RowsRefreshed, p.Reconfigs})
-	}
-	return out, rep, nil
+		func(p AblationPoint) Row { return Row{p.Variant, p.RowsRefreshed, p.Reconfigs} })
 }
 
 // AblationPreSplit sweeps the pre-split depth λ (paper §IV-C: a deeper
 // pre-split reduces pointer-chasing SRAM accesses but spends counters on
 // regions that may stay cold).
 func ablationPreSplitReport(o Options) ([]AblationPoint, *Report, error) {
-	if err := o.fill(); err != nil {
-		return nil, nil, err
-	}
-	const rows, m, l = 1 << 16, 64, 11
-	threshold := scaledThreshold(32768, o.Scale)
-	n := int(2 * CPUCyclesPerInterval / 60 * o.Scale)
 	lambdas := []int{1, 3, 6, 7}
-	out, err := runner.Map(o.Context, o.Parallel, len(lambdas),
-		func(i int) (AblationPoint, error) {
-			cfg := core.Config{Rows: rows, Counters: m, MaxLevels: l,
-				RefreshThreshold: threshold, Policy: core.DRCAT, PreSplit: lambdas[i]}
-			p, err := replayStream(cfg, o.Seed, n)
-			if err != nil {
-				return AblationPoint{}, err
-			}
-			p.Variant = fmt.Sprintf("λ=%d", lambdas[i])
-			return p, nil
-		})
-	if err != nil {
-		return nil, nil, err
-	}
-	rep := &Report{
-		Name:  "ablations/presplit",
-		Title: "Ablation: pre-split depth λ (paper default: log2 M = 6)",
-		Columns: []Column{
+	return treeAblation(o, "ablations/presplit", "Ablation: pre-split depth λ (paper default: log2 M = 6)",
+		[]string{"λ=1", "λ=3", "λ=6", "λ=7"},
+		func(i int, cfg *core.Config) { cfg.PreSplit = lambdas[i] },
+		[]Column{
 			{Name: "lambda", Header: "λ", Type: "string"},
 			{Name: "rows_refreshed", Header: "rows refreshed", Type: "int", Format: "%d"},
 			{Name: "sram_per_access", Header: "SRAM/access", Type: "float", Format: "%.2f"},
 		},
-		Meta: o.meta(),
-	}
-	for _, p := range out {
-		rep.Rows = append(rep.Rows, Row{p.Variant, p.RowsRefreshed, p.SRAMPerAccess})
-	}
-	return out, rep, nil
+		func(p AblationPoint) Row { return Row{p.Variant, p.RowsRefreshed, p.SRAMPerAccess} })
 }
 
 // AblationCounterCache compares the CAL'15 counter-cache baseline against
@@ -263,7 +202,7 @@ func ablationCounterCacheReport(o Options) ([]Cell, *Report, error) {
 			labels = append(labels, struct{ workload, scheme string }{name, s.name})
 		}
 	}
-	results, err := o.engine().Grid(o.Context, cells)
+	results, err := o.grid(cells, nil, nil)
 	if err != nil {
 		return nil, nil, err
 	}

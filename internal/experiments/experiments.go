@@ -38,14 +38,10 @@ type Options struct {
 	// Seed drives every stochastic component.
 	Seed uint64
 	// Workloads restricts the workload set (nil = the paper's 18).
-	// Open-loop preset names ("ol-poisson", ...) are accepted too; fill
-	// moves them into OpenWorkloads so the closed-loop figures never see
-	// them.
+	// Open-loop preset names ("ol-poisson", ...) are accepted too; they
+	// select figw's arrival processes, and fill moves them out of
+	// Workloads so the closed-loop figures never see them.
 	Workloads []string
-	// OpenWorkloads restricts the open-loop workload set consumed by figw
-	// (nil = the non-attack presets). fill populates it from any open-loop
-	// names found in Workloads; it can also be set directly.
-	OpenWorkloads []string
 	// Intervals is the number of auto-refresh intervals each run spans
 	// (0 = 1). DRCAT's advantage over PRCAT — keeping the learned tree
 	// across interval boundaries instead of relearning — only shows with
@@ -61,9 +57,10 @@ type Options struct {
 	// LFSRTrials is the Monte-Carlo trial count for the lfsr study
 	// (0 = 100).
 	LFSRTrials int
-	// Schemes overrides the figx scheme lineup with user-defined specs
-	// (the CLI's repeatable -scheme flag). Thresholds still come from the
-	// figure's own sweep; a spec's Threshold field is ignored there.
+	// Schemes overrides the figx, figt and figw scheme lineups with
+	// user-defined specs (the CLI's repeatable -scheme flag). Thresholds
+	// still come from the figure's own sweep; a spec's Threshold field is
+	// ignored there.
 	Schemes []mitigation.SchemeSpec
 	// Geometry overrides the baseline dual-core 2-channel system in every
 	// workload-grid figure (the CLI's -geometry flag). Figures that sweep
@@ -84,13 +81,17 @@ type Options struct {
 	// and cmd/experiments install a single cache for the whole suite so
 	// e.g. Fig. 9 reuses Fig. 8's paired runs outright.
 	Cache *runner.Cache
-	// Pool recycles run contexts across grid cells so same-shape cells
-	// reuse their component stacks instead of rebuilding them (see
-	// runner.ContextPool). fill() installs one when nil; results are
-	// identical with or without pooling.
-	Pool *runner.ContextPool
 	// Context cancels in-flight grids (nil = context.Background()).
 	Context context.Context
+
+	// openWorkloads is figw's open-loop selection: the ol-* names fill
+	// routed out of Workloads (nil = the non-attack presets).
+	openWorkloads []string
+	// pool recycles run contexts across grid cells so same-shape cells
+	// reuse their component stacks instead of rebuilding them (see
+	// runner.ContextPool); fill installs it. Results are identical with
+	// or without pooling.
+	pool *runner.ContextPool
 }
 
 func (o *Options) fill() error {
@@ -105,7 +106,7 @@ func (o *Options) fill() error {
 	} else {
 		// Fail loudly on typos: a silently empty or partial subset would
 		// quietly skew every mean in the suite. Open-loop preset names are
-		// routed to OpenWorkloads; the closed-loop figures keep seeing
+		// routed to openWorkloads; the closed-loop figures keep seeing
 		// trace workloads only (falling back to the full set when the
 		// selection was purely open-loop).
 		var closed []string
@@ -115,7 +116,7 @@ func (o *Options) fill() error {
 				continue
 			}
 			if _, err := workload.Lookup(name); err == nil {
-				o.OpenWorkloads = append(o.OpenWorkloads, name)
+				o.openWorkloads = append(o.openWorkloads, name)
 				continue
 			}
 			return fmt.Errorf("experiments: unknown workload %q (valid: %s; open-loop: %s)",
@@ -127,19 +128,14 @@ func (o *Options) fill() error {
 		}
 		o.Workloads = closed
 	}
-	for _, name := range o.OpenWorkloads {
-		if _, err := workload.Lookup(name); err != nil {
-			return err
-		}
-	}
 	if o.Intervals == 0 {
 		o.Intervals = 1
 	}
 	if o.Cache == nil && !o.NoCache {
 		o.Cache = runner.NewCache()
 	}
-	if o.Pool == nil {
-		o.Pool = runner.NewContextPool()
+	if o.pool == nil {
+		o.pool = runner.NewContextPool()
 	}
 	if o.Context == nil {
 		o.Context = context.Background()
@@ -149,7 +145,55 @@ func (o *Options) fill() error {
 
 // engine returns the grid executor for these options. Call after fill.
 func (o *Options) engine() *runner.Engine {
-	return &runner.Engine{Parallel: o.Parallel, Cache: o.Cache, Contexts: o.Pool}
+	return &runner.Engine{Parallel: o.Parallel, Cache: o.Cache, Contexts: o.pool}
+}
+
+// workloadCells returns one grid cell per selected workload, running spec
+// at threshold on the baseline system: tagged prefix/<workload>, seeded
+// o.Seed+i for the i-th workload, and paired with its baseline when pair
+// is set. edit, when non-nil, adjusts each config (fig11's systems). Call
+// after fill.
+func (o *Options) workloadCells(prefix string, spec sim.SchemeSpec, threshold uint32, pair bool, edit func(*sim.Config)) ([]runner.Cell, error) {
+	cells := make([]runner.Cell, len(o.Workloads))
+	for i, name := range o.Workloads {
+		wl, err := trace.Lookup(name)
+		if err != nil {
+			return nil, err
+		}
+		cfg := baseConfig(*o, wl, spec, threshold)
+		cfg.Seed = o.Seed + uint64(i)
+		if edit != nil {
+			edit(&cfg)
+		}
+		cells[i] = runner.Cell{Tag: prefix + "/" + name, Config: cfg, Pair: pair}
+	}
+	return cells, nil
+}
+
+// lineup resolves the scheme lineup of a study that honours -scheme, and
+// how to label entry i at a threshold. The defaults keep their figure
+// labels ("DRCAT_64"); user specs (o.Schemes) replace them and are
+// labelled by their full spec string, threshold stripped (the sweep
+// supplies it), so two specs that differ only in a parameter the figure
+// label does not encode (depth, seed, ways, levels) stay distinguishable
+// in the table and JSON.
+func (o *Options) lineup(defaults []sim.SchemeSpec) ([]sim.SchemeSpec, func(i int, threshold uint32) string, error) {
+	if len(o.Schemes) == 0 {
+		return defaults, func(i int, threshold uint32) string { return defaults[i].Label(threshold) }, nil
+	}
+	specs := make([]sim.SchemeSpec, len(o.Schemes))
+	for i, ms := range o.Schemes {
+		spec, err := sim.FromSpec(ms)
+		if err != nil {
+			return nil, nil, err
+		}
+		specs[i] = spec
+	}
+	return specs, func(i int, _ uint32) string {
+		ms := o.Schemes[i]
+		ms.Threshold = 0
+		return ms.String()
+	}, nil
 }
 
 // scaledThreshold scales the refresh threshold with the run, keeping
@@ -241,8 +285,8 @@ func (o *Options) meta() Meta {
 		m.CacheRuns = len(o.Cache.Runs())
 		m.CacheHits = o.Cache.Hits()
 	}
-	if o.Pool != nil {
-		m.ContextBuilds, m.ContextReuses = o.Pool.Stats()
+	if o.pool != nil {
+		m.ContextBuilds, m.ContextReuses = o.pool.Stats()
 	}
 	return m
 }

@@ -11,24 +11,14 @@ func init() {
 	Register(Experiment{
 		Name:        "fig1",
 		Description: "PRA 5-year unsurvivability grid vs the Chipkill reference (paper Fig. 1)",
-		Run: func(o Options, emit func(*Report) error) error {
-			_, rep, err := fig1Report()
-			if err != nil {
-				return err
-			}
-			return emit(rep)
-		},
+		Run:         single(func(Options) ([]Fig1Point, *Report, error) { return fig1Report() }),
 	})
 	Register(Experiment{
 		Name:        "lfsr",
 		Description: "Monte-Carlo collapse of PRA's guarantee under LFSR PRNGs (paper §III-A)",
-		Run: func(o Options, emit func(*Report) error) error {
-			_, rep, err := lfsrReport(o.LFSRTrials)
-			if err != nil {
-				return err
-			}
-			return emit(rep)
-		},
+		Run: single(func(o Options) (LFSRStudyResult, *Report, error) {
+			return lfsrReport(o.LFSRTrials)
+		}),
 	})
 }
 

@@ -7,7 +7,6 @@ import (
 	"catsim/internal/mitigation"
 	"catsim/internal/runner"
 	"catsim/internal/sim"
-	"catsim/internal/trace"
 )
 
 // Fig10Point is one bar of Fig. 10: CMRPO for a scheme at (M, L).
@@ -70,44 +69,30 @@ func RunFig10Policy(o Options, threshold uint32, kind mitigation.Kind) ([]Fig10P
 		}
 	}
 	var cells []runner.Cell
-	for _, b := range bars {
-		for wi, name := range o.Workloads {
-			wl, err := trace.Lookup(name)
-			if err != nil {
-				return nil, err
-			}
-			cfg := baseConfig(o, wl, b.spec, threshold)
-			cfg.Seed = o.Seed + uint64(wi)
-			cells = append(cells, runner.Cell{Tag: b.label + "/" + name, Config: cfg})
-		}
-	}
 	// Progress groups by M: all bars sharing an M form one group.
-	var sizes []int
-	var groupM []int
+	var sizes, groupM []int
 	for _, b := range bars {
+		cs, err := o.workloadCells(b.label, b.spec, threshold, false, nil)
+		if err != nil {
+			return nil, err
+		}
+		cells = append(cells, cs...)
 		if len(groupM) == 0 || groupM[len(groupM)-1] != b.m {
 			groupM = append(groupM, b.m)
 			sizes = append(sizes, 0)
 		}
-		sizes[len(sizes)-1] += len(o.Workloads)
+		sizes[len(sizes)-1] += len(cs)
 	}
-	var pg *progressGroups
-	if o.Progress != nil && !o.Quiet {
-		pg = newProgressGroups(sizes, func(g int, _ []runner.CellResult) {
-			fmt.Fprintf(o.Progress, "  M=%d done\n", groupM[g])
-		})
-	}
-	results, err := pg.attach(o.engine()).Grid(o.Context, cells)
+	results, err := o.grid(cells, sizes, func(g int, _ []runner.CellResult) string {
+		return fmt.Sprintf("M=%d done", groupM[g])
+	})
 	if err != nil {
 		return nil, err
 	}
+	cmrpo, _ := barMeans(results, len(o.Workloads))
 	out := make([]Fig10Point, len(bars))
 	for bi, b := range bars {
-		sum := 0.0
-		for wi := range o.Workloads {
-			sum += results[bi*len(o.Workloads)+wi].Result.CMRPO
-		}
-		out[bi] = Fig10Point{Scheme: b.label, M: b.m, L: b.l, CMRPO: sum / float64(len(o.Workloads))}
+		out[bi] = Fig10Point{Scheme: b.label, M: b.m, L: b.l, CMRPO: cmrpo[bi]}
 	}
 	return out, nil
 }

@@ -7,7 +7,6 @@ import (
 	"catsim/internal/mitigation"
 	"catsim/internal/runner"
 	"catsim/internal/sim"
-	"catsim/internal/trace"
 )
 
 // SystemConfig is one system of the §VIII-B mapping/core study.
@@ -57,9 +56,10 @@ func RunFig11(o Options, threshold uint32) ([]Fig11Point, error) {
 		system string
 		label  string
 	}
+	systems := Fig11Systems()
 	var bars []bar
 	var cells []runner.Cell
-	for _, sys := range Fig11Systems() {
+	for _, sys := range systems {
 		schemes := []sim.SchemeSpec{
 			{Kind: mitigation.KindPRA},
 			{Kind: mitigation.KindSCA, Counters: sys.SCACounters},
@@ -69,48 +69,29 @@ func RunFig11(o Options, threshold uint32) ([]Fig11Point, error) {
 		for _, spec := range schemes {
 			label := spec.Label(threshold)
 			bars = append(bars, bar{system: sys.Name, label: label})
-			for wi, name := range o.Workloads {
-				wl, err := trace.Lookup(name)
-				if err != nil {
-					return nil, err
-				}
-				cfg := baseConfig(o, wl, spec, threshold)
+			cs, err := o.workloadCells(sys.Name+"/"+label, spec, threshold, true, func(cfg *sim.Config) {
 				cfg.Geometry = sys.Geometry
 				cfg.Cores = sys.Cores
 				cfg.ChannelInterleaved = sys.ChannelInterleaved
-				cfg.Seed = o.Seed + uint64(wi)
-				cells = append(cells, runner.Cell{
-					Tag: sys.Name + "/" + label + "/" + name, Config: cfg, Pair: true,
-				})
+			})
+			if err != nil {
+				return nil, err
 			}
+			cells = append(cells, cs...)
 		}
 	}
 	// Progress groups by system: each system's whole scheme lineup.
-	systems := Fig11Systems()
-	var pg *progressGroups
-	if o.Progress != nil && !o.Quiet {
-		perSystem := len(bars) / len(systems) * len(o.Workloads)
-		pg = newProgressGroups(uniform(len(systems), perSystem),
-			func(g int, _ []runner.CellResult) {
-				fmt.Fprintf(o.Progress, "  %s done\n", systems[g].Name)
-			})
-	}
-	results, err := pg.attach(o.engine()).Grid(o.Context, cells)
+	results, err := o.grid(cells, uniform(len(systems), len(cells)/len(systems)),
+		func(g int, _ []runner.CellResult) string { return systems[g].Name + " done" })
 	if err != nil {
 		return nil, err
 	}
-	n := float64(len(o.Workloads))
+	cmrpo, eto := barMeans(results, len(o.Workloads))
 	out := make([]Fig11Point, len(bars))
 	for bi, b := range bars {
-		sumC, sumE := 0.0, 0.0
-		for wi := range o.Workloads {
-			r := results[bi*len(o.Workloads)+wi]
-			sumC += r.Result.CMRPO
-			sumE += r.ETO
-		}
 		out[bi] = Fig11Point{
 			System: b.system, Scheme: b.label, Threshold: threshold,
-			CMRPO: sumC / n, ETO: sumE / n,
+			CMRPO: cmrpo[bi], ETO: eto[bi],
 		}
 	}
 	return out, nil
@@ -125,13 +106,7 @@ func init() {
 	Register(Experiment{
 		Name:        "fig12",
 		Description: "refresh-threshold sensitivity 64K..8K with the paper's per-threshold lineups (paper Fig. 12)",
-		Run: func(o Options, emit func(*Report) error) error {
-			_, rep, err := fig12Report(o)
-			if err != nil {
-				return err
-			}
-			return emit(rep)
-		},
+		Run:         single(fig12Report),
 	})
 }
 
@@ -201,44 +176,23 @@ func fig12Report(o Options) ([]Fig12Point, *Report, error) {
 		for _, spec := range schemes {
 			label := spec.Label(threshold)
 			bars = append(bars, bar{threshold: threshold, label: label})
-			for wi, name := range o.Workloads {
-				wl, err := trace.Lookup(name)
-				if err != nil {
-					return nil, nil, err
-				}
-				cfg := baseConfig(o, wl, spec, threshold)
-				cfg.Seed = o.Seed + uint64(wi)
-				cells = append(cells, runner.Cell{
-					Tag:    fmt.Sprintf("T=%d/%s/%s", threshold, label, name),
-					Config: cfg, Pair: true,
-				})
+			cs, err := o.workloadCells(fmt.Sprintf("T=%d/%s", threshold, label), spec, threshold, true, nil)
+			if err != nil {
+				return nil, nil, err
 			}
+			cells = append(cells, cs...)
 		}
 	}
 	// Progress groups by threshold: four schemes' cells each.
-	var pg *progressGroups
-	if o.Progress != nil && !o.Quiet {
-		perThreshold := len(bars) / len(thresholds) * len(o.Workloads)
-		pg = newProgressGroups(uniform(len(thresholds), perThreshold),
-			func(g int, _ []runner.CellResult) {
-				fmt.Fprintf(o.Progress, "  T=%dK done\n", thresholds[g]/1024)
-			})
-	}
-	results, err := pg.attach(o.engine()).Grid(o.Context, cells)
+	results, err := o.grid(cells, uniform(len(thresholds), len(cells)/len(thresholds)),
+		func(g int, _ []runner.CellResult) string { return fmt.Sprintf("T=%dK done", thresholds[g]/1024) })
 	if err != nil {
 		return nil, nil, err
 	}
-	n := float64(len(o.Workloads))
+	cmrpo, eto := barMeans(results, len(o.Workloads))
 	out := make([]Fig12Point, len(bars))
 	for bi, b := range bars {
-		sumC, sumE := 0.0, 0.0
-		for wi := range o.Workloads {
-			r := results[bi*len(o.Workloads)+wi]
-			sumC += r.Result.CMRPO
-			sumE += r.ETO
-		}
-		out[bi] = Fig12Point{Threshold: b.threshold, Scheme: b.label,
-			CMRPO: sumC / n, ETO: sumE / n}
+		out[bi] = Fig12Point{Threshold: b.threshold, Scheme: b.label, CMRPO: cmrpo[bi], ETO: eto[bi]}
 	}
 	rep := &Report{
 		Name:  "fig12",

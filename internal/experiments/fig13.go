@@ -27,13 +27,7 @@ func init() {
 	Register(Experiment{
 		Name:        "fig13",
 		Description: "ETO of benign workloads under blended kernel attacks (paper Fig. 13, §VIII-D)",
-		Run: func(o Options, emit func(*Report) error) error {
-			_, rep, err := fig13Report(o)
-			if err != nil {
-				return err
-			}
-			return emit(rep)
-		},
+		Run:         single(fig13Report),
 	})
 }
 
@@ -90,29 +84,17 @@ func fig13Report(o Options) ([]Fig13Point, *Report, error) {
 		}
 	}
 	// Progress groups by threshold: every mode x scheme x kernel cell.
-	var pg *progressGroups
-	if o.Progress != nil && !o.Quiet {
-		perThreshold := len(bars) / len(thresholds) * kernels
-		pg = newProgressGroups(uniform(len(thresholds), perThreshold),
-			func(g int, _ []runner.CellResult) {
-				fmt.Fprintf(o.Progress, "  T=%dK done\n", thresholds[g]/1024)
-			})
-	}
-	results, err := pg.attach(o.engine()).Grid(o.Context, cells)
+	results, err := o.grid(cells, uniform(len(thresholds), len(cells)/len(thresholds)),
+		func(g int, _ []runner.CellResult) string { return fmt.Sprintf("T=%dK done", thresholds[g]/1024) })
 	if err != nil {
 		return nil, nil, err
 	}
+	cmrpo, eto := barMeans(results, kernels)
 	out := make([]Fig13Point, len(bars))
 	for bi, b := range bars {
-		sumE, sumC := 0.0, 0.0
-		for k := 0; k < kernels; k++ {
-			r := results[bi*kernels+k]
-			sumE += r.ETO
-			sumC += r.Result.CMRPO
-		}
 		out[bi] = Fig13Point{
 			Threshold: b.threshold, Mode: b.mode, Scheme: b.label,
-			ETO: sumE / float64(kernels), CMRPO: sumC / float64(kernels),
+			ETO: eto[bi], CMRPO: cmrpo[bi],
 		}
 	}
 	rep := &Report{

@@ -15,24 +15,12 @@ func init() {
 	Register(Experiment{
 		Name:        "fig2",
 		Description: "SCA energy-breakdown sweep (M=16..64K) with counter-cache reference lines (paper Fig. 2)",
-		Run: func(o Options, emit func(*Report) error) error {
-			_, rep, err := fig2Report(o)
-			if err != nil {
-				return err
-			}
-			return emit(rep)
-		},
+		Run:         single(fig2Report),
 	})
 	Register(Experiment{
 		Name:        "fig3",
 		Description: "row-access frequency skew in the hottest DRAM bank (paper Fig. 3)",
-		Run: func(o Options, emit func(*Report) error) error {
-			_, rep, err := fig3Report(o)
-			if err != nil {
-				return err
-			}
-			return emit(rep)
-		},
+		Run:         single(fig3Report),
 	})
 }
 

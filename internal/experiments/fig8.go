@@ -6,7 +6,6 @@ import (
 	"catsim/internal/mitigation"
 	"catsim/internal/runner"
 	"catsim/internal/sim"
-	"catsim/internal/trace"
 )
 
 // fig8Schemes returns the scheme lineup of Figs. 8 and 9 for one refresh
@@ -52,51 +51,34 @@ func RunFig8(o Options, threshold uint32) (*Fig8Data, error) {
 	specs := fig8Schemes()
 	var cells []runner.Cell
 	for _, spec := range specs {
-		label := spec.Label(threshold)
-		for wi, name := range o.Workloads {
-			wl, err := trace.Lookup(name)
-			if err != nil {
-				return nil, err
-			}
-			cfg := baseConfig(o, wl, spec, threshold)
-			cfg.Seed = o.Seed + uint64(wi)
-			cells = append(cells, runner.Cell{Tag: label + "/" + name, Config: cfg, Pair: true})
+		cs, err := o.workloadCells(spec.Label(threshold), spec, threshold, true, nil)
+		if err != nil {
+			return nil, err
 		}
+		cells = append(cells, cs...)
 	}
-	var pg *progressGroups
-	if o.Progress != nil && !o.Quiet {
-		pg = newProgressGroups(uniform(len(specs), len(o.Workloads)),
-			func(g int, done []runner.CellResult) {
-				mc, me := 0.0, 0.0
-				for _, r := range done {
-					mc += r.Result.CMRPO
-					me += r.ETO
-				}
-				n := float64(len(done))
-				fmt.Fprintf(o.Progress, "  %s done (mean CMRPO %s, mean ETO %s)\n",
-					specs[g].Label(threshold), pct(mc/n), pct(me/n))
-			})
-	}
-	results, err := pg.attach(o.engine()).Grid(o.Context, cells)
+	results, err := o.grid(cells, uniform(len(specs), len(o.Workloads)),
+		func(g int, done []runner.CellResult) string {
+			mc, me := barMeans(done, len(done))
+			return fmt.Sprintf("%s done (mean CMRPO %s, mean ETO %s)",
+				specs[g].Label(threshold), pct(mc[0]), pct(me[0]))
+		})
 	if err != nil {
 		return nil, err
 	}
 	data := &Fig8Data{Threshold: threshold, Cells: map[string][]Cell{}}
-	i := 0
 	for _, spec := range specs {
-		label := spec.Label(threshold)
-		data.Schemes = append(data.Schemes, label)
-		for _, name := range o.Workloads {
-			r := results[i]
-			i++
-			data.Cells[label] = append(data.Cells[label], Cell{
-				Workload: name,
-				Scheme:   label,
-				CMRPO:    r.Result.CMRPO,
-				ETO:      r.ETO,
-				Counts:   r.Result.Counts,
-			})
-		}
+		data.Schemes = append(data.Schemes, spec.Label(threshold))
+	}
+	for i, r := range results {
+		label := data.Schemes[i/len(o.Workloads)]
+		data.Cells[label] = append(data.Cells[label], Cell{
+			Workload: o.Workloads[i%len(o.Workloads)],
+			Scheme:   label,
+			CMRPO:    r.Result.CMRPO,
+			ETO:      r.ETO,
+			Counts:   r.Result.Counts,
+		})
 	}
 	return data, nil
 }

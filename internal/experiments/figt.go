@@ -58,13 +58,7 @@ func init() {
 	Register(Experiment{
 		Name:        "figt",
 		Description: "beyond-paper time-series study: per-epoch adaptation dynamics and missed-victim exposure across attack onset (-scheme overrides the lineup)",
-		Run: func(o Options, emit func(*Report) error) error {
-			_, rep, err := figtReport(o)
-			if err != nil {
-				return err
-			}
-			return emit(rep)
-		},
+		Run:         single(figtReport),
 	})
 }
 
@@ -83,22 +77,9 @@ func figtReport(o Options) ([]FigTPoint, *Report, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	specs := figTSchemes()
-	labelFor := func(i int) string { return specs[i].Label(FigTThreshold) }
-	if len(o.Schemes) > 0 {
-		specs = specs[:0]
-		for _, ms := range o.Schemes {
-			spec, err := sim.FromSpec(ms)
-			if err != nil {
-				return nil, nil, err
-			}
-			specs = append(specs, spec)
-		}
-		labelFor = func(i int) string {
-			ms := o.Schemes[i]
-			ms.Threshold = 0
-			return ms.String()
-		}
+	specs, labelFor, err := o.lineup(figTSchemes())
+	if err != nil {
+		return nil, nil, err
 	}
 
 	cells := make([]runner.Cell, len(specs))
@@ -109,20 +90,16 @@ func figtReport(o Options) ([]FigTPoint, *Report, error) {
 		cfg.CheckProtection = true
 		cfg.EpochNS = cfg.IntervalNS / figTEpochsPerInterval
 		cells[i] = runner.Cell{
-			Tag:    fmt.Sprintf("figt %s/T=%d", labelFor(i), FigTThreshold),
+			Tag:    fmt.Sprintf("figt %s/T=%d", labelFor(i, FigTThreshold), FigTThreshold),
 			Config: cfg,
 		}
 	}
-	var pg *progressGroups
-	if o.Progress != nil && !o.Quiet {
-		pg = newProgressGroups(uniform(len(specs), 1),
-			func(g int, done []runner.CellResult) {
-				r := done[0].Result
-				fmt.Fprintf(o.Progress, "  %s done (%d epochs, %d missed victims)\n",
-					labelFor(g), len(r.Epochs), r.MissedVictimRows)
-			})
-	}
-	results, err := pg.attach(o.engine()).Grid(o.Context, cells)
+	results, err := o.grid(cells, uniform(len(specs), 1),
+		func(g int, done []runner.CellResult) string {
+			r := done[0].Result
+			return fmt.Sprintf("%s done (%d epochs, %d missed victims)",
+				labelFor(g, FigTThreshold), len(r.Epochs), r.MissedVictimRows)
+		})
 	if err != nil {
 		return nil, nil, err
 	}
@@ -131,7 +108,7 @@ func figtReport(o Options) ([]FigTPoint, *Report, error) {
 	for i, r := range results {
 		for _, s := range r.Result.Epochs {
 			p := FigTPoint{
-				Scheme:           labelFor(i),
+				Scheme:           labelFor(i, FigTThreshold),
 				Epoch:            s.Epoch,
 				EndNS:            s.EndNS,
 				Activations:      s.Activations,

@@ -56,11 +56,11 @@ func figWSchemes() []sim.SchemeSpec {
 // hammer blend.
 func FigWAttackerFracs() []float64 { return []float64{0, 0.1} }
 
-// figWWorkloads resolves the arrival-process sweep: the options' open-loop
-// selection, defaulting to the three non-attack presets (the attacker
-// sweep embeds its own).
+// figWWorkloads resolves the arrival-process sweep: the ol-* names of the
+// options' workload selection, defaulting to the three non-attack presets
+// (the attacker sweep embeds its own).
 func figWWorkloads(o Options) ([]workload.Config, error) {
-	names := o.OpenWorkloads
+	names := o.openWorkloads
 	if len(names) == 0 {
 		names = []string{"ol-poisson", "ol-bursty", "ol-diurnal"}
 	}
@@ -79,13 +79,7 @@ func init() {
 	Register(Experiment{
 		Name:        "figw",
 		Description: "open-loop multi-tenant study: scheme x arrival process x attacker fraction, per-tenant attribution (-scheme overrides the lineup)",
-		Run: func(o Options, emit func(*Report) error) error {
-			_, rep, err := figwReport(o)
-			if err != nil {
-				return err
-			}
-			return emit(rep)
-		},
+		Run:         single(figwReport),
 	})
 }
 
@@ -125,7 +119,7 @@ func figwConfig(o Options, ol workload.Config, frac float64, spec sim.SchemeSpec
 
 // figwReport measures the open-loop study on the shared runner grid
 // (paired cells, shared KindNone baselines, byte-identical at every
-// parallelism). o.Schemes overrides the lineup like figx.
+// parallelism). o.Schemes overrides the lineup (see Options.lineup).
 func figwReport(o Options) ([]FigWPoint, *Report, error) {
 	if err := o.fill(); err != nil {
 		return nil, nil, err
@@ -134,24 +128,9 @@ func figwReport(o Options) ([]FigWPoint, *Report, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	specs := figWSchemes()
-	labelFor := func(i int, threshold uint32) string {
-		return specs[i].Label(threshold)
-	}
-	if len(o.Schemes) > 0 {
-		specs = specs[:0]
-		for _, ms := range o.Schemes {
-			spec, err := sim.FromSpec(ms)
-			if err != nil {
-				return nil, nil, err
-			}
-			specs = append(specs, spec)
-		}
-		labelFor = func(i int, _ uint32) string {
-			ms := o.Schemes[i]
-			ms.Threshold = 0
-			return ms.String()
-		}
+	specs, labelFor, err := o.lineup(figWSchemes())
+	if err != nil {
+		return nil, nil, err
 	}
 	const threshold = uint32(32768)
 	fracs := FigWAttackerFracs()
@@ -175,23 +154,19 @@ func figwReport(o Options) ([]FigWPoint, *Report, error) {
 			}
 		}
 	}
-	var pg *progressGroups
-	if o.Progress != nil && !o.Quiet {
-		pg = newProgressGroups(uniform(len(groups), len(specs)),
-			func(g int, done []runner.CellResult) {
-				var benign int64
-				for _, r := range done {
-					for _, ts := range r.Result.Tenants {
-						if !ts.Attacker {
-							benign += ts.RowsRefreshed
-						}
+	results, err := o.grid(cells, uniform(len(groups), len(specs)),
+		func(g int, done []runner.CellResult) string {
+			var benign int64
+			for _, r := range done {
+				for _, ts := range r.Result.Tenants {
+					if !ts.Attacker {
+						benign += ts.RowsRefreshed
 					}
 				}
-				fmt.Fprintf(o.Progress, "  %s attacker=%g%% done (%d benign rows refreshed across schemes)\n",
-					groups[g].ol.Name, groups[g].frac*100, benign)
-			})
-	}
-	results, err := pg.attach(o.engine()).Grid(o.Context, cells)
+			}
+			return fmt.Sprintf("%s attacker=%g%% done (%d benign rows refreshed across schemes)",
+				groups[g].ol.Name, groups[g].frac*100, benign)
+		})
 	if err != nil {
 		return nil, nil, err
 	}

@@ -8,7 +8,7 @@ import (
 )
 
 // TestFillRoutesOpenWorkloadNames: open-loop preset names given through
-// the ordinary -workload flag land in OpenWorkloads, closed names stay in
+// the ordinary -workload flag land in openWorkloads, closed names stay in
 // Workloads, and typos list both name sets.
 func TestFillRoutesOpenWorkloadNames(t *testing.T) {
 	o := Options{Scale: 0.1, Workloads: []string{"ol-poisson", "black", "ol-bursty"}}
@@ -18,8 +18,8 @@ func TestFillRoutesOpenWorkloadNames(t *testing.T) {
 	if len(o.Workloads) != 1 || o.Workloads[0] != "black" {
 		t.Errorf("closed workloads = %v, want [black]", o.Workloads)
 	}
-	if len(o.OpenWorkloads) != 2 || o.OpenWorkloads[0] != "ol-poisson" || o.OpenWorkloads[1] != "ol-bursty" {
-		t.Errorf("open workloads = %v, want [ol-poisson ol-bursty]", o.OpenWorkloads)
+	if len(o.openWorkloads) != 2 || o.openWorkloads[0] != "ol-poisson" || o.openWorkloads[1] != "ol-bursty" {
+		t.Errorf("open workloads = %v, want [ol-poisson ol-bursty]", o.openWorkloads)
 	}
 
 	// A purely open-loop selection leaves the closed figures the full set.
@@ -43,7 +43,7 @@ func TestFillRoutesOpenWorkloadNames(t *testing.T) {
 	}
 }
 
-// TestFigWRespectsSelection: the OpenWorkloads selection and the -scheme
+// TestFigWRespectsSelection: the open-loop workload selection and the -scheme
 // override both narrow the sweep, and the attacker sweep behaves — the
 // attacker column is zero exactly on the benign rows.
 func TestFigWRespectsSelection(t *testing.T) {

@@ -62,13 +62,7 @@ func init() {
 	Register(Experiment{
 		Name:        "figx",
 		Description: "beyond-paper overhead-vs-protection study: scheme x threshold x adversarial pattern, oracle-checked (-scheme overrides the lineup)",
-		Run: func(o Options, emit func(*Report) error) error {
-			_, rep, err := figxReport(o)
-			if err != nil {
-				return err
-			}
-			return emit(rep)
-		},
+		Run:         single(figxReport),
 	})
 }
 
@@ -78,8 +72,8 @@ func init() {
 // no-mitigation baseline per threshold × pattern is shared by all
 // schemes), and rendered bytes are identical at every parallelism. When
 // o.Schemes is set (the CLI's repeatable -scheme flag), those specs
-// replace the default cross-generation lineup, so arbitrary user-defined
-// configurations sweep with zero new code.
+// replace the default cross-generation lineup (see Options.lineup), so
+// arbitrary user-defined configurations sweep with zero new code.
 func figxReport(o Options) ([]FigXPoint, *Report, error) {
 	if err := o.fill(); err != nil {
 		return nil, nil, err
@@ -88,29 +82,9 @@ func figxReport(o Options) ([]FigXPoint, *Report, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	specs := figXSchemes()
-	// labelFor names a lineup entry. The default lineup uses the figure
-	// labels ("DRCAT_64"); user-supplied specs use their full spec string
-	// (threshold stripped — the sweep supplies it), so two specs that
-	// differ only in a parameter the figure label does not encode (depth,
-	// seed, ways, levels) stay distinguishable in the table and JSON.
-	labelFor := func(i int, threshold uint32) string {
-		return specs[i].Label(threshold)
-	}
-	if len(o.Schemes) > 0 {
-		specs = specs[:0]
-		for _, ms := range o.Schemes {
-			spec, err := sim.FromSpec(ms)
-			if err != nil {
-				return nil, nil, err
-			}
-			specs = append(specs, spec)
-		}
-		labelFor = func(i int, _ uint32) string {
-			ms := o.Schemes[i]
-			ms.Threshold = 0
-			return ms.String()
-		}
+	specs, labelFor, err := o.lineup(figXSchemes())
+	if err != nil {
+		return nil, nil, err
 	}
 	thresholds := FigXThresholds()
 	patterns := FigXPatterns()
@@ -135,19 +109,15 @@ func figxReport(o Options) ([]FigXPoint, *Report, error) {
 			}
 		}
 	}
-	var pg *progressGroups
-	if o.Progress != nil && !o.Quiet {
-		pg = newProgressGroups(uniform(len(groups), len(specs)),
-			func(g int, done []runner.CellResult) {
-				missed := int64(0)
-				for _, r := range done {
-					missed += r.Result.MissedVictimRows
-				}
-				fmt.Fprintf(o.Progress, "  T=%dK %s done (%d missed victims across schemes)\n",
-					groups[g].threshold/1024, groups[g].pattern, missed)
-			})
-	}
-	results, err := pg.attach(o.engine()).Grid(o.Context, cells)
+	results, err := o.grid(cells, uniform(len(groups), len(specs)),
+		func(g int, done []runner.CellResult) string {
+			missed := int64(0)
+			for _, r := range done {
+				missed += r.Result.MissedVictimRows
+			}
+			return fmt.Sprintf("T=%dK %s done (%d missed victims across schemes)",
+				groups[g].threshold/1024, groups[g].pattern, missed)
+		})
 	if err != nil {
 		return nil, nil, err
 	}

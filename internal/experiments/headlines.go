@@ -17,13 +17,7 @@ func init() {
 	Register(Experiment{
 		Name:        "headlines",
 		Description: "programmatic verdicts on the paper's key comparative claims",
-		Run: func(o Options, emit func(*Report) error) error {
-			_, rep, err := headlinesReport(o)
-			if err != nil {
-				return err
-			}
-			return emit(rep)
-		},
+		Run:         single(headlinesReport),
 	})
 }
 

@@ -1,10 +1,42 @@
 package experiments
 
 import (
+	"fmt"
 	"sync"
 
 	"catsim/internal/runner"
 )
+
+// grid runs cells on the options' engine and returns their results in
+// cell order. The cells form consecutive groups of the given sizes; when
+// progress is on (o.Progress set, not Quiet), line(g, done) renders group
+// g's progress line from its results, written as soon as groups 0..g have
+// all completed. A nil line runs without progress. Call after fill.
+func (o *Options) grid(cells []runner.Cell, sizes []int, line func(g int, done []runner.CellResult) string) ([]runner.CellResult, error) {
+	e := o.engine()
+	if line != nil && o.Progress != nil && !o.Quiet {
+		e.OnCell = newProgressGroups(sizes, func(g int, done []runner.CellResult) {
+			fmt.Fprintf(o.Progress, "  %s\n", line(g, done))
+		}).done
+	}
+	return e.Grid(o.Context, cells)
+}
+
+// barMeans returns the mean CMRPO and ETO of each run of n consecutive
+// results: one bar per scheme (or system, kernel set) over its workloads.
+func barMeans(results []runner.CellResult, n int) (cmrpo, eto []float64) {
+	cmrpo = make([]float64, len(results)/n)
+	eto = make([]float64, len(results)/n)
+	for i, r := range results {
+		cmrpo[i/n] += r.Result.CMRPO
+		eto[i/n] += r.ETO
+	}
+	for b := range cmrpo {
+		cmrpo[b] /= float64(n)
+		eto[b] /= float64(n)
+	}
+	return cmrpo, eto
+}
 
 // progressGroups turns the runner's unordered cell completions into the
 // deterministic per-group progress lines the sequential sweeps printed:
@@ -43,15 +75,6 @@ func newProgressGroups(sizes []int, emit func(g int, cells []runner.CellResult))
 	p.starts = append(p.starts, total)
 	p.vals = make([]runner.CellResult, total)
 	return p
-}
-
-// attach registers the emitter on the engine; a nil receiver is a no-op,
-// so callers can pass nil when progress is disabled.
-func (p *progressGroups) attach(e *runner.Engine) *runner.Engine {
-	if p != nil {
-		e.OnCell = p.done
-	}
-	return e
 }
 
 func (p *progressGroups) done(i int, r runner.CellResult, err error) {

@@ -16,6 +16,18 @@ import (
 // progress lines (Options.Progress).
 type RunFunc func(o Options, emit func(*Report) error) error
 
+// single adapts a generator that builds one report (plus the data points
+// behind it, which tests inspect) to a RunFunc.
+func single[P any](build func(Options) (P, *Report, error)) RunFunc {
+	return func(o Options, emit func(*Report) error) error {
+		_, rep, err := build(o)
+		if err != nil {
+			return err
+		}
+		return emit(rep)
+	}
+}
+
 // Experiment is one registered generator.
 type Experiment struct {
 	// Name is the CLI target ("fig8", "ablations", ...).

@@ -19,13 +19,7 @@ func init() {
 	Register(Experiment{
 		Name:        "table2",
 		Description: "hardware energy and area for M=32..512 plus the PRNG spec (paper Table II)",
-		Run: func(o Options, emit func(*Report) error) error {
-			_, rep, err := table2Report()
-			if err != nil {
-				return err
-			}
-			return emit(rep)
-		},
+		Run:         single(func(Options) ([]Table2Row, *Report, error) { return table2Report() }),
 	})
 }
 
