@@ -14,8 +14,11 @@
 //	replay -trace trace.v1 -scheme drcat:counters=64,levels=11 -json
 //	    replay: simulate the captured sequence under the given scheme
 //
-// A live run and a replay of the same capture configuration produce
-// identical Results — `make replay-check` diffs their JSON byte for byte.
+// Live and capture runs build their config as a catsim-server job with
+// the same parameters (server.JobRequest.Config): the same defaults,
+// bounds and derivation, so `make server-check` can diff the two. A live
+// run and a replay of the same capture configuration produce identical
+// Results — `make replay-check` diffs their JSON byte for byte.
 // Keep the workload flags on the replay invocation: they rebuild the
 // tenant cohort for per-tenant attribution (no randomness is drawn).
 package main
@@ -27,14 +30,13 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
-	"strings"
 
 	"catsim/internal/dram"
-	"catsim/internal/mitigation"
+	"catsim/internal/server"
 	"catsim/internal/sim"
 	"catsim/internal/trace"
-	"catsim/internal/workload"
 )
 
 func main() {
@@ -80,14 +82,22 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 
-	cfg, err := buildConfig(*wlName, *requests, *cores, *attacker, *scheme, *threshold, *scale, *seed, *oracle)
-	if err != nil {
-		return fail(err)
+	if *threshold > math.MaxUint32 {
+		return fail(fmt.Errorf("threshold %d out of range", *threshold))
+	}
+	req := server.JobRequest{
+		Scheme: *scheme, Workload: *wlName, Cores: *cores, Requests: *requests,
+		Attacker: *attacker, Threshold: uint32(*threshold), Scale: *scale, Seed: *seed,
+		Oracle: *oracle,
 	}
 	if geo.Base != "" {
 		// Live and capture runs honour the override; the -trace branch
 		// below re-zeroes Geometry so replays keep the capture's.
-		cfg.Geometry = geo.Geometry()
+		req.Geometry = geo.String()
+	}
+	cfg, err := req.Config()
+	if err != nil {
+		return fail(err)
 	}
 
 	if *capture {
@@ -155,55 +165,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	printSummary(stdout, cfg, res)
 	return 0
-}
-
-// buildConfig assembles the simulation config the live and capture modes
-// share. Open-loop preset names attach a cohort (with the optional
-// attacker); closed-loop names build per-core generators as cmd/catsim
-// does.
-func buildConfig(wlName string, requests, cores int, attacker float64, scheme string, threshold uint, scale float64, seed uint64, oracle bool) (sim.Config, error) {
-	ms, err := mitigation.ParseSpec(scheme)
-	if err != nil {
-		return sim.Config{}, err
-	}
-	spec, err := sim.FromSpec(ms)
-	if err != nil {
-		return sim.Config{}, err
-	}
-	if ms.Threshold != 0 {
-		threshold = uint(ms.Threshold)
-	}
-	cfg := sim.Config{
-		Geometry:        dram.Default2Channel(),
-		Scheme:          spec,
-		Threshold:       uint32(float64(threshold) * scale),
-		ThresholdScale:  scale,
-		IntervalNS:      dram.RefreshIntervalNS() * scale,
-		Seed:            seed,
-		CheckProtection: oracle,
-	}
-	if ol, err := workload.Lookup(wlName); err == nil {
-		ol.Requests = requests
-		if attacker > 0 {
-			ol.Cohort.Attacker = &workload.AttackerSpec{
-				Fraction: attacker, Mode: trace.Heavy, Pattern: trace.PatternDoubleSided,
-			}
-		}
-		cfg.OpenLoop = &ol
-		return cfg, nil
-	}
-	wl, err := trace.Lookup(wlName)
-	if err != nil {
-		return sim.Config{}, fmt.Errorf("unknown workload %q (closed-loop: %s; open-loop: %s)",
-			wlName, strings.Join(trace.WorkloadNames(), " "), strings.Join(workload.Names(), " "))
-	}
-	if attacker > 0 {
-		return sim.Config{}, fmt.Errorf("-attacker needs an open-loop workload, got closed-loop %q", wlName)
-	}
-	cfg.Cores = cores
-	cfg.RequestsPerCore = requests
-	cfg.Workload = wl
-	return cfg, nil
 }
 
 func printSummary(w io.Writer, cfg sim.Config, res sim.Result) {

@@ -99,6 +99,21 @@ func TestClosedLoopCaptureReplay(t *testing.T) {
 	}
 }
 
+// TestPRAProbabilityFromUnscaledThreshold: like a catsim-server job, a
+// pra run without p uses the paper's p for the unscaled threshold (0.002
+// at T=32K, 0.001 at 64K), not the p its scaled threshold would select.
+func TestPRAProbabilityFromUnscaledThreshold(t *testing.T) {
+	for scheme, want := range map[string]string{"pra": "PRA_0.002", "pra:threshold=65536": "PRA_0.001"} {
+		var out, errb bytes.Buffer
+		if code := run([]string{"-workload", "black", "-requests", "1000", "-scheme", scheme}, &out, &errb); code != 0 {
+			t.Fatalf("%s: exit %d\n%s", scheme, code, errb.String())
+		}
+		if line := strings.SplitN(out.String(), "\n", 2)[0]; !strings.HasSuffix(line, " "+want) {
+			t.Errorf("%s: summary scheme line %q, want %s", scheme, line, want)
+		}
+	}
+}
+
 func TestUsageErrors(t *testing.T) {
 	var out, errb bytes.Buffer
 	if code := run([]string{"-workload", "nope"}, &out, &errb); code != 1 {

@@ -122,9 +122,11 @@ func (r *JobRequest) normalize() {
 }
 
 // Config validates the request and builds the sim.Config it describes.
-// The derivation matches cmd/replay's: thresholds and the auto-refresh
-// interval scale together, so a server job and a direct CLI run of the
-// same parameters produce byte-identical Results.
+// Thresholds and the auto-refresh interval scale together; PRA's p, when
+// unset, is the paper's value for the *unscaled* threshold (the hardware
+// parameter it pairs with), as in cmd/experiments and cmd/catsim.
+// cmd/replay builds its runs through this method too, so a server job and
+// a direct CLI run of the same parameters produce byte-identical Results.
 func (r *JobRequest) Config() (sim.Config, error) {
 	r.normalize()
 	switch {
@@ -157,6 +159,9 @@ func (r *JobRequest) Config() (sim.Config, error) {
 	threshold := r.Threshold
 	if ms.Threshold != 0 {
 		threshold = ms.Threshold
+	}
+	if spec.Kind == mitigation.KindPRA && spec.PRAProb == 0 {
+		spec.PRAProb = mitigation.PRAProbabilityForThreshold(threshold)
 	}
 	cfg := sim.Config{
 		Geometry:        dram.Default2Channel(),

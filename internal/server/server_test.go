@@ -293,6 +293,23 @@ func TestResultEndpoint(t *testing.T) {
 	}
 }
 
+// TestPRAProbabilityFromUnscaledThreshold: a pra job without p runs the
+// paper's p for its unscaled threshold (0.002 at T=32K, 0.001 at 64K), not
+// the p its scaled threshold would select.
+func TestPRAProbabilityFromUnscaledThreshold(t *testing.T) {
+	_, ts := newTestServer(t, Options{Workers: 1})
+	for scheme, want := range map[string]string{"pra": "PRA_0.002", "pra:threshold=65536": "PRA_0.001"} {
+		st := submit(t, ts, JobRequest{Scheme: scheme, Workload: "black", Requests: 1000}, http.StatusAccepted)
+		_, res, errMsg := parseStream(t, streamBody(t, ts, st.ID))
+		if res == nil {
+			t.Fatalf("%s: job failed: %s", scheme, errMsg)
+		}
+		if res.SchemeLabel != want {
+			t.Errorf("%s: label %s, want %s", scheme, res.SchemeLabel, want)
+		}
+	}
+}
+
 // TestSSEFraming: the same stream framed as server-sent events.
 func TestSSEFraming(t *testing.T) {
 	_, ts := newTestServer(t, Options{Workers: 1})
