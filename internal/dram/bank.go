@@ -22,29 +22,14 @@ type Bank struct {
 	// VictimRefreshRows counts rows refreshed on demand by a mitigation
 	// scheme since construction (statistics).
 	VictimRefreshRows int64
-
-	// StallCycles accumulates cycles during which demand requests waited
-	// for victim refreshes (ETO attribution).
-	StallCycles int64
-}
-
-// Access occupies the bank for one closed-page access beginning no earlier
-// than now, returning the cycle at which the data transfer completes and
-// recording the activation. latency and occupancy come from Timing.
-func (b *Bank) Access(now int64, latency, occupancy int) (done int64) {
-	start := now
-	if b.FreeAt > start {
-		start = b.FreeAt
-	}
-	b.FreeAt = start + int64(occupancy)
-	b.Activations++
-	return start + int64(latency)
 }
 
 // BlockFor occupies the bank for n cycles starting no earlier than now,
-// without recording an activation (auto-refresh and victim refreshes; the
-// mitigation scheme decides whether refresh ACTIVATEs feed back into the
-// counters — the paper's schemes do not count refresh operations).
+// without recording an activation. Auto-refresh uses it; victim refreshes
+// instead add to RefreshDebt, which the controller interleaves with
+// demand. The mitigation scheme decides whether refresh ACTIVATEs feed
+// back into the counters — the paper's schemes do not count refresh
+// operations.
 func (b *Bank) BlockFor(now int64, n int64) (busyUntil int64) {
 	start := now
 	if b.FreeAt > start {
@@ -52,11 +37,4 @@ func (b *Bank) BlockFor(now int64, n int64) (busyUntil int64) {
 	}
 	b.FreeAt = start + n
 	return b.FreeAt
-}
-
-// VictimRefresh occupies the bank for rows*rowCycles starting no earlier
-// than now and records the refreshed rows.
-func (b *Bank) VictimRefresh(now int64, rows int, rowCycles int) (busyUntil int64) {
-	b.VictimRefreshRows += int64(rows)
-	return b.BlockFor(now, int64(rows)*int64(rowCycles))
 }

@@ -1,9 +1,6 @@
 package dram
 
-import (
-	"testing"
-	"testing/quick"
-)
+import "testing"
 
 func TestDefaultGeometryMatchesTableI(t *testing.T) {
 	g := Default2Channel()
@@ -95,9 +92,6 @@ func TestTimingDefaultsValid(t *testing.T) {
 	if tm.TRC != tm.TRAS+tm.TRP {
 		t.Errorf("TRC = %d, want TRAS+TRP = %d", tm.TRC, tm.TRAS+tm.TRP)
 	}
-	if got := tm.ReadLatency(); got != 26 {
-		t.Errorf("ReadLatency = %d, want 26 cycles", got)
-	}
 }
 
 func TestTimingValidateCatchesInconsistency(t *testing.T) {
@@ -110,59 +104,6 @@ func TestTimingValidateCatchesInconsistency(t *testing.T) {
 	tm.TREFI = 0
 	if err := tm.Validate(); err == nil {
 		t.Error("expected positivity error")
-	}
-}
-
-func TestBankAccessSerialises(t *testing.T) {
-	tm := DDR3_1600()
-	var b Bank
-	done1 := b.Access(0, tm.ReadLatency(), tm.BankOccupancy())
-	if done1 != int64(tm.ReadLatency()) {
-		t.Errorf("first access done at %d, want %d", done1, tm.ReadLatency())
-	}
-	// A second access issued immediately must wait for the bank.
-	done2 := b.Access(1, tm.ReadLatency(), tm.BankOccupancy())
-	want := int64(tm.BankOccupancy() + tm.ReadLatency())
-	if done2 != want {
-		t.Errorf("second access done at %d, want %d", done2, want)
-	}
-	if b.Activations != 2 {
-		t.Errorf("Activations = %d, want 2", b.Activations)
-	}
-}
-
-func TestBankVictimRefreshBlocks(t *testing.T) {
-	tm := DDR3_1600()
-	var b Bank
-	busy := b.VictimRefresh(100, 10, tm.RowRefreshCycles())
-	if busy != 100+10*int64(tm.TRC) {
-		t.Errorf("busyUntil = %d, want %d", busy, 100+10*int64(tm.TRC))
-	}
-	if b.VictimRefreshRows != 10 {
-		t.Errorf("VictimRefreshRows = %d, want 10", b.VictimRefreshRows)
-	}
-	if b.Activations != 0 {
-		t.Error("victim refresh must not count as demand activation")
-	}
-}
-
-func TestBankAccessNeverTravelsBackInTime(t *testing.T) {
-	tm := DDR3_1600()
-	f := func(gaps []uint16) bool {
-		var b Bank
-		now, lastDone := int64(0), int64(0)
-		for _, gap := range gaps {
-			now += int64(gap % 100)
-			done := b.Access(now, tm.ReadLatency(), tm.BankOccupancy())
-			if done < now+int64(tm.ReadLatency()) || done < lastDone {
-				return false
-			}
-			lastDone = done
-		}
-		return true
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
 	}
 }
 

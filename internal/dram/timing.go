@@ -45,17 +45,6 @@ func DDR3_1600() Timing {
 // CycleNS returns the duration of one bus cycle in nanoseconds.
 func (t Timing) CycleNS() float64 { return 1000 / float64(t.BusMHz) }
 
-// ReadLatency is the closed-page read service time in bus cycles:
-// ACTIVATE -> READ -> data, i.e. tRCD + CL + burst.
-func (t Timing) ReadLatency() int { return t.TRCD + t.TCAS + t.TBurst }
-
-// WriteLatency is the closed-page write service time in bus cycles.
-func (t Timing) WriteLatency() int { return t.TRCD + t.TCWD + t.TBurst }
-
-// BankOccupancy is how long one closed-page access keeps its bank busy:
-// the full row cycle tRC (ACTIVATE through PRECHARGE completion).
-func (t Timing) BankOccupancy() int { return t.TRC }
-
 // RowRefreshCycles is the bank-busy time to refresh a single row on demand
 // (an internal ACTIVATE+PRECHARGE pair): tRC. Victim-row refreshes issued by
 // the mitigation schemes are modelled as sequences of these.
