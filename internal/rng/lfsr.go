@@ -1,51 +1,15 @@
 package rng
 
-// LFSR16 is a 16-bit Fibonacci linear-feedback shift register with the
-// maximal-length polynomial x^16 + x^14 + x^13 + x^11 + 1 (taps 16,14,13,11),
-// period 2^16-1. The paper's Monte-Carlo study (§III-A) uses an LFSR-based
-// PRNG [40, 41] to show that cheap hardware randomness is insufficient for
-// PRA: successive outputs are strongly correlated, so the per-access refresh
-// decisions are not independent and Eq. 1 no longer bounds unsurvivability.
-type LFSR16 struct {
-	state uint16
-}
-
-// NewLFSR16 returns an LFSR seeded with seed; a zero seed (the lock-up state)
-// is replaced with 0xACE1, the conventional non-zero default.
-func NewLFSR16(seed uint16) *LFSR16 {
-	if seed == 0 {
-		seed = 0xACE1
-	}
-	return &LFSR16{state: seed}
-}
-
-// Step advances the register one bit and returns the output bit.
-func (l *LFSR16) Step() uint64 {
-	bit := (l.state ^ (l.state >> 2) ^ (l.state >> 3) ^ (l.state >> 5)) & 1
-	l.state = l.state>>1 | bit<<15
-	return uint64(bit)
-}
-
-// Uint64 assembles a 64-bit value from 64 LFSR steps. The value is
-// deterministic and, unlike the high-quality sources, exhibits the strong
-// serial correlation that breaks PRA (consecutive values share 63 state bits).
-func (l *LFSR16) Uint64() uint64 {
-	var v uint64
-	for i := 0; i < 64; i++ {
-		v = v<<1 | l.Step()
-	}
-	return v
-}
-
-// State exposes the current register contents for tests.
-func (l *LFSR16) State() uint16 { return l.state }
-
 // FibLFSR is a Fibonacci LFSR with an arbitrary feedback polynomial over a
 // state of the given width: on each step the feedback bit is the parity of
 // (state & mask) and is shifted in at the top; the bit shifted out at the
-// bottom is the output. It lets the reliability study compare a maximal
-// polynomial against the cheap, non-maximal ones (short cycles) that break
-// PRA's independence assumption.
+// bottom is the output. The paper's Monte-Carlo study (§III-A) uses an
+// LFSR-based PRNG [40, 41] to show that cheap hardware randomness is
+// insufficient for PRA: successive outputs are strongly correlated, so the
+// per-access refresh decisions are not independent and Eq. 1 no longer
+// bounds unsurvivability. A configurable polynomial lets the reliability
+// study compare a maximal one against the cheap, non-maximal ones (short
+// cycles) that break PRA's independence assumption outright.
 type FibLFSR struct {
 	state uint32
 	mask  uint32
@@ -67,9 +31,10 @@ func NewFibLFSR(width uint, mask, seed uint32) *FibLFSR {
 
 // Feedback masks for 16-bit FibLFSRs.
 const (
-	// MaximalMask16 implements x^16 + x^5 + x^3 + x^2 + 1... see tests; use
-	// the classic taps 16,14,13,11 expressed on the shifted-out bit and its
-	// neighbours: parity of bits 0, 2, 3, 5.
+	// MaximalMask16 implements the maximal-length polynomial
+	// x^16 + x^14 + x^13 + x^11 + 1 (taps 16, 14, 13, 11, expressed on the
+	// shifted-out bit and its neighbours: parity of bits 0, 2, 3, 5), so
+	// the register walks all 2^16-1 non-zero states.
 	MaximalMask16 uint32 = 0x002D
 	// WeakMask16 implements x^16 + x^8 + 1 = (x^2+x+1)^8, a cheap two-tap
 	// polynomial whose state space splits into cycles of length at most 24;
@@ -104,34 +69,4 @@ func parity32(v uint32) uint32 {
 	v ^= v >> 2
 	v ^= v >> 1
 	return v & 1
-}
-
-// LFSR32 is the 32-bit variant with taps 32,22,2,1 (maximal length).
-type LFSR32 struct {
-	state uint32
-}
-
-// NewLFSR32 returns an LFSR seeded with seed; zero is replaced with
-// 0xACE1ACE1 to avoid the lock-up state.
-func NewLFSR32(seed uint32) *LFSR32 {
-	if seed == 0 {
-		seed = 0xACE1ACE1
-	}
-	return &LFSR32{state: seed}
-}
-
-// Step advances the register one bit and returns the output bit.
-func (l *LFSR32) Step() uint64 {
-	bit := (l.state ^ (l.state >> 10) ^ (l.state >> 30) ^ (l.state >> 31)) & 1
-	l.state = l.state>>1 | bit<<31
-	return uint64(bit)
-}
-
-// Uint64 assembles a 64-bit value from 64 LFSR steps.
-func (l *LFSR32) Uint64() uint64 {
-	var v uint64
-	for i := 0; i < 64; i++ {
-		v = v<<1 | l.Step()
-	}
-	return v
 }

@@ -7,9 +7,10 @@
 //     the "true" hardware PRNG of Srinivasan et al. [25] assumed by PRA's
 //     reliability analysis (paper §III-A, Fig. 1).
 //
-//   - Fibonacci LFSRs (16- and 32-bit), the cheap hardware alternative whose
-//     insufficient randomness the paper's Monte-Carlo study shows to destroy
-//     PRA's survivability guarantees.
+//   - Fibonacci LFSRs (FibLFSR, any width up to 32 bits and any feedback
+//     polynomial), the cheap hardware alternative whose insufficient
+//     randomness the paper's Monte-Carlo study shows to destroy PRA's
+//     survivability guarantees.
 //
 // All sources are seeded explicitly and never touch global state, so every
 // simulation in this repository is reproducible bit for bit.

@@ -123,9 +123,9 @@ func TestNormFloat64Moments(t *testing.T) {
 }
 
 func TestLFSR16Period(t *testing.T) {
-	// Maximal-length 16-bit LFSR must return to its seed state after
-	// exactly 2^16-1 steps and never hit zero.
-	l := NewLFSR16(0xACE1)
+	// The LFSR study's maximal-length 16-bit register must return to its
+	// seed state after exactly 2^16-1 steps and never hit zero.
+	l := NewFibLFSR(16, MaximalMask16, 0xACE1)
 	start := l.State()
 	steps := 0
 	for {
@@ -146,23 +146,12 @@ func TestLFSR16Period(t *testing.T) {
 	}
 }
 
-func TestLFSRZeroSeedReplaced(t *testing.T) {
-	if NewLFSR16(0).State() == 0 {
-		t.Error("zero seed must be replaced")
-	}
-	l := NewLFSR32(0)
-	// Stepping from the lock-up state would stay at zero forever.
-	l.Step()
-	v := l.Uint64()
-	_ = v
-}
-
 func TestLFSRSerialCorrelation(t *testing.T) {
 	// The property the paper's Monte-Carlo study exploits: consecutive
 	// 9-bit draws from an LFSR are far from independent. Quantify by
 	// comparing the number of distinct values in a short window against
 	// the high-quality source.
-	lf := NewLFSR16(0xBEEF)
+	lf := NewFibLFSR(16, MaximalMask16, 0xBEEF)
 	window := 1 << 13
 	seen := make(map[uint64]bool)
 	for i := 0; i < window; i++ {
@@ -185,17 +174,6 @@ func TestQuickBitsAlwaysInRange(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestLFSR32StepsAndUint64(t *testing.T) {
-	l := NewLFSR32(0xDEADBEEF)
-	seen := map[uint64]bool{}
-	for i := 0; i < 64; i++ {
-		seen[l.Uint64()] = true
-	}
-	if len(seen) < 60 {
-		t.Errorf("only %d distinct values in 64 draws", len(seen))
 	}
 }
 
