@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build fmt vet lint test race race-shard fuzz-smoke bench bench-sketch bench-engine bench-shard bench-server bench-sweep bench-gate-files bench-diff bench-accept repro golden golden-check replay-check serve server-check
+.PHONY: all build fmt vet lint test race race-shard fuzz-smoke catbench-test bench bench-sketch bench-engine bench-shard bench-server bench-sweep bench-gate-files bench-diff bench-accept repro golden golden-check replay-check serve server-check
 
 all: build fmt vet test
 
@@ -54,6 +54,12 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzParseArrival$$' -fuzztime=10s ./internal/workload
 	$(GO) test -run '^$$' -fuzz '^FuzzJobRequest$$' -fuzztime=10s ./internal/server
 	$(GO) test -run '^$$' -fuzz '^FuzzReadSnapshot$$' -fuzztime=10s ./internal/server
+
+# The end-to-end benchmark (bench/catbench) is its own Go module, so
+# ./... above never builds it; vet and test it here so an internal API
+# change that breaks the benchmark fails CI.
+catbench-test:
+	cd bench/catbench && $(GO) vet ./... && $(GO) test -race -short ./...
 
 # Benchmark smoke: every benchmark once, no measurement repetition.
 bench:
