@@ -74,7 +74,7 @@ func BenchmarkSCAAccess(b *testing.B) {
 }
 
 func BenchmarkPRAAccess(b *testing.B) {
-	p, err := mitigation.NewPRA(1<<16, 0.002, rng.NewXoshiro256(7))
+	p, err := mitigation.NewPRA(1<<16, 0.002, 7)
 	if err != nil {
 		b.Fatal(err)
 	}

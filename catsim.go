@@ -41,7 +41,6 @@ import (
 	"catsim/internal/dram"
 	"catsim/internal/experiments"
 	"catsim/internal/mitigation"
-	"catsim/internal/rng"
 	"catsim/internal/runner"
 	"catsim/internal/server"
 	"catsim/internal/sim"
@@ -144,10 +143,11 @@ func NewABACuS(banks, rowsPerBank, entries int, threshold uint32) (Scheme, error
 
 // NewStochastic builds a DSAC-style stochastic-approximate tracker (Hong
 // et al., 2023): m exact counters per bank with probabilistic
-// replace-minimum insertion. Cheap but probabilistic — its protection gap
-// under adversarial patterns is what the figx experiment quantifies.
-func NewStochastic(banks, rowsPerBank, m int, threshold uint32, src rng.Source) (Scheme, error) {
-	return mitigation.NewStochastic(banks, rowsPerBank, m, threshold, src)
+// replace-minimum insertion, drawn from one PRNG stream seeded with seed.
+// Cheap but probabilistic — its protection gap under adversarial patterns
+// is what the figx experiment quantifies.
+func NewStochastic(banks, rowsPerBank, m int, threshold uint32, seed uint64) (Scheme, error) {
+	return mitigation.NewStochastic(banks, rowsPerBank, m, threshold, seed)
 }
 
 // Geometry describes a DRAM system; Default2Channel is the paper's

@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"catsim/internal/mitigation"
-	"catsim/internal/rng"
 	"catsim/internal/sim"
 	"catsim/internal/trace"
 )
@@ -75,7 +74,7 @@ func TestFacadeModernTrackers(t *testing.T) {
 	if _, ok := abacus.(mitigation.CrossBank); !ok {
 		t.Error("ABACuS must expose cross-bank refreshes")
 	}
-	dsac, err := NewStochastic(2, 1<<10, 32, 64, rng.NewXoshiro256(1))
+	dsac, err := NewStochastic(2, 1<<10, 32, 64, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

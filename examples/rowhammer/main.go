@@ -48,7 +48,7 @@ func main() {
 
 	// Probabilistic: PRA with the paper's p for this threshold.
 	p := mitigation.PRAProbabilityForThreshold(threshold)
-	pra, err := mitigation.NewPRA(rows, p, rng.NewXoshiro256(42))
+	pra, err := mitigation.NewPRA(rows, p, 42)
 	if err != nil {
 		log.Fatal(err)
 	}

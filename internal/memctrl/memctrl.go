@@ -81,7 +81,8 @@ type Controller struct {
 	stats     Stats
 }
 
-// New builds a controller for the geometry and timing.
+// New builds a controller for the geometry and timing: it allocates the
+// bank, channel, rank and write-queue state, then ends in Reset.
 func New(geom dram.Geometry, timing dram.Timing) (*Controller, error) {
 	if err := geom.Validate(); err != nil {
 		return nil, err
@@ -95,32 +96,25 @@ func New(geom dram.Geometry, timing dram.Timing) (*Controller, error) {
 		banks:    make([]dram.Bank, geom.TotalBanks()),
 		chanFree: make([]int64, geom.Channels),
 		nextRef:  make([]int64, geom.Channels*geom.RanksPerCh),
+		writeQ:   make([][]addrmap.Coord, geom.Channels),
 	}
-	c.rowCycles = timing.RowRefreshCycles()
-	c.writeQ = make([][]addrmap.Coord, geom.Channels)
 	for ch := range c.writeQ {
 		c.writeQ[ch] = make([]addrmap.Coord, 0, WriteQueueCap)
 	}
-	for i := range c.nextRef {
-		// Stagger rank refreshes as real controllers do.
-		c.nextRef[i] = int64(timing.TREFI) * int64(i+1) / int64(len(c.nextRef)+1)
-	}
+	c.Reset()
 	return c, nil
 }
 
-// Reset restores the controller to its just-built state for the same
-// geometry and timing without allocating: idle banks, free channels,
-// re-staggered rank refresh clocks, empty write queues, the default
-// victim-row cost and zeroed statistics. Run contexts use it to reuse the
-// controller across repeated runs.
+// Reset puts the controller in its starting state without allocating:
+// idle banks, free channels, staggered rank refresh clocks, empty write
+// queues, the default victim-row cost and zeroed statistics. New ends in
+// it, and run contexts use it to reuse the controller across repeated
+// runs.
 func (c *Controller) Reset() {
-	for i := range c.banks {
-		c.banks[i] = dram.Bank{}
-	}
-	for i := range c.chanFree {
-		c.chanFree[i] = 0
-	}
+	clear(c.banks)
+	clear(c.chanFree)
 	for i := range c.nextRef {
+		// Stagger rank refreshes as real controllers do.
 		c.nextRef[i] = int64(c.timing.TREFI) * int64(i+1) / int64(len(c.nextRef)+1)
 	}
 	for ch := range c.writeQ {

@@ -178,14 +178,13 @@ func (a *ABACuS) OnIntervalBoundary() {
 // Counts implements Scheme.
 func (a *ABACuS) Counts() Counts { return a.counts }
 
-// ResetRun implements Resettable: the shared summary and every SAV empty
+// ResetRun implements Scheme: the shared summary and every SAV empty
 // (ABACuS draws no randomness).
-func (a *ABACuS) ResetRun(uint64) bool {
+func (a *ABACuS) ResetRun(uint64) {
 	a.reset()
 	a.scratch = a.scratch[:0]
 	a.pending = a.pending[:0]
 	a.counts = Counts{}
-	return true
 }
 
 // Snapshot implements Snapshotter: occupied entries of the shared

@@ -86,14 +86,13 @@ func (c *CAT) Counts() Counts {
 	return total
 }
 
-// ResetRun implements Resettable: every bank's tree returns to the
-// uniform pre-split shape with zeroed statistics (CAT draws no
-// randomness; Counts derive from the tree stats, so nothing else resets).
-func (c *CAT) ResetRun(uint64) bool {
+// ResetRun implements Scheme: every bank's tree returns to the uniform
+// pre-split shape with zeroed statistics (CAT draws no randomness; Counts
+// derive from the tree stats, so nothing else resets).
+func (c *CAT) ResetRun(uint64) {
 	for _, t := range c.trees {
 		t.Reset()
 	}
-	return true
 }
 
 // Snapshot implements Snapshotter: active counters and the deepest leaf

@@ -63,13 +63,14 @@ func NewCoMeT(banks, rowsPerBank int, threshold uint32, counters, depth int, see
 	}
 	for b := 0; b < banks; b++ {
 		var err error
-		if c.cms[b], err = sketch.NewCountMin(counters/depth, depth, seed+uint64(b)*0x9e3779b9); err != nil {
+		if c.cms[b], err = sketch.NewCountMin(counters/depth, depth, 0); err != nil {
 			return nil, err
 		}
 		if c.rat[b], err = sketch.NewMinTable(CoMeTRATEntries); err != nil {
 			return nil, err
 		}
 	}
+	c.ResetRun(seed)
 	return c, nil
 }
 
@@ -139,16 +140,14 @@ func (c *CoMeT) OnIntervalBoundary() {
 // Counts implements Scheme.
 func (c *CoMeT) Counts() Counts { return c.counts }
 
-// ResetRun implements Resettable: every bank's sketch re-derives its hash
-// seeds from the new run seed — the same (seed, bank) formula the builder
-// uses — and the aggressor tables empty.
-func (c *CoMeT) ResetRun(seed uint64) bool {
+// ResetRun implements Scheme: every bank's sketch derives its hash seeds
+// from (seed, bank) and the aggressor tables empty.
+func (c *CoMeT) ResetRun(seed uint64) {
 	for b := 0; b < c.banks; b++ {
 		c.cms[b].Reseed(seed + uint64(b)*0x9e3779b9)
 		c.rat[b].Reset()
 	}
 	c.counts = Counts{}
-	return true
 }
 
 // Snapshot implements Snapshotter: occupied recent-aggressor-table

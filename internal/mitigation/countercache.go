@@ -42,7 +42,7 @@ func NewCounterCache(banks, rowsPerBank int, threshold uint32, entries, ways int
 		return nil, fmt.Errorf("mitigation: %d entries not divisible into %d ways", entries, ways)
 	}
 	cc := &CounterCache{
-		name:      fmt.Sprintf("CounterCache_%d", entries),
+		name:      fmt.Sprintf("CC_%d", entries),
 		banks:     banks,
 		rows:      rowsPerBank,
 		threshold: threshold,
@@ -56,13 +56,11 @@ func NewCounterCache(banks, rowsPerBank int, threshold uint32, entries, ways int
 	}
 	for b := 0; b < banks; b++ {
 		cc.tags[b] = make([]int32, entries)
-		for i := range cc.tags[b] {
-			cc.tags[b][i] = -1
-		}
 		cc.vals[b] = make([]uint32, entries)
 		cc.lru[b] = make([]int64, entries)
 		cc.backing[b] = make([]uint32, rowsPerBank)
 	}
+	cc.ResetRun(0)
 	return cc, nil
 }
 
@@ -117,17 +115,7 @@ func (cc *CounterCache) OnActivate(bank, row int) []RefreshRange {
 	cc.vals[bank][slot] = 0
 	cc.backing[bank][row] = 0
 	// Exact per-row counting refreshes only the two true victims.
-	cc.scratch = cc.scratch[:0]
-	if row > 0 {
-		cc.scratch = append(cc.scratch, RefreshRange{Lo: row - 1, Hi: row - 1})
-	}
-	if row < cc.rows-1 {
-		cc.scratch = append(cc.scratch, RefreshRange{Lo: row + 1, Hi: row + 1})
-	}
-	cc.counts.RefreshEvents++
-	for _, rr := range cc.scratch {
-		cc.counts.RowsRefreshed += int64(rr.Rows())
-	}
+	cc.scratch = appendVictims(cc.scratch[:0], row, cc.rows, &cc.counts)
 	return cc.scratch
 }
 
@@ -135,42 +123,27 @@ func (cc *CounterCache) OnActivate(bank, row int) []RefreshRange {
 // refresh sweep.
 func (cc *CounterCache) OnIntervalBoundary() {
 	for b := 0; b < cc.banks; b++ {
-		for i := range cc.vals[b] {
-			cc.vals[b][i] = 0
-		}
-		for i := range cc.backing[b] {
-			cc.backing[b][i] = 0
-		}
+		clear(cc.vals[b])
+		clear(cc.backing[b])
 	}
 }
 
 // Counts implements Scheme.
 func (cc *CounterCache) Counts() Counts { return cc.counts }
 
-// ResetRun implements Resettable: empty tags, zeroed counters and LRU
-// state, and a rewound tick are the full just-built state.
-func (cc *CounterCache) ResetRun(uint64) bool {
+// ResetRun implements Scheme: empty tags, zeroed counters and LRU state,
+// and a rewound tick are the full starting state (the counter cache draws
+// no randomness).
+func (cc *CounterCache) ResetRun(uint64) {
 	for b := 0; b < cc.banks; b++ {
-		tags := cc.tags[b]
-		for i := range tags {
-			tags[i] = -1
+		for i := range cc.tags[b] {
+			cc.tags[b][i] = -1
 		}
-		vals := cc.vals[b]
-		for i := range vals {
-			vals[i] = 0
-		}
-		lru := cc.lru[b]
-		for i := range lru {
-			lru[i] = 0
-		}
-		backing := cc.backing[b]
-		for i := range backing {
-			backing[i] = 0
-		}
+		clear(cc.lru[b])
 	}
+	cc.OnIntervalBoundary()
 	cc.tick = 0
 	cc.counts = Counts{}
-	return true
 }
 
 // Snapshot implements Snapshotter: valid cache tags across banks.

@@ -179,22 +179,13 @@ type Scheme interface {
 	OnIntervalBoundary()
 	// Counts returns accumulated activity.
 	Counts() Counts
-}
-
-// Resettable is optionally implemented by schemes that can restore their
-// just-built state in place, letting a run context (sim.Context) reuse
-// the allocated slabs across repeated runs instead of rebuilding. ResetRun
-// rewinds every counter, table and private PRNG stream to the exact state
-// the registered builder would produce for the same spec with the given
-// derived seed; families without a private stream ignore the seed. It
-// reports false when the in-place reset is not possible (for example an
-// injected PRNG source the scheme cannot re-seed), in which case the
-// caller must rebuild the scheme from its spec. A ResetRun that returns
-// true must leave the scheme observationally identical to a fresh build:
-// the context-reuse byte-identity test in sim locks every implementation
-// to this.
-type Resettable interface {
-	ResetRun(seed uint64) bool
+	// ResetRun rewinds every counter, table and private PRNG stream to
+	// the state the kind's builder produces for the same spec with the
+	// given seed; families without a private stream ignore the seed.
+	// Constructors that set up more than zeroed storage end in it, so
+	// each starting-state rule is written once; a run context
+	// (sim.Context) calls it to reuse a scheme across repeated runs.
+	ResetRun(seed uint64)
 }
 
 // BankRefresh pairs a refresh range with the bank it applies to, for
@@ -251,16 +242,13 @@ func (n *None) OnIntervalBoundary() {}
 // Counts implements Scheme.
 func (n *None) Counts() Counts { return n.counts }
 
-// ResetRun implements Resettable (the baseline's only state is counts).
-func (n *None) ResetRun(uint64) bool {
-	n.counts = Counts{}
-	return true
-}
+// ResetRun implements Scheme (the baseline's only state is counts).
+func (n *None) ResetRun(uint64) { n.counts = Counts{} }
 
 // appendVictims appends single-row refresh ranges for the two rows
 // adjacent to row (clamped to the bank's rows) and accounts one refresh
 // event plus the refreshed rows — the exact-victim refresh shape shared by
-// the per-row trackers (CoMeT, ABACuS, DSAC).
+// PRA, the counter cache and the per-row trackers (CoMeT, ABACuS, DSAC).
 func appendVictims(scratch []RefreshRange, row, rows int, counts *Counts) []RefreshRange {
 	counts.RefreshEvents++
 	if row > 0 {

@@ -108,7 +108,7 @@ func TestSCAValidation(t *testing.T) {
 
 func TestPRARefreshRateMatchesProbability(t *testing.T) {
 	const p = 0.01
-	pr, err := NewPRA(1<<16, p, rng.NewXoshiro256(77))
+	pr, err := NewPRA(1<<16, p, 77)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +131,7 @@ func TestPRARefreshRateMatchesProbability(t *testing.T) {
 }
 
 func TestPRAEdgeRowRefreshesSingleVictim(t *testing.T) {
-	pr, _ := NewPRA(128, 0.999, rng.NewXoshiro256(1))
+	pr, _ := NewPRA(128, 0.999, 1)
 	got := pr.OnActivate(0, 0)
 	if len(got) != 1 || got[0].Lo != 1 {
 		t.Errorf("edge activation ranges = %v, want just row 1", got)
@@ -143,7 +143,7 @@ func TestPRAEdgeRowRefreshesSingleVictim(t *testing.T) {
 }
 
 func TestPRANeverRefreshesAggressor(t *testing.T) {
-	pr, _ := NewPRA(1024, 0.9, rng.NewXoshiro256(2))
+	pr, _ := NewPRA(1024, 0.9, 2)
 	for i := 0; i < 1000; i++ {
 		for _, rr := range pr.OnActivate(0, 500) {
 			if rr.Lo <= 500 && 500 <= rr.Hi {
@@ -163,17 +163,14 @@ func TestPRAProbabilityForThreshold(t *testing.T) {
 }
 
 func TestPRAValidation(t *testing.T) {
-	if _, err := NewPRA(0, 0.01, rng.NewSplitMix64(1)); err == nil {
+	if _, err := NewPRA(0, 0.01, 1); err == nil {
 		t.Error("expected rows error")
 	}
-	if _, err := NewPRA(16, 0, rng.NewSplitMix64(1)); err == nil {
+	if _, err := NewPRA(16, 0, 1); err == nil {
 		t.Error("expected probability error")
 	}
-	if _, err := NewPRA(16, 1.5, rng.NewSplitMix64(1)); err == nil {
+	if _, err := NewPRA(16, 1.5, 1); err == nil {
 		t.Error("expected probability error")
-	}
-	if _, err := NewPRA(16, 0.5, nil); err == nil {
-		t.Error("expected source error")
 	}
 }
 

@@ -41,7 +41,7 @@ func TestModernSchemeMetadata(t *testing.T) {
 	if a.Name() != "ABACuS_512" || a.Kind() != KindABACuS || a.CountersPerBank() != 32 {
 		t.Errorf("ABACuS metadata: %s %v %d", a.Name(), a.Kind(), a.CountersPerBank())
 	}
-	s, err := NewStochastic(2, 1<<10, 32, 64, rng.NewXoshiro256(1))
+	s, err := NewStochastic(2, 1<<10, 32, 64, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,9 +68,6 @@ func TestModernSchemeValidation(t *testing.T) {
 	}
 	if _, err := NewABACuS(1, 1024, 64, 1); err == nil {
 		t.Error("ABACuS: expected threshold error")
-	}
-	if _, err := NewStochastic(1, 1024, 64, 64, nil); err == nil {
-		t.Error("DSAC: expected source error")
 	}
 }
 
@@ -110,7 +107,7 @@ func TestModernSchemesSoundUnderAdversarialPatterns(t *testing.T) {
 			}
 			return a
 		case "dsac":
-			s, err := NewStochastic(banks, rows, 32, threshold, rng.NewXoshiro256(3))
+			s, err := NewStochastic(banks, rows, 32, threshold, 3)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -261,7 +258,7 @@ func TestABACuSSpilloverEscapeRefreshesEverything(t *testing.T) {
 func TestStochasticChargesPRNGBits(t *testing.T) {
 	// Under pressure (more rows than entries) every miss on the full
 	// table draws randomness, which the energy model prices.
-	s, _ := NewStochastic(1, 1<<12, 4, 1<<12, rng.NewXoshiro256(8))
+	s, _ := NewStochastic(1, 1<<12, 4, 1<<12, 8)
 	src := rng.NewXoshiro256(9)
 	for i := 0; i < 10000; i++ {
 		s.OnActivate(0, rng.Intn(src, 1<<12))
@@ -281,7 +278,7 @@ func TestStochasticCanMissUnderPressure(t *testing.T) {
 	// protection gap the FigX harness quantifies. 64 aggressors against a
 	// 2-entry table at a tight threshold makes a miss all but certain.
 	const banks, rows, threshold = 1, 1 << 10, 16
-	s, _ := NewStochastic(banks, rows, 2, threshold, rng.NewXoshiro256(11))
+	s, _ := NewStochastic(banks, rows, 2, threshold, 11)
 	o := NewOracle(banks, rows, threshold)
 	targets := make([]int, 64)
 	for i := range targets {

@@ -15,32 +15,30 @@ type PRA struct {
 	name       string
 	rows       int
 	p          float64
-	src        rng.Source
+	prng       rng.Xoshiro256
 	bitsPerAct int64
 	counts     Counts
 	scratch    []RefreshRange
 }
 
-// NewPRA builds a PRA instance with refresh probability p using src as the
-// hardware PRNG model.
-func NewPRA(rowsPerBank int, p float64, src rng.Source) (*PRA, error) {
+// NewPRA builds a PRA instance with refresh probability p whose hardware
+// PRNG model is a xoshiro256** stream seeded with seed.
+func NewPRA(rowsPerBank int, p float64, seed uint64) (*PRA, error) {
 	if rowsPerBank < 1 {
 		return nil, fmt.Errorf("mitigation: need at least one row")
 	}
 	if p <= 0 || p >= 1 {
 		return nil, fmt.Errorf("mitigation: PRA probability %v out of (0,1)", p)
 	}
-	if src == nil {
-		return nil, fmt.Errorf("mitigation: PRA needs a PRNG source")
-	}
-	return &PRA{
+	pr := &PRA{
 		name:       fmt.Sprintf("PRA_%g", p),
 		rows:       rowsPerBank,
 		p:          p,
-		src:        src,
 		bitsPerAct: 9,
 		scratch:    make([]RefreshRange, 0, 2),
-	}, nil
+	}
+	pr.ResetRun(seed)
+	return pr, nil
 }
 
 // Name implements Scheme.
@@ -59,20 +57,10 @@ func (pr *PRA) Probability() float64 { return pr.p }
 func (pr *PRA) OnActivate(bank, row int) []RefreshRange {
 	pr.counts.Activations++
 	pr.counts.PRNGBits += pr.bitsPerAct
-	if rng.Float64(pr.src) >= pr.p {
+	if rng.Float64(&pr.prng) >= pr.p {
 		return nil
 	}
-	pr.scratch = pr.scratch[:0]
-	if row > 0 {
-		pr.scratch = append(pr.scratch, RefreshRange{Lo: row - 1, Hi: row - 1})
-	}
-	if row < pr.rows-1 {
-		pr.scratch = append(pr.scratch, RefreshRange{Lo: row + 1, Hi: row + 1})
-	}
-	pr.counts.RefreshEvents++
-	for _, rr := range pr.scratch {
-		pr.counts.RowsRefreshed += int64(rr.Rows())
-	}
+	pr.scratch = appendVictims(pr.scratch[:0], row, pr.rows, &pr.counts)
 	return pr.scratch
 }
 
@@ -82,17 +70,10 @@ func (pr *PRA) OnIntervalBoundary() {}
 // Counts implements Scheme.
 func (pr *PRA) Counts() Counts { return pr.counts }
 
-// ResetRun implements Resettable: the PRNG stream rewinds to the state
-// the builder's rng.NewXoshiro256(seed) would produce. An injected source
-// of any other type cannot be re-seeded in place, so reuse is declined.
-func (pr *PRA) ResetRun(seed uint64) bool {
-	x, ok := pr.src.(*rng.Xoshiro256)
-	if !ok {
-		return false
-	}
-	x.Seed(seed)
+// ResetRun implements Scheme: the PRNG stream restarts from seed.
+func (pr *PRA) ResetRun(seed uint64) {
+	pr.prng.Seed(seed)
 	pr.counts = Counts{}
-	return true
 }
 
 // PRAProbabilityForThreshold returns the probability the paper pairs with
@@ -139,7 +120,7 @@ func init() {
 			if err != nil {
 				return nil, err
 			}
-			return NewPRA(rowsPerBank, p, rng.NewXoshiro256(seed))
+			return NewPRA(rowsPerBank, p, seed)
 		},
 	})
 }

@@ -89,12 +89,11 @@ func (s *SCA) OnIntervalBoundary() {
 // Counts implements Scheme.
 func (s *SCA) Counts() Counts { return s.counts }
 
-// ResetRun implements Resettable: zeroed group counters are the full
-// just-built state (SCA draws no randomness).
-func (s *SCA) ResetRun(uint64) bool {
+// ResetRun implements Scheme: zeroed group counters are the full
+// starting state (SCA draws no randomness).
+func (s *SCA) ResetRun(uint64) {
 	s.OnIntervalBoundary()
 	s.counts = Counts{}
-	return true
 }
 
 // Snapshot implements Snapshotter: nonzero group counters across banks —

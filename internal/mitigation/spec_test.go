@@ -195,7 +195,8 @@ func TestEveryKindHasBuilder(t *testing.T) {
 
 // TestLabelEveryKind locks the figure labels the tables and cache keys
 // are built from, now that naming lives in the builder registry next to
-// construction (the sim package's historical per-kind switch is gone).
+// construction (the sim package's historical per-kind switch is gone),
+// and holds every built scheme's Name to its label.
 func TestLabelEveryKind(t *testing.T) {
 	want := map[Kind]string{
 		KindNone:         "None",
@@ -213,6 +214,13 @@ func TestLabelEveryKind(t *testing.T) {
 		got := Label(fixtures[k])
 		if got != want[k] {
 			t.Errorf("Label(%v) = %q, want %q", k, got, want[k])
+		}
+		scheme, err := Build(fixtures[k], 2, 1<<16)
+		if err != nil {
+			t.Fatalf("Build(%v): %v", k, err)
+		}
+		if name := scheme.Name(); name != got {
+			t.Errorf("Build(%v).Name() = %q, want its label %q", k, name, got)
 		}
 	}
 	// PRA with no explicit p derives the paper's probability from the

@@ -27,22 +27,20 @@ type Stochastic struct {
 	rows      int
 	threshold uint32
 	tables    []*sketch.Stochastic
-	src       rng.Source // the shared stream behind every table
+	prng      rng.Xoshiro256 // the shared stream behind every table
 	counts    Counts
 	scratch   []RefreshRange
 }
 
-// NewStochastic builds the tracker with m counters per bank; src drives
-// every bank's replacement decisions.
-func NewStochastic(banks, rowsPerBank, m int, threshold uint32, src rng.Source) (*Stochastic, error) {
+// NewStochastic builds the tracker with m counters per bank; one
+// xoshiro256** stream seeded with seed drives every bank's replacement
+// decisions.
+func NewStochastic(banks, rowsPerBank, m int, threshold uint32, seed uint64) (*Stochastic, error) {
 	if banks < 1 || rowsPerBank < 1 {
 		return nil, fmt.Errorf("mitigation: need at least one bank and row")
 	}
 	if threshold < 1 {
 		return nil, fmt.Errorf("mitigation: threshold must be positive")
-	}
-	if src == nil {
-		return nil, fmt.Errorf("mitigation: stochastic tracker needs a random source")
 	}
 	s := &Stochastic{
 		name:      fmt.Sprintf("DSAC_%d", m),
@@ -50,15 +48,15 @@ func NewStochastic(banks, rowsPerBank, m int, threshold uint32, src rng.Source) 
 		rows:      rowsPerBank,
 		threshold: threshold,
 		tables:    make([]*sketch.Stochastic, banks),
-		src:       src,
 		scratch:   make([]RefreshRange, 0, 2),
 	}
 	for b := 0; b < banks; b++ {
 		var err error
-		if s.tables[b], err = sketch.NewStochastic(m, src); err != nil {
+		if s.tables[b], err = sketch.NewStochastic(m, &s.prng); err != nil {
 			return nil, err
 		}
 	}
+	s.ResetRun(seed)
 	return s, nil
 }
 
@@ -97,23 +95,14 @@ func (s *Stochastic) OnIntervalBoundary() {
 // Counts implements Scheme.
 func (s *Stochastic) Counts() Counts { return s.counts }
 
-// ResetRun implements Resettable: the shared replacement stream rewinds
-// to the state the builder's rng.NewXoshiro256(seed) would produce and
-// every bank's table empties. An injected source of any other type cannot
-// be re-seeded in place, so reuse is declined. Table draw totals are
+// ResetRun implements Scheme: the shared replacement stream restarts
+// from seed and every bank's table empties. Table draw totals are
 // cumulative, but PRNG-bit accounting is delta-based, so the preserved
 // totals cannot leak between runs.
-func (s *Stochastic) ResetRun(seed uint64) bool {
-	x, ok := s.src.(*rng.Xoshiro256)
-	if !ok {
-		return false
-	}
-	x.Seed(seed)
-	for _, t := range s.tables {
-		t.Reset()
-	}
+func (s *Stochastic) ResetRun(seed uint64) {
+	s.prng.Seed(seed)
+	s.OnIntervalBoundary()
 	s.counts = Counts{}
-	return true
 }
 
 // Snapshot implements Snapshotter: occupied tracker entries across banks.
@@ -141,7 +130,7 @@ func init() {
 			if err != nil {
 				return nil, err
 			}
-			return NewStochastic(banks, rowsPerBank, m, spec.Threshold, rng.NewXoshiro256(seed))
+			return NewStochastic(banks, rowsPerBank, m, spec.Threshold, seed)
 		},
 	})
 }

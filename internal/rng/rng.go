@@ -19,8 +19,8 @@ package rng
 import "math"
 
 // Source is a deterministic stream of random 64-bit values. It is a
-// deliberately small interface so that mitigation schemes can swap hardware
-// PRNG models without caring about the implementation.
+// deliberately small interface so that the draw helpers below serve every
+// generator alike.
 type Source interface {
 	// Uint64 returns the next value in the stream.
 	Uint64() uint64

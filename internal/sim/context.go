@@ -25,9 +25,10 @@ import (
 // brand-new one would, for every configuration and every sequence of
 // configurations (locked by the context-reuse identity test): each layer
 // compares the shape it was built for against the incoming config and
-// rebuilds on any mismatch, and scheme reuse additionally goes through
-// mitigation.Resettable, whose contract demands observational equivalence
-// to a fresh build.
+// rebuilds on any mismatch, and reuse calls the same reset each layer's
+// constructor ends in (mitigation.Scheme.ResetRun, memctrl's Reset, the
+// stream and cohort reseeds), so a reset layer is a fresh build by
+// construction.
 //
 // A Result returned by Context.Run ALIASES the context (PerBankActs and
 // Epochs share its scratch memory) and is valid only until the context's
@@ -261,15 +262,10 @@ func (ctx *Context) buildPart(p int, cfg, prev *Config, was bool, stride int, cp
 	}
 
 	banks := cfg.Geometry.TotalBanks()
-	reuseScheme := was && sameSchemeShape(prev, cfg)
-	if reuseScheme {
-		r, ok := pt.scheme.(mitigation.Resettable)
-		reuseScheme = ok && r.ResetRun(cfg.Scheme.runSeed(cfg.Seed))
-	}
-	if !reuseScheme {
-		if pt.scheme, err = cfg.Scheme.Build(banks, cfg.Geometry.RowsPerBank, cfg.Threshold, cfg.Seed); err != nil {
-			return err
-		}
+	if was && sameSchemeShape(prev, cfg) {
+		pt.scheme.ResetRun(cfg.Scheme.runSeed(cfg.Seed))
+	} else if pt.scheme, err = cfg.Scheme.Build(banks, cfg.Geometry.RowsPerBank, cfg.Threshold, cfg.Seed); err != nil {
+		return err
 	}
 	kind := pt.scheme.Kind()
 	if cfg.ThresholdScale < 1 && kind != mitigation.KindPRA && kind != mitigation.KindNone {

@@ -200,6 +200,39 @@ func TestContextShapeChangeRebuilds(t *testing.T) {
 	}
 }
 
+// TestContextRecoversFromFailedRun: a run whose scheme fails to build
+// after the controller was already reset leaves the stack half-built, and
+// the next run on that context must still match a one-shot Run. Runner
+// pools hand such a context to the next job.
+func TestContextRecoversFromFailedRun(t *testing.T) {
+	for _, kind := range []mitigation.Kind{mitigation.KindPRA, mitigation.KindCoMeT, mitigation.KindDRCAT} {
+		t.Run(kind.String(), func(t *testing.T) {
+			good, _ := contextCase(t, kind, false, "closed")
+			bad := good
+			// 3 counters cannot divide the bank's rows: Build fails.
+			bad.Scheme = SchemeSpec{Kind: mitigation.KindSCA, Counters: 3}
+			want, err := Run(good)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ctx := NewContext()
+			if _, err := ctx.Run(good); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := ctx.Run(bad); err == nil {
+				t.Fatal("SCA with 3 counters built")
+			}
+			got, err := ctx.Run(good)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got = got.Clone(); !reflect.DeepEqual(want, got) {
+				t.Fatal("run after a failed run differs from one-shot Run")
+			}
+		})
+	}
+}
+
 // TestContextSteadyStateAllocs pins the zero-alloc reuse property on the
 // closed-loop sweep path: after warmup, a repeated same-shape run through
 // one context must not allocate on the hot path. A small fixed tolerance

@@ -48,10 +48,13 @@ type closedStream struct {
 	gen    trace.Generator
 }
 
+// coreSeed is core i's synthetic-stream seed for a run seed.
+func coreSeed(seed uint64, i int) uint64 { return seed + uint64(i)*0x1000193 }
+
 // reseed rewinds every layer of the stack to the state closedStream(cfg
 // with the given seed) would build.
 func (cs *closedStream) reseed(seed uint64) {
-	cs.syn.Reseed(seed + uint64(cs.idx)*0x1000193)
+	cs.syn.Reseed(coreSeed(seed, cs.idx))
 	if cs.attack != nil {
 		cs.attack.Reset()
 	}
@@ -74,7 +77,7 @@ func (c *Config) closedStream(policy addrmap.Policy, i int) (closedStream, error
 	}
 	cs := closedStream{idx: i}
 	syn, err := trace.NewSynthetic(spec, c.Geometry.TotalBytes(),
-		c.Geometry.LineBytes, c.Seed+uint64(i)*0x1000193)
+		c.Geometry.LineBytes, coreSeed(c.Seed, i))
 	if err != nil {
 		return cs, err
 	}

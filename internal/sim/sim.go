@@ -58,29 +58,22 @@ const (
 	dsacSeedMix  = 0xD5AC0D5AC0
 )
 
-// schemeSeed resolves the seed one scheme family's private PRNG stream
-// derives from: the user-pinned SpecSeed verbatim, or the run seed xor
-// the family constant.
-func (s SchemeSpec) schemeSeed(seed, mix uint64) uint64 {
+// runSeed returns the seed the scheme's private PRNG streams derive from
+// for a run with the given run seed: the user-pinned SpecSeed verbatim,
+// or the run seed xor the family constant. Spec threads it into the
+// "seed" param, and a reused scheme's ResetRun receives it, so both draw
+// the same streams. Kinds without a private PRNG ignore the value.
+func (s SchemeSpec) runSeed(seed uint64) uint64 {
 	if s.SpecSeed != 0 {
 		return s.SpecSeed
 	}
-	return seed ^ mix
-}
-
-// runSeed returns the seed value Spec threads into the scheme's "seed"
-// param for a run with the given run seed — the value a reused scheme's
-// mitigation.Resettable.ResetRun must receive so its PRNG streams replay
-// exactly what a fresh build would draw. Kinds without a private PRNG
-// ignore the value.
-func (s SchemeSpec) runSeed(seed uint64) uint64 {
 	switch s.Kind {
 	case mitigation.KindPRA:
-		return s.schemeSeed(seed, praSeedMix)
+		return seed ^ praSeedMix
 	case mitigation.KindCoMeT:
-		return s.schemeSeed(seed, cometSeedMix)
+		return seed ^ cometSeedMix
 	case mitigation.KindStochastic:
-		return s.schemeSeed(seed, dsacSeedMix)
+		return seed ^ dsacSeedMix
 	}
 	return seed
 }
@@ -90,7 +83,6 @@ func (s SchemeSpec) runSeed(seed uint64) uint64 {
 // streams (SpecSeed overrides it verbatim when a user pinned "seed=").
 func (s SchemeSpec) Spec(threshold uint32, seed uint64) mitigation.SchemeSpec {
 	spec := mitigation.SchemeSpec{Kind: s.Kind, Threshold: threshold, Params: mitigation.Params{}}
-	schemeSeed := func(mix uint64) uint64 { return s.schemeSeed(seed, mix) }
 	switch s.Kind {
 	case mitigation.KindNone:
 		return mitigation.SchemeSpec{Kind: mitigation.KindNone}
@@ -100,7 +92,7 @@ func (s SchemeSpec) Spec(threshold uint32, seed uint64) mitigation.SchemeSpec {
 		if s.PRAProb != 0 {
 			spec.Params.SetFloat("p", s.PRAProb)
 		}
-		spec.Params.SetUint64("seed", schemeSeed(praSeedMix))
+		spec.Params.SetUint64("seed", s.runSeed(seed))
 	case mitigation.KindPRCAT, mitigation.KindDRCAT:
 		spec.Params.SetInt("counters", s.Counters)
 		spec.Params.SetInt("levels", s.MaxLevels)
@@ -114,10 +106,10 @@ func (s SchemeSpec) Spec(threshold uint32, seed uint64) mitigation.SchemeSpec {
 		if s.Ways != 0 {
 			spec.Params.SetInt("depth", s.Ways)
 		}
-		spec.Params.SetUint64("seed", schemeSeed(cometSeedMix))
+		spec.Params.SetUint64("seed", s.runSeed(seed))
 	case mitigation.KindStochastic:
 		spec.Params.SetInt("counters", s.Counters)
-		spec.Params.SetUint64("seed", schemeSeed(dsacSeedMix))
+		spec.Params.SetUint64("seed", s.runSeed(seed))
 	}
 	return spec
 }

@@ -24,9 +24,7 @@ func NewMinTable(entries int) (*MinTable, error) {
 		return nil, fmt.Errorf("sketch: min-table needs at least one entry")
 	}
 	t := &MinTable{keys: make([]int64, entries), counts: make([]uint32, entries)}
-	for i := range t.keys {
-		t.keys[i] = -1
-	}
+	t.Reset()
 	return t, nil
 }
 

@@ -34,9 +34,7 @@ func NewMisraGries(entries int) (*MisraGries, error) {
 		counts: make([]uint32, entries),
 		index:  make(map[int64]int, entries),
 	}
-	for i := range m.keys {
-		m.keys[i] = -1
-	}
+	m.Reset()
 	return m, nil
 }
 

@@ -57,11 +57,7 @@ func NewCountMin(width, depth int, seed uint64) (*CountMin, error) {
 		seeds:    make([]uint64, depth),
 		idx:      make([]int, depth),
 	}
-	s := seed
-	for d := range c.seeds {
-		s = splitmix64(s)
-		c.seeds[d] = s
-	}
+	c.Reseed(seed)
 	return c, nil
 }
 
@@ -125,9 +121,9 @@ func (c *CountMin) Reset() {
 	}
 }
 
-// Reseed zeroes every counter and re-derives the per-depth hash seeds
-// exactly as NewCountMin(width, depth, seed) would, without allocating.
-// Run contexts use it to rewind a sketch for a run with a new seed.
+// Reseed zeroes every counter and derives the per-depth hash seeds from
+// seed, without allocating: NewCountMin ends in it, and run contexts use
+// it to rewind a sketch for a run with a new seed.
 func (c *CountMin) Reseed(seed uint64) {
 	c.Reset()
 	s := seed

@@ -37,9 +37,7 @@ func NewStochastic(entries int, src rng.Source) (*Stochastic, error) {
 		return nil, fmt.Errorf("sketch: stochastic table needs a random source")
 	}
 	s := &Stochastic{keys: make([]int64, entries), counts: make([]uint32, entries), src: src}
-	for i := range s.keys {
-		s.keys[i] = -1
-	}
+	s.Reset()
 	return s, nil
 }
 

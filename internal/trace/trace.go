@@ -116,7 +116,8 @@ type Synthetic struct {
 }
 
 // NewSynthetic builds a generator over a memory of totalBytes with the
-// given line size. Distinct seeds give distinct address-space layouts, so
+// given line size: it sizes the footprint and the Zipf weights, then ends
+// in Reseed(seed). Distinct seeds give distinct address-space layouts, so
 // per-core instances model separate processes.
 func NewSynthetic(spec Spec, totalBytes int64, lineBytes int, seed uint64) (*Synthetic, error) {
 	if err := spec.Validate(); err != nil {
@@ -125,11 +126,7 @@ func NewSynthetic(spec Spec, totalBytes int64, lineBytes int, seed uint64) (*Syn
 	if totalBytes <= 0 || lineBytes <= 0 || totalBytes%int64(lineBytes) != 0 {
 		return nil, fmt.Errorf("trace: invalid memory size %d / line %d", totalBytes, lineBytes)
 	}
-	g := &Synthetic{
-		spec:      spec,
-		src:       rng.NewXoshiro256(seed),
-		lineBytes: int64(lineBytes),
-	}
+	g := &Synthetic{spec: spec, src: new(rng.Xoshiro256), lineBytes: int64(lineBytes)}
 	totalLines := totalBytes / g.lineBytes
 	g.footLines = int64(float64(totalLines) * spec.FootprintFrac)
 	if g.footLines < 1 {
@@ -139,9 +136,6 @@ func NewSynthetic(spec Spec, totalBytes int64, lineBytes int, seed uint64) (*Syn
 		g.footLines = totalLines
 	}
 	g.maxBase = totalLines - g.footLines
-	if g.maxBase > 0 {
-		g.footBase = int64(rng.Float64(g.src) * float64(g.maxBase))
-	}
 	zipf := spec.ZipfS
 	if zipf == 0 {
 		zipf = 1
@@ -149,23 +143,21 @@ func NewSynthetic(spec Spec, totalBytes int64, lineBytes int, seed uint64) (*Syn
 	g.hotCenter = make([]int64, spec.HotSpots)
 	g.hotCum = make([]float64, spec.HotSpots)
 	sum := 0.0
-	for i := range g.hotCenter {
-		g.hotCenter[i] = g.randomFootprintLine()
+	for i := range g.hotCum {
 		sum += math.Pow(float64(i+1), -zipf) // Zipf: spot k gets weight k^-s
 		g.hotCum[i] = sum
 	}
 	for i := range g.hotCum {
 		g.hotCum[i] /= sum
 	}
-	g.sweepLine = g.randomFootprintLine()
+	g.Reseed(seed)
 	return g, nil
 }
 
-// Reseed rewinds the generator to the state NewSynthetic would produce
-// for the same spec and memory size with the given seed, without
-// allocating: the RNG restarts and the footprint base, hot-spot centres
-// and sweep pointer are redrawn in construction order (the Zipf weights
-// depend only on the spec and stand). Run contexts use it to reuse
+// Reseed seeds the generator for a run, without allocating: the RNG
+// restarts and the footprint base, hot-spot centres and sweep pointer are
+// drawn in that order (the Zipf weights depend only on the spec and
+// stand). NewSynthetic ends in it, and run contexts use it to reuse
 // generators across seed-sweep runs.
 func (g *Synthetic) Reseed(seed uint64) {
 	g.src.Seed(seed)

@@ -259,7 +259,7 @@ func parsePhases(s string) ([]Phase, error) {
 // same spec and seed emit identical streams.
 type process struct {
 	spec        ArrivalSpec
-	src         *rng.Xoshiro256
+	src         rng.Xoshiro256
 	cyclesPerNS float64
 	now         float64 // current time, fractional CPU cycles
 
@@ -274,25 +274,21 @@ type process struct {
 	phaseEnd float64
 }
 
+// newProcess derives the spec's seed-independent burst means, then ends in
+// reset(seed).
 func newProcess(spec ArrivalSpec, cyclesPerNS float64, seed uint64) *process {
-	p := &process{spec: spec, src: rng.NewXoshiro256(seed), cyclesPerNS: cyclesPerNS}
-	switch spec.Kind {
-	case Bursty:
-		p.on = true
+	p := &process{spec: spec, cyclesPerNS: cyclesPerNS}
+	if spec.Kind == Bursty {
 		p.meanOn = spec.MeanBurstNS * cyclesPerNS
 		p.meanOff = p.meanOn * (1 - spec.OnFrac) / spec.OnFrac
-		p.stateEnd = p.exp(p.meanOn)
-	case Diurnal:
-		p.phaseEnd = spec.Phases[0].DurationNS * cyclesPerNS
 	}
+	p.reset(seed)
 	return p
 }
 
-// reset rewinds the process to the state newProcess(spec, cyclesPerNS,
-// seed) would produce, without allocating: the RNG restarts and the
-// per-kind state machine re-initialises in construction order (Bursty
-// draws its first burst length at construction, so reset replays that
-// draw).
+// reset seeds the process for a run, without allocating: the RNG restarts
+// and the per-kind state machine initialises (Bursty draws its first
+// burst length here).
 func (p *process) reset(seed uint64) {
 	p.src.Seed(seed)
 	p.now = 0
@@ -312,7 +308,7 @@ func (p *process) reset(seed uint64) {
 // exp draws an exponential with the given mean (cycles).
 func (p *process) exp(mean float64) float64 {
 	// 1-Float64 is in (0, 1], so the log is finite.
-	return -mean * math.Log(1-rng.Float64(p.src))
+	return -mean * math.Log(1-rng.Float64(&p.src))
 }
 
 // interCycles converts a rate in requests/second into a mean interarrival

@@ -154,9 +154,9 @@ type Cohort struct {
 	cum [3][]float64
 	mix int
 
-	pick    *rng.Xoshiro256   // tenant selection, write coin, attacker coin
-	streams []*rng.Xoshiro256 // per-party address streams
-	attack  trace.Generator   // nil without an attacker
+	pick    rng.Xoshiro256   // tenant selection, write coin, attacker coin
+	streams []rng.Xoshiro256 // per-party address streams
+	attack  trace.Generator  // nil without an attacker
 
 	acts      []int64 // per party, owned-row activations
 	refreshed []int64 // per party, owned victim-refresh rows
@@ -178,10 +178,10 @@ func (g tenantGen) Next() trace.Request {
 }
 
 // NewCohort builds the tenant population for a geometry and mapping
-// policy. Construction is deterministic in (spec, seed): span layout is
-// arithmetic, and the RNG streams are seeded but not drawn from, so a
-// replay run rebuilding the cohort for attribution sees the identical
-// ownership table.
+// policy and ends in Reset(seed). Construction is deterministic in (spec,
+// seed): span layout is arithmetic, and the RNG streams are seeded but
+// not drawn from, so a replay run rebuilding the cohort for attribution
+// sees the identical ownership table.
 func NewCohort(spec CohortSpec, geom dram.Geometry, policy addrmap.Policy, seed uint64) (*Cohort, error) {
 	spec.fill()
 	if err := spec.validate(); err != nil {
@@ -202,8 +202,7 @@ func NewCohort(spec CohortSpec, geom dram.Geometry, policy addrmap.Policy, seed 
 		baseRow:   (geom.RowsPerBank - rows) / 2,
 		spanLo:    make([]int32, parties),
 		spanHi:    make([]int32, parties),
-		pick:      rng.NewXoshiro256(seed ^ pickSeedMix),
-		streams:   make([]*rng.Xoshiro256, parties),
+		streams:   make([]rng.Xoshiro256, parties),
 		acts:      make([]int64, parties),
 		refreshed: make([]int64, parties),
 	}
@@ -256,10 +255,6 @@ func NewCohort(spec CohortSpec, geom dram.Geometry, policy addrmap.Policy, seed 
 		c.cum[mi] = cum
 	}
 
-	for k := range c.streams {
-		c.streams[k] = rng.NewXoshiro256(seed ^ tenantSeedMix ^ (uint64(k)+1)*0x9E3779B97F4A7C15)
-	}
-
 	if a := spec.Attacker; a != nil {
 		cover := tenantGen{c: c, t: parties - 1}
 		attack, err := trace.NewAttackPattern(a.Kernel, a.Mode, a.Pattern, geom, policy, cover)
@@ -268,16 +263,15 @@ func NewCohort(spec CohortSpec, geom dram.Geometry, policy addrmap.Policy, seed 
 		}
 		c.attack = attack
 	}
+	c.Reset(seed)
 	return c, nil
 }
 
-// Reset rewinds the cohort to the state NewCohort would produce for the
-// same (spec, geometry, policy) with the given seed, without allocating:
-// the span layout and selection tables are seed-independent arithmetic
-// and stand; the selector and per-party streams re-seed with the same
-// formulas construction uses; the attacker's emission state rewinds; and
-// the attribution counters zero. Run contexts use it to reuse cohorts
-// across seed-sweep runs.
+// Reset seeds the cohort for a run, without allocating: the span layout
+// and selection tables are seed-independent arithmetic and stand; the
+// selector and per-party streams seed from seed; the attacker's emission
+// state rewinds; and the attribution counters zero. NewCohort ends in it,
+// and run contexts use it to reuse cohorts across seed-sweep runs.
 func (c *Cohort) Reset(seed uint64) {
 	c.pick.Seed(seed ^ pickSeedMix)
 	for k := range c.streams {
@@ -287,10 +281,8 @@ func (c *Cohort) Reset(seed uint64) {
 		a.Reset()
 	}
 	c.mix = 0
-	for i := range c.acts {
-		c.acts[i] = 0
-		c.refreshed[i] = 0
-	}
+	clear(c.acts)
+	clear(c.refreshed)
 	c.otherActs = 0
 	c.otherRef = 0
 }
@@ -305,7 +297,7 @@ func (c *Cohort) setMix(mix int) { c.mix = mix }
 // toward the span start, a uniform bank and a uniform line within the
 // row.
 func (c *Cohort) drawAddr(t int) int64 {
-	src := c.streams[t]
+	src := &c.streams[t]
 	lo, hi := int(c.spanLo[t]), int(c.spanHi[t])
 	u := rng.Float64(src)
 	var frac float64
@@ -324,12 +316,12 @@ func (c *Cohort) drawAddr(t int) int64 {
 // tenant pick, then that tenant's address stream. Gap carries 1 (unused
 // by the open-loop path, which times requests by arrival instead).
 func (c *Cohort) Draw() trace.Request {
-	if c.attack != nil && rng.Float64(c.pick) < c.spec.Attacker.Fraction {
+	if c.attack != nil && rng.Float64(&c.pick) < c.spec.Attacker.Fraction {
 		r := c.attack.Next()
 		r.Gap = 1
 		return r
 	}
-	u := rng.Float64(c.pick)
+	u := rng.Float64(&c.pick)
 	cum := c.cum[c.mix]
 	// Binary search the cumulative table (thousands of tenants).
 	lo, hi := 0, len(cum)-1
@@ -343,7 +335,7 @@ func (c *Cohort) Draw() trace.Request {
 	}
 	return trace.Request{
 		Addr:  c.drawAddr(lo),
-		Write: rng.Float64(c.pick) < c.spec.WriteFrac,
+		Write: rng.Float64(&c.pick) < c.spec.WriteFrac,
 		Gap:   1,
 	}
 }

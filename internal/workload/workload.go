@@ -107,8 +107,13 @@ type Runtime struct {
 func (rt *Runtime) Reset(seed uint64) {
 	rt.Cohort.Reset(seed)
 	for i, s := range rt.Sources {
-		s.proc.reset(seed ^ arrivalSeedMix ^ (uint64(i)+1)*0x2545F4914F6CDD1D)
+		s.proc.reset(arrivalSeed(seed, i))
 	}
+}
+
+// arrivalSeed is source i's arrival-process seed for a run seed.
+func arrivalSeed(seed uint64, i int) uint64 {
+	return seed ^ arrivalSeedMix ^ (uint64(i)+1)*0x2545F4914F6CDD1D
 }
 
 // Build instantiates the workload for a geometry and mapping policy.
@@ -127,7 +132,7 @@ func (c Config) Build(geom dram.Geometry, policy addrmap.Policy, cyclesPerNS flo
 	rt := &Runtime{Cohort: cohort}
 	per := c.Arrival.split(c.Sources)
 	for i := 0; i < c.Sources; i++ {
-		proc := newProcess(per, cyclesPerNS, seed^arrivalSeedMix^(uint64(i)+1)*0x2545F4914F6CDD1D)
+		proc := newProcess(per, cyclesPerNS, arrivalSeed(seed, i))
 		n := c.Requests / c.Sources
 		if i < c.Requests%c.Sources {
 			n++
