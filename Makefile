@@ -36,9 +36,9 @@ test:
 race: race-shard
 	$(GO) test -race -short ./...
 
-# The sharded engine's goroutines + epoch barrier under the race
-# detector: the engine/sim shard suites, then an 8-shard catsim run on
-# the 8-channel DDR5 geometry end to end.
+# The sharded engine's goroutines + merge under the race detector: the
+# engine/sim shard suites, then an 8-shard catsim run on the 8-channel
+# DDR5 geometry end to end.
 race-shard:
 	$(GO) test -race -run 'Shard|Affine' ./internal/engine ./internal/sim
 	$(GO) run -race ./cmd/catsim -geometry ddr5 -cores 8 -affine -shards 8 -workload black -scheme DRCAT -scale 0.02
@@ -89,7 +89,7 @@ bench-engine:
 # Sharded-engine trajectory: the sequential reference vs the partitioned
 # engine at shards=1 (partitioning overhead) and shards=8 (scaling) on
 # the 8-channel DDR5 geometry. All three return byte-identical Results,
-# so seq/shards=8 is a pure wall-clock speedup — ~parity (barrier
+# so seq/shards=8 is a pure wall-clock speedup — ~parity (partitioning
 # overhead) on one hardware core, approaching the channel count on >=8.
 BENCH_SHARD_TIME ?= 1x
 bench-shard:

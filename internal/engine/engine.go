@@ -135,10 +135,6 @@ type Config struct {
 	// behavior: every run allocates fresh.
 	Scratch *Scratch
 
-	// barrier, when non-nil, paces sharded partitions in lockstep epochs
-	// (set by RunSharded only; see shard.go for the determinism contract).
-	barrier *epochBarrier
-
 	// newSched, when non-nil, builds the run's scheduler in place of the
 	// tournament tree: the hook through which the equivalence tests and
 	// benchmarks run the reference schedulers. Always nil in production.
@@ -430,9 +426,6 @@ func runLoop(cfg *Config, scr *Scratch) (int64, *sampler, error) {
 			for now >= smp.nextCPU {
 				smp.flush(smp.nextCPU)
 				smp.nextCPU += cfg.EpochCPU
-				if cfg.barrier != nil {
-					cfg.barrier.arrive()
-				}
 			}
 		}
 		// Issue clock: a core issues once its window admits the request;

@@ -14,7 +14,7 @@ import (
 // channel range) driven by the same event loop as the sequential engine,
 // with the partitions spread over a bounded number of goroutines.
 //
-// The determinism contract, in three parts:
+// The determinism contract, in two parts:
 //
 //  1. State partitions exactly. Every simulated structure a partition
 //     touches — bank state, per-channel bus, per-rank refresh schedule,
@@ -27,68 +27,15 @@ import (
 //     occupancy snapshots carry each partition's last sample forward; the
 //     final write-queue flush happens at the global end time on every
 //     partition, exactly where the sequential engine flushes.
-//  3. The epoch barrier paces, never orders. When every partition has its
-//     own goroutine, each one blocks after flushing epoch k until all
-//     live partitions have flushed epoch k (finished partitions drop
-//     out). No data crosses the barrier — it only bounds cross-shard
-//     skew — so results are byte-identical with or without it, at any
-//     GOMAXPROCS and any worker count.
 //
-// Consequently RunSharded(parts, w) returns the same Result for every w,
-// and equals Run on the merged configuration whenever no auto-refresh
-// interval boundary fires mid-run (each partition advances its interval
-// clock from its own traffic — the per-channel-controller view of a
-// multi-channel system; the sequential engine resets all banks at once).
+// Partitions run unsynchronised until the merge, so RunSharded(parts, w)
+// returns the same Result for every w and any GOMAXPROCS, and equals Run
+// on the merged configuration whenever no auto-refresh interval boundary
+// fires mid-run (each partition advances its interval clock from its own
+// traffic — the per-channel-controller view of a multi-channel system;
+// the sequential engine resets all banks at once).
 // Cross-bank schemes (mitigation.CrossBank) and shared-PRNG schemes
 // cannot partition and are rejected — sim serializes them instead.
-
-// epochBarrier is a cyclic barrier over the live partitions: generation g
-// releases when every party has arrived g+1 times (or dropped out).
-type epochBarrier struct {
-	mu      sync.Mutex
-	cond    *sync.Cond
-	parties int
-	arrived int
-	gen     uint64
-}
-
-func newEpochBarrier(parties int) *epochBarrier {
-	b := &epochBarrier{parties: parties}
-	b.cond = sync.NewCond(&b.mu)
-	return b
-}
-
-// arrive blocks until every live partition has flushed the same epoch
-// boundary. Partitions flush every boundary in order, so the k-th arrival
-// of each party always names the same epoch.
-func (b *epochBarrier) arrive() {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	gen := b.gen
-	b.arrived++
-	if b.arrived >= b.parties {
-		b.gen++
-		b.arrived = 0
-		b.cond.Broadcast()
-		return
-	}
-	for gen == b.gen {
-		b.cond.Wait()
-	}
-}
-
-// drop removes a finished (or failed) partition, releasing any epoch its
-// departure completes. Called exactly once per party.
-func (b *epochBarrier) drop() {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	b.parties--
-	if b.parties > 0 && b.arrived >= b.parties {
-		b.gen++
-		b.arrived = 0
-	}
-	b.cond.Broadcast()
-}
 
 // shardOut is one partition's loop output, pre-merge.
 type shardOut struct {
@@ -107,7 +54,7 @@ type shardOut struct {
 // ascending channel intervals, and identical timing/geometry parameters.
 // workers bounds the goroutine count: partitions are assigned to workers
 // in contiguous channel-order blocks, and workers <= 0 means one goroutine
-// per partition (the configuration the epoch barrier paces).
+// per partition.
 func RunSharded(parts []Config, workers int) (Result, error) {
 	if len(parts) == 0 {
 		return Result{}, fmt.Errorf("engine: sharded run needs at least one partition")
@@ -162,11 +109,6 @@ func RunSharded(parts []Config, workers int) (Result, error) {
 			outs[p].pristine = snap.Snapshot()
 		}
 	}
-	var barrier *epochBarrier
-	if base.EpochCPU > 0 && workers == len(parts) {
-		barrier = newEpochBarrier(len(parts))
-	}
-
 	var wg sync.WaitGroup
 	start := 0
 	for w := 0; w < workers; w++ {
@@ -178,7 +120,6 @@ func RunSharded(parts []Config, workers int) (Result, error) {
 		go func(lo, hi int) {
 			defer wg.Done()
 			for p := lo; p < hi; p++ {
-				parts[p].barrier = barrier
 				pristine := outs[p].pristine
 				outs[p] = runPartition(&parts[p])
 				outs[p].pristine = pristine
@@ -226,9 +167,6 @@ func RunSharded(parts []Config, workers int) (Result, error) {
 // traffic into the merged tail afterwards).
 func runPartition(cfg *Config) shardOut {
 	var out shardOut
-	if cfg.barrier != nil {
-		defer cfg.barrier.drop()
-	}
 	scr := cfg.Scratch
 	if scr == nil {
 		scr = &Scratch{}

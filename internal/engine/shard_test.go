@@ -159,10 +159,9 @@ func TestRunShardedMatchesSequential(t *testing.T) {
 	}
 }
 
-// TestRunShardedWorkerCountInvariant locks the pacing half of the
-// determinism contract: every worker count — serial, partial, and the 1:1
-// configuration that engages the epoch barrier — returns the identical
-// Result.
+// TestRunShardedWorkerCountInvariant locks the scheduling half of the
+// determinism contract: every worker count — serial, partial, and one
+// goroutine per partition — returns the identical Result.
 func TestRunShardedWorkerCountInvariant(t *testing.T) {
 	geom := dram.Default4Channel()
 	var ref Result
