@@ -24,8 +24,11 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
+	"math"
 	"os"
 	"strings"
 
@@ -38,41 +41,65 @@ import (
 )
 
 func main() {
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run parses args, simulates the scheme and its no-mitigation baseline
+// and prints the report, returning the process exit code (2 for usage
+// errors, matching flag's convention).
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("catsim", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		workload  = flag.String("workload", "comm1", "workload name (see -list)")
-		scheme    = flag.String("scheme", "DRCAT", "scheme: SCA, PRA, PRCAT, DRCAT, CC, None")
-		counters  = flag.Int("counters", 64, "counters per bank (SCA/CAT) or cache entries (CC)")
-		levels    = flag.Int("levels", 11, "maximum CAT levels L")
-		threshold = flag.Uint("threshold", 32768, "refresh threshold T")
-		praP      = flag.Float64("p", 0, "PRA probability (0 = paper's value for T)")
-		cores     = flag.Int("cores", 2, "number of cores")
-		quad      = flag.Bool("quad", false, "quad-core geometry (128K rows/bank)")
-		fourCh    = flag.Bool("4ch", false, "4-channel parallelism-maximising mapping")
-		scale     = flag.Float64("scale", 0.25, "run scale (1 = one full 64 ms interval)")
-		seed      = flag.Uint64("seed", 1, "random seed")
-		attack    = flag.String("attack", "", "kernel attack mode: heavy, medium, light")
-		attacker  = flag.Float64("attacker", 0, "open-loop attacker tenant's fraction of arrivals (ol-* workloads)")
-		kernel    = flag.Int("kernel", 0, "kernel attack number (0..11)")
-		oracle    = flag.Bool("oracle", false, "attach the crosstalk oracle (verifies protection)")
-		parallel  = flag.Int("parallel", 0, "concurrent runs for the scheme/baseline pair (0 = GOMAXPROCS)")
-		affine    = flag.Bool("affine", false, "pin core i's stream to channel i mod channels (required by -shards)")
-		shards    = flag.Int("shards", 0, "run the channel-partitioned engine with up to N workers (0 = sequential; needs -affine)")
-		list      = flag.Bool("list", false, "list workloads and exit")
+		workload  = fs.String("workload", "comm1", "workload name (see -list)")
+		scheme    = fs.String("scheme", "DRCAT", "scheme: SCA, PRA, PRCAT, DRCAT, CC, None")
+		counters  = fs.Int("counters", 64, "counters per bank (SCA/CAT) or cache entries (CC)")
+		levels    = fs.Int("levels", 11, "maximum CAT levels L")
+		threshold = fs.Uint("threshold", 32768, "refresh threshold T")
+		praP      = fs.Float64("p", 0, "PRA probability (0 = paper's value for T)")
+		cores     = fs.Int("cores", 2, "number of cores")
+		quad      = fs.Bool("quad", false, "quad-core geometry (128K rows/bank)")
+		fourCh    = fs.Bool("4ch", false, "4-channel parallelism-maximising mapping")
+		scale     = fs.Float64("scale", 0.25, "run scale (1 = one full 64 ms interval)")
+		seed      = fs.Uint64("seed", 1, "random seed")
+		attack    = fs.String("attack", "", "kernel attack mode: heavy, medium, light")
+		attacker  = fs.Float64("attacker", 0, "open-loop attacker tenant's fraction of arrivals (ol-* workloads)")
+		kernel    = fs.Int("kernel", 0, "kernel attack number (0..11)")
+		oracle    = fs.Bool("oracle", false, "attach the crosstalk oracle (verifies protection)")
+		parallel  = fs.Int("parallel", 0, "concurrent runs for the scheme/baseline pair (0 = GOMAXPROCS)")
+		affine    = fs.Bool("affine", false, "pin core i's stream to channel i mod channels (required by -shards)")
+		shards    = fs.Int("shards", 0, "run the channel-partitioned engine with up to N workers (0 = sequential; needs -affine)")
+		list      = fs.Bool("list", false, "list workloads and exit")
 		geo       dram.GeometrySpec
 	)
-	flag.Var(&geo, "geometry",
+	fs.Var(&geo, "geometry",
 		"geometry spec: a preset with optional overrides, e.g. ddr5 or ddr5:channels=8,rows=128Ki (overrides -quad; see catsim.Geometries)")
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+	fail := func(err error) int {
+		fmt.Fprintln(stderr, "catsim:", err)
+		return 1
+	}
 
 	if *list {
 		for _, s := range trace.Workloads() {
-			fmt.Printf("%-8s %-6s gap=%-4d hot=%.2f sweep=%.2f spots=%d\n",
+			fmt.Fprintf(stdout, "%-8s %-6s gap=%-4d hot=%.2f sweep=%.2f spots=%d\n",
 				s.Name, s.Suite, s.GapMean, s.HotFraction, s.SweepFraction, s.HotSpots)
 		}
 		for _, c := range wlpkg.Presets() {
-			fmt.Printf("%-16s open-loop %s tenants=%d\n", c.Name, c.Arrival, c.Cohort.Tenants)
+			fmt.Fprintf(stdout, "%-16s open-loop %s tenants=%d\n", c.Name, c.Arrival, c.Cohort.Tenants)
 		}
-		return
+		return 0
+	}
+	if *threshold > math.MaxUint32 {
+		return fail(fmt.Errorf("-threshold %d out of range (max %d)", *threshold, uint32(math.MaxUint32)))
+	}
+	if *scale <= 0 || *scale > 1 {
+		return fail(fmt.Errorf("-scale %g out of (0, 1]", *scale))
 	}
 
 	// Open-loop preset names route to the workload package; everything
@@ -81,8 +108,9 @@ func main() {
 	ol, olErr := wlpkg.Lookup(*workload)
 	if olErr != nil {
 		var err error
-		wl, err = trace.Lookup(*workload)
-		fatal(err)
+		if wl, err = trace.Lookup(*workload); err != nil {
+			return fail(err)
+		}
 	}
 
 	var spec sim.SchemeSpec
@@ -90,9 +118,12 @@ func main() {
 		// Full spec string: one flag carries the whole configuration
 		// (any registered kind); a threshold= param overrides -threshold.
 		ms, err := mitigation.ParseSpec(*scheme)
-		fatal(err)
-		spec, err = sim.FromSpec(ms)
-		fatal(err)
+		if err != nil {
+			return fail(err)
+		}
+		if spec, err = sim.FromSpec(ms); err != nil {
+			return fail(err)
+		}
 		if ms.Threshold != 0 {
 			*threshold = uint(ms.Threshold)
 		}
@@ -115,7 +146,7 @@ func main() {
 		case "NONE":
 			spec = sim.SchemeSpec{Kind: mitigation.KindNone}
 		default:
-			fatal(fmt.Errorf("unknown scheme %q (kind names also parse as specs, e.g. comet:counters=512)", *scheme))
+			return fail(fmt.Errorf("unknown scheme %q (kind names also parse as specs, e.g. comet:counters=512)", *scheme))
 		}
 	}
 
@@ -165,12 +196,12 @@ func main() {
 		cfg.RequestsPerCore = int(204.8e6 / float64(wl.GapMean) * *scale)
 		cfg.Workload = wl
 		if *attacker > 0 {
-			fatal(fmt.Errorf("-attacker needs an open-loop workload (ol-*), got %q", *workload))
+			return fail(fmt.Errorf("-attacker needs an open-loop workload (ol-*), got %q", *workload))
 		}
 	}
 	if *attack != "" {
 		if olErr == nil {
-			fatal(fmt.Errorf("-attack drives closed-loop cores; use -attacker with open-loop workloads"))
+			return fail(fmt.Errorf("-attack drives closed-loop cores; use -attacker with open-loop workloads"))
 		}
 		var mode trace.AttackMode
 		switch strings.ToLower(*attack) {
@@ -181,7 +212,7 @@ func main() {
 		case "light":
 			mode = trace.Light
 		default:
-			fatal(fmt.Errorf("unknown attack mode %q", *attack))
+			return fail(fmt.Errorf("unknown attack mode %q", *attack))
 		}
 		cfg.Attack = &sim.AttackConfig{Kernel: *kernel, Mode: mode}
 	}
@@ -191,23 +222,25 @@ func main() {
 	// sim.RunPair at any -parallel).
 	eng := &runner.Engine{Parallel: *parallel, Contexts: runner.NewContextPool()}
 	pair, err := eng.Pair(context.Background(), cfg)
-	fatal(err)
+	if err != nil {
+		return fail(err)
+	}
 	r, baseline := pair.Result, pair.Baseline
 	if olErr == nil {
-		fmt.Printf("workload   %s (open-loop %s, %d requests)\n", ol.Name, ol.Arrival, ol.Requests)
+		fmt.Fprintf(stdout, "workload   %s (open-loop %s, %d requests)\n", ol.Name, ol.Arrival, ol.Requests)
 	} else {
-		fmt.Printf("workload   %s (%s)\n", wl.Name, wl.Suite)
+		fmt.Fprintf(stdout, "workload   %s (%s)\n", wl.Name, wl.Suite)
 	}
-	fmt.Printf("scheme     %s, T=%d (scale %.2f)\n", spec.Label(uint32(*threshold)), *threshold, *scale)
-	fmt.Printf("exec       %.3f ms (baseline %.3f ms)\n", r.ExecNS/1e6, baseline.ExecNS/1e6)
-	fmt.Printf("activations %d, victim rows refreshed %d (%d commands)\n",
+	fmt.Fprintf(stdout, "scheme     %s, T=%d (scale %.2f)\n", spec.Label(uint32(*threshold)), *threshold, *scale)
+	fmt.Fprintf(stdout, "exec       %.3f ms (baseline %.3f ms)\n", r.ExecNS/1e6, baseline.ExecNS/1e6)
+	fmt.Fprintf(stdout, "activations %d, victim rows refreshed %d (%d commands)\n",
 		r.Counts.Activations, r.Counts.RowsRefreshed, r.Counts.RefreshEvents)
-	fmt.Printf("read latency %.1f ns avg\n", r.AvgReadLatencyNS)
+	fmt.Fprintf(stdout, "read latency %.1f ns avg\n", r.AvgReadLatencyNS)
 	b := r.Breakdown
-	fmt.Printf("CMRPO      %.2f%%  (dynamic %.3f%% static %.3f%% refresh %.3f%% prng %.3f%% miss %.3f%%)\n",
+	fmt.Fprintf(stdout, "CMRPO      %.2f%%  (dynamic %.3f%% static %.3f%% refresh %.3f%% prng %.3f%% miss %.3f%%)\n",
 		r.CMRPO*100, b.DynamicMW/2.5*100, b.StaticMW/2.5*100, b.RefreshMW/2.5*100,
 		b.PRNGMW/2.5*100, b.MissMW/2.5*100)
-	fmt.Printf("ETO        %.3f%%\n", pair.ETO*100)
+	fmt.Fprintf(stdout, "ETO        %.3f%%\n", pair.ETO*100)
 	if len(r.Tenants) > 0 {
 		var benignActs, benignRows int64
 		var hit int
@@ -221,10 +254,10 @@ func main() {
 				hit++
 			}
 		}
-		fmt.Printf("tenants    %d (%d with refreshed rows); benign acts %d, benign rows refreshed %d\n",
+		fmt.Fprintf(stdout, "tenants    %d (%d with refreshed rows); benign acts %d, benign rows refreshed %d\n",
 			len(r.Tenants), hit, benignActs, benignRows)
 		if last := r.Tenants[len(r.Tenants)-1]; last.Attacker {
-			fmt.Printf("attacker   acts %d, rows refreshed in its span %d\n",
+			fmt.Fprintf(stdout, "attacker   acts %d, rows refreshed in its span %d\n",
 				last.Acts, last.RowsRefreshed)
 		}
 	}
@@ -233,13 +266,7 @@ func main() {
 		if r.OracleViolations > 0 {
 			verdict = fmt.Sprintf("PROTECTION VIOLATED %d times", r.OracleViolations)
 		}
-		fmt.Printf("oracle     %s\n", verdict)
+		fmt.Fprintf(stdout, "oracle     %s\n", verdict)
 	}
-}
-
-func fatal(err error) {
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "catsim:", err)
-		os.Exit(1)
-	}
+	return 0
 }
