@@ -45,11 +45,13 @@ race-shard:
 
 # Fuzz smoke: each parser that takes outside input (trace containers, the
 # scheme-spec, geometry and arrival grammars, catsim-server job bodies and
-# snapshots) fuzzed for a fixed budget.
+# snapshots), plus the protection oracle against its dense reference
+# (FuzzOracleMatchesRef), fuzzed for a fixed budget.
 # go test -fuzz accepts one package and one target per invocation.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzReadContainer$$' -fuzztime=10s ./internal/trace
 	$(GO) test -run '^$$' -fuzz '^FuzzParseSpec$$' -fuzztime=10s ./internal/mitigation
+	$(GO) test -run '^$$' -fuzz '^FuzzOracleMatchesRef$$' -fuzztime=10s ./internal/mitigation
 	$(GO) test -run '^$$' -fuzz '^FuzzParseGeometry$$' -fuzztime=10s ./internal/dram
 	$(GO) test -run '^$$' -fuzz '^FuzzParseArrival$$' -fuzztime=10s ./internal/workload
 	$(GO) test -run '^$$' -fuzz '^FuzzJobRequest$$' -fuzztime=10s ./internal/server

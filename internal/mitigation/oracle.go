@@ -1,39 +1,69 @@
 package mitigation
 
-// Oracle is the ground-truth crosstalk checker used by integration tests
-// and failure-injection studies. It tracks, for every victim row, the
-// exposure accumulated from each adjacent aggressor since the victim's last
-// refresh; a deterministic scheme is sound when no exposure ever exceeds
-// the refresh threshold T. Probabilistic schemes (PRA, DSAC) violate it
-// with small probability by design; the missed-victim accounting below and
-// the reliability model quantify that.
+import "math/bits"
+
+// Oracle is the ground-truth crosstalk checker behind every protection run
+// (sim.Config.CheckProtection: the figx and figt studies, cmd/catsim's
+// -oracle flag, catsim-server's "oracle" field and the tests). It tracks,
+// for every victim row, the exposure accumulated from each adjacent
+// aggressor since the victim's last refresh; a deterministic scheme is
+// sound when no exposure ever exceeds the refresh threshold T.
+// Probabilistic schemes (PRA, DSAC) violate it with small probability by
+// design; the missed-victim accounting below and the reliability model
+// quantify that.
+//
+// A run touches a small share of the geometry, so each bank records which
+// 64-row blocks it wrote: RefreshAll and Reset clear only those, and
+// VisitExposed walks only them, in (bank, row) order.
 type Oracle struct {
 	rows      int
 	threshold uint32
-	// exposure[bank][v][0] counts activations of v-1 since v's refresh;
-	// exposure[bank][v][1] counts activations of v+1.
-	exposure   [][][2]uint32
+	banks     []oracleBank
+
 	violations int64
-	// Ever-flags for the missed-victim rate: a victim row is "exposed"
-	// once any adjacent aggressor activates, and "missed" once its
-	// exposure exceeds T without an intervening refresh. Refreshes do not
-	// clear these — they summarise the whole run.
-	exposed  [][]bool
-	missed   [][]bool
-	exposedN int64
-	missedN  int64
+	exposedN   int64
+	missedN    int64
 }
 
-// NewOracle builds an oracle for the given geometry.
+// oracleBank is one bank's tables. Row v lives in block v>>6: 64 rows,
+// which is one exposed or missed flag word and 512 B of exposure. Bit b of
+// word i of the dirty and flagDirty bitmaps stands for block i<<6|b.
+type oracleBank struct {
+	// exposure[v][0] counts activations of v-1 since v's refresh;
+	// exposure[v][1] counts activations of v+1.
+	exposure [][2]uint32
+	// Ever-flags for the missed-victim rate, one bit per row: a victim row
+	// is "exposed" once any adjacent aggressor activates, and "missed" once
+	// its exposure exceeds T without an intervening refresh. Refreshes do
+	// not clear these — they summarise the whole run.
+	exposed, missed []uint64
+	// dirty marks the blocks whose exposure may be non-zero since the last
+	// RefreshAll; flagDirty marks the non-zero exposed words since the last
+	// Reset (missed implies exposed, so it covers both).
+	dirty, flagDirty []uint64
+}
+
+// NewOracle builds an oracle for the given geometry. Each bank's exposure
+// slab is its own allocation (one whole-geometry slab raised a seed
+// sweep's peak RSS); the banks' bitmaps share one.
 func NewOracle(banks, rowsPerBank int, threshold uint32) *Oracle {
-	o := &Oracle{rows: rowsPerBank, threshold: threshold,
-		exposure: make([][][2]uint32, banks),
-		exposed:  make([][]bool, banks),
-		missed:   make([][]bool, banks)}
-	for b := range o.exposure {
-		o.exposure[b] = make([][2]uint32, rowsPerBank)
-		o.exposed[b] = make([]bool, rowsPerBank)
-		o.missed[b] = make([]bool, rowsPerBank)
+	o := &Oracle{rows: rowsPerBank, threshold: threshold, banks: make([]oracleBank, banks)}
+	words := (rowsPerBank + 63) >> 6
+	maps := (words + 63) >> 6
+	backing := make([]uint64, banks*2*(words+maps))
+	take := func(n int) []uint64 {
+		s := backing[:n:n]
+		backing = backing[n:]
+		return s
+	}
+	for b := range o.banks {
+		o.banks[b] = oracleBank{
+			exposure:  make([][2]uint32, rowsPerBank),
+			exposed:   take(words),
+			missed:    take(words),
+			dirty:     take(maps),
+			flagDirty: take(maps),
+		}
 	}
 	return o
 }
@@ -41,22 +71,24 @@ func NewOracle(banks, rowsPerBank int, threshold uint32) *Oracle {
 // Activate records an aggressor activation and reports whether any victim's
 // exposure exceeded T (a protection violation).
 func (o *Oracle) Activate(bank, a int) bool {
-	e := o.exposure[bank]
+	bk := &o.banks[bank]
 	bad := false
 	if v := a + 1; v < o.rows {
-		e[v][0]++
-		o.noteExposed(bank, v)
-		if e[v][0] > o.threshold {
+		e := &bk.exposure[v]
+		e[0]++
+		o.noteExposed(bk, v)
+		if e[0] > o.threshold {
 			bad = true
-			o.noteMissed(bank, v)
+			o.noteMissed(bk, v)
 		}
 	}
 	if v := a - 1; v >= 0 {
-		e[v][1]++
-		o.noteExposed(bank, v)
-		if e[v][1] > o.threshold {
+		e := &bk.exposure[v]
+		e[1]++
+		o.noteExposed(bk, v)
+		if e[1] > o.threshold {
 			bad = true
-			o.noteMissed(bank, v)
+			o.noteMissed(bk, v)
 		}
 	}
 	if bad {
@@ -65,35 +97,47 @@ func (o *Oracle) Activate(bank, a int) bool {
 	return bad
 }
 
-func (o *Oracle) noteExposed(bank, v int) {
-	if !o.exposed[bank][v] {
-		o.exposed[bank][v] = true
+// noteExposed marks victim v's block dirty and v exposed.
+func (o *Oracle) noteExposed(bk *oracleBank, v int) {
+	w, bit := v>>6, uint64(1)<<(v&63)
+	bk.dirty[w>>6] |= 1 << (w & 63)
+	if bk.exposed[w]&bit == 0 {
+		bk.exposed[w] |= bit
+		bk.flagDirty[w>>6] |= 1 << (w & 63)
 		o.exposedN++
 	}
 }
 
-func (o *Oracle) noteMissed(bank, v int) {
-	if !o.missed[bank][v] {
-		o.missed[bank][v] = true
+func (o *Oracle) noteMissed(bk *oracleBank, v int) {
+	if w, bit := v>>6, uint64(1)<<(v&63); bk.missed[w]&bit == 0 {
+		bk.missed[w] |= bit
 		o.missedN++
 	}
 }
 
 // Refresh resets the exposure of every victim in the range.
 func (o *Oracle) Refresh(bank int, rr RefreshRange) {
-	e := o.exposure[bank]
-	for v := rr.Lo; v <= rr.Hi && v < o.rows; v++ {
-		if v >= 0 {
-			e[v] = [2]uint32{}
-		}
+	if lo, hi := max(rr.Lo, 0), min(rr.Hi, o.rows-1); lo <= hi {
+		clear(o.banks[bank].exposure[lo : hi+1])
 	}
 }
 
 // RefreshAll models the burst auto-refresh of every row (interval boundary).
+// Each run of consecutive dirty blocks is cleared with one clear, so a bank
+// whose every block is dirty costs what a dense clear does.
 func (o *Oracle) RefreshAll() {
-	for b := range o.exposure {
-		for v := range o.exposure[b] {
-			o.exposure[b][v] = [2]uint32{}
+	for b := range o.banks {
+		bk := &o.banks[b]
+		for i, w := range bk.dirty {
+			for w != 0 {
+				lo := bits.TrailingZeros64(w)
+				n := bits.TrailingZeros64(^(w >> lo))
+				first := (i<<6 + lo) << 6
+				last := min((i<<6+lo+n)<<6, len(bk.exposure))
+				clear(bk.exposure[first:last])
+				w &^= (1<<n - 1) << lo
+			}
+			bk.dirty[i] = 0
 		}
 	}
 }
@@ -102,18 +146,15 @@ func (o *Oracle) RefreshAll() {
 // oracle to its just-built state so a run context can reuse it across
 // runs over the same geometry and threshold.
 func (o *Oracle) Reset() {
-	for b := range o.exposure {
-		e := o.exposure[b]
-		for v := range e {
-			e[v] = [2]uint32{}
-		}
-		ex := o.exposed[b]
-		for v := range ex {
-			ex[v] = false
-		}
-		ms := o.missed[b]
-		for v := range ms {
-			ms[v] = false
+	o.RefreshAll()
+	for b := range o.banks {
+		bk := &o.banks[b]
+		for i, fw := range bk.flagDirty {
+			for ; fw != 0; fw &= fw - 1 {
+				w := i<<6 | bits.TrailingZeros64(fw)
+				bk.exposed[w], bk.missed[w] = 0, 0
+			}
+			bk.flagDirty[i] = 0
 		}
 	}
 	o.violations = 0
@@ -143,14 +184,20 @@ func (o *Oracle) MissedVictimRate() float64 {
 }
 
 // VisitExposed calls fn for every distinct (bank, row) victim that saw any
-// aggressor exposure over the run, with missed reporting whether its
-// exposure ever crossed the threshold unrefreshed. Per-tenant attribution
-// folds the oracle's verdict over row ownership with this.
+// aggressor exposure over the run, in (bank, row) order, with missed
+// reporting whether its exposure ever crossed the threshold unrefreshed.
+// Per-tenant attribution folds the oracle's verdict over row ownership
+// with this.
 func (o *Oracle) VisitExposed(fn func(bank, row int, missed bool)) {
-	for b := range o.exposed {
-		for r, ex := range o.exposed[b] {
-			if ex {
-				fn(b, r, o.missed[b][r])
+	for b := range o.banks {
+		bk := &o.banks[b]
+		for i, fw := range bk.flagDirty {
+			for ; fw != 0; fw &= fw - 1 {
+				w := i<<6 | bits.TrailingZeros64(fw)
+				for ex := bk.exposed[w]; ex != 0; ex &= ex - 1 {
+					r := bits.TrailingZeros64(ex)
+					fn(b, w<<6|r, bk.missed[w]&(1<<r) != 0)
+				}
 			}
 		}
 	}
