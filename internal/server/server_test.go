@@ -591,3 +591,39 @@ func TestShardedJobStreams(t *testing.T) {
 		t.Error("sharded stream order diverges from sequential")
 	}
 }
+
+// TestPooledOracleMatchesItsJob: one worker's pooled run context serves a
+// protection job on 16Ki-row banks, then a job on the default geometry
+// without the oracle, then the same job with it. The third job must build
+// an oracle for its own geometry rather than reuse the first job's, and
+// return what a direct sim.Run does.
+func TestPooledOracleMatchesItsJob(t *testing.T) {
+	_, ts := newTestServer(t, Options{Workers: 1})
+	jobs := []JobRequest{
+		{Scheme: "sca:counters=64", Workload: "black", Oracle: true, Geometry: "2ch:rows=16Ki"},
+		{Scheme: "sca:counters=64", Workload: "black", Geometry: "2ch"},
+		{Scheme: "sca:counters=64", Workload: "black", Oracle: true, Geometry: "2ch"},
+	}
+	var last *sim.Result
+	for i, req := range jobs {
+		st := submit(t, ts, req, http.StatusAccepted)
+		_, res, errMsg := parseStream(t, streamBody(t, ts, st.ID))
+		if res == nil {
+			t.Fatalf("job %d failed: %s", i, errMsg)
+		}
+		last = res
+	}
+	cfg, err := jobs[2].Config()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := sim.Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantJSON, _ := json.Marshal(want)
+	gotJSON, _ := json.Marshal(*last)
+	if !bytes.Equal(gotJSON, wantJSON) {
+		t.Errorf("pooled protection job diverges from direct sim.Run:\n got: %s\nwant: %s", gotJSON, wantJSON)
+	}
+}

@@ -56,7 +56,12 @@ type Context struct {
 type part struct {
 	ctrl   *memctrl.Controller
 	scheme mitigation.Scheme
-	oracle *mitigation.Oracle // kept across runs that do not check protection
+	// oracle is kept across runs that do not check protection, so it is
+	// reused by the geometry and threshold it was built for, not by the
+	// previous run's.
+	oracle          *mitigation.Oracle
+	oracleGeom      dram.Geometry
+	oracleThreshold uint32
 
 	closed    []closedStream
 	slots     []engine.CoreSlot
@@ -277,10 +282,11 @@ func (ctx *Context) buildPart(p int, cfg, prev *Config, was bool, stride int, cp
 
 	var oracle *mitigation.Oracle
 	if cfg.CheckProtection && kind != mitigation.KindNone {
-		if was && pt.oracle != nil && prev.Geometry == cfg.Geometry && prev.Threshold == cfg.Threshold {
+		if was && pt.oracle != nil && pt.oracleGeom == cfg.Geometry && pt.oracleThreshold == cfg.Threshold {
 			pt.oracle.Reset()
 		} else {
 			pt.oracle = mitigation.NewOracle(banks, cfg.Geometry.RowsPerBank, cfg.Threshold)
+			pt.oracleGeom, pt.oracleThreshold = cfg.Geometry, cfg.Threshold
 		}
 		oracle = pt.oracle
 	}

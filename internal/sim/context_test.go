@@ -184,6 +184,27 @@ func TestContextShapeChangeRebuilds(t *testing.T) {
 	sharded.Shards = 2
 	steps = append(steps, affine, sharded, base)
 
+	// A run without the oracle leaves the last one built in place: the
+	// next protection run must reuse it only for the threshold and
+	// geometry it was built for, not the previous run's. First T=16 then
+	// T=512, then 16Ki-row banks then the 64Ki-row default.
+	sca := base
+	sca.Scheme = SchemeSpec{Kind: mitigation.KindSCA, Counters: 64}
+	lowT := sca
+	lowT.Threshold = 16
+	unchecked := sca
+	unchecked.Threshold = 512
+	unchecked.CheckProtection = false
+	checked := unchecked
+	checked.CheckProtection = true
+	gs, err := dram.ParseGeometry("2ch:rows=16Ki")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fewRows := checked
+	fewRows.Geometry = gs.Geometry()
+	steps = append(steps, lowT, unchecked, checked, fewRows, unchecked, checked)
+
 	ctx := NewContext()
 	for i, cfg := range steps {
 		want, err := Run(cfg)
@@ -234,25 +255,30 @@ func TestContextRecoversFromFailedRun(t *testing.T) {
 }
 
 // TestContextSteadyStateAllocs pins the zero-alloc reuse property on the
-// closed-loop sweep path: after warmup, a repeated same-shape run through
-// one context must not allocate on the hot path. A small fixed tolerance
-// absorbs runtime noise (timer/GC bookkeeping), not per-run growth.
+// closed-loop sweep path, with and without the oracle (the oracle-on case
+// is a protection sweep's cell): after warmup, a repeated same-shape run
+// through one context must not allocate on the hot path. A small fixed
+// tolerance absorbs runtime noise (timer/GC bookkeeping), not per-run
+// growth.
 func TestContextSteadyStateAllocs(t *testing.T) {
-	cfg, _ := contextCase(t, mitigation.KindDRCAT, false, "closed")
-	cfg.CheckProtection = false
-	cfg.EpochNS = 0
-	ctx := NewContext()
-	seed := uint64(1)
-	run := func() {
-		cfg.Seed = seed
-		seed++
-		if _, err := ctx.Run(cfg); err != nil {
-			t.Fatal(err)
+	for _, check := range []bool{false, true} {
+		cfg, _ := contextCase(t, mitigation.KindDRCAT, false, "closed")
+		cfg.CheckProtection = check
+		cfg.EpochNS = 0
+		ctx := NewContext()
+		seed := uint64(1)
+		run := func() {
+			cfg.Seed = seed
+			seed++
+			if _, err := ctx.Run(cfg); err != nil {
+				t.Fatal(err)
+			}
 		}
-	}
-	run() // build
-	run() // settle slab growth
-	if allocs := testing.AllocsPerRun(10, run); allocs > 2 {
-		t.Errorf("steady-state context run allocates %.1f times per run, want <= 2", allocs)
+		run() // build
+		run() // settle slab growth
+		if allocs := testing.AllocsPerRun(10, run); allocs > 2 {
+			t.Errorf("CheckProtection=%v: steady-state context run allocates %.1f times per run, want <= 2",
+				check, allocs)
+		}
 	}
 }
