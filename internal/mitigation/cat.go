@@ -111,17 +111,6 @@ func (c *CAT) Snapshot() Snapshot {
 	return s
 }
 
-// MaxTreeDepth returns the deepest leaf observed across banks.
-func (c *CAT) MaxTreeDepth() int {
-	max := 0
-	for _, t := range c.trees {
-		if d := t.Stats().MaxDepth; d > max {
-			max = d
-		}
-	}
-	return max
-}
-
 // catBuilder adapts NewCAT to the spec registry for one tree policy.
 func catBuilder(policy core.Policy) Builder {
 	return Builder{

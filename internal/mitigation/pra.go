@@ -50,9 +50,6 @@ func (pr *PRA) Kind() Kind { return KindPRA }
 // CountersPerBank implements Scheme.
 func (pr *PRA) CountersPerBank() int { return 0 }
 
-// Probability returns p.
-func (pr *PRA) Probability() float64 { return pr.p }
-
 // OnActivate implements Scheme.
 func (pr *PRA) OnActivate(bank, row int) []RefreshRange {
 	pr.counts.Activations++
