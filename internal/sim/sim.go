@@ -249,7 +249,9 @@ type Config struct {
 	ThresholdScale float64
 
 	Seed uint64
-	// CheckProtection attaches the crosstalk oracle (slower; tests only).
+	// CheckProtection attaches the crosstalk oracle, which fills the
+	// Result's protection metrics (the figx and figt studies, cmd/catsim's
+	// -oracle flag and catsim-server's "oracle" field set it).
 	CheckProtection bool
 
 	// ChannelAffine pins core i's generated request stream to channel
