@@ -13,8 +13,8 @@ import "math/bits"
 // quantify that.
 //
 // A run touches a small share of the geometry, so each bank records which
-// 64-row blocks it wrote: RefreshAll and Reset clear only those, and
-// VisitExposed walks only them, in (bank, row) order.
+// 64-row blocks it exposed since the last Reset: RefreshAll and Reset clear
+// only those, and VisitExposed walks only them, in (bank, row) order.
 type Oracle struct {
 	rows      int
 	threshold uint32
@@ -27,7 +27,7 @@ type Oracle struct {
 
 // oracleBank is one bank's tables. Row v lives in block v>>6: 64 rows,
 // which is one exposed or missed flag word and 512 B of exposure. Bit b of
-// word i of the dirty and flagDirty bitmaps stands for block i<<6|b.
+// word i of the dirty bitmap stands for block i<<6|b.
 type oracleBank struct {
 	// exposure[v][0] counts activations of v-1 since v's refresh;
 	// exposure[v][1] counts activations of v+1.
@@ -37,10 +37,11 @@ type oracleBank struct {
 	// its exposure exceeds T without an intervening refresh. Refreshes do
 	// not clear these — they summarise the whole run.
 	exposed, missed []uint64
-	// dirty marks the blocks whose exposure may be non-zero since the last
-	// RefreshAll; flagDirty marks the non-zero exposed words since the last
-	// Reset (missed implies exposed, so it covers both).
-	dirty, flagDirty []uint64
+	// dirty marks the blocks with a row exposed since the last Reset, that
+	// is the non-zero exposed words (missed implies exposed). Only a row
+	// exposed since then can hold exposure, so it also names every block
+	// RefreshAll must clear.
+	dirty []uint64
 }
 
 // NewOracle builds an oracle for the given geometry. Each bank's exposure
@@ -50,7 +51,7 @@ func NewOracle(banks, rowsPerBank int, threshold uint32) *Oracle {
 	o := &Oracle{rows: rowsPerBank, threshold: threshold, banks: make([]oracleBank, banks)}
 	words := (rowsPerBank + 63) >> 6
 	maps := (words + 63) >> 6
-	backing := make([]uint64, banks*2*(words+maps))
+	backing := make([]uint64, banks*(2*words+maps))
 	take := func(n int) []uint64 {
 		s := backing[:n:n]
 		backing = backing[n:]
@@ -58,11 +59,10 @@ func NewOracle(banks, rowsPerBank int, threshold uint32) *Oracle {
 	}
 	for b := range o.banks {
 		o.banks[b] = oracleBank{
-			exposure:  make([][2]uint32, rowsPerBank),
-			exposed:   take(words),
-			missed:    take(words),
-			dirty:     take(maps),
-			flagDirty: take(maps),
+			exposure: make([][2]uint32, rowsPerBank),
+			exposed:  take(words),
+			missed:   take(words),
+			dirty:    take(maps),
 		}
 	}
 	return o
@@ -97,13 +97,12 @@ func (o *Oracle) Activate(bank, a int) bool {
 	return bad
 }
 
-// noteExposed marks victim v's block dirty and v exposed.
+// noteExposed marks victim v exposed and, on its first exposure, its
+// block dirty.
 func (o *Oracle) noteExposed(bk *oracleBank, v int) {
-	w, bit := v>>6, uint64(1)<<(v&63)
-	bk.dirty[w>>6] |= 1 << (w & 63)
-	if bk.exposed[w]&bit == 0 {
+	if w, bit := v>>6, uint64(1)<<(v&63); bk.exposed[w]&bit == 0 {
 		bk.exposed[w] |= bit
-		bk.flagDirty[w>>6] |= 1 << (w & 63)
+		bk.dirty[w>>6] |= 1 << (w & 63)
 		o.exposedN++
 	}
 }
@@ -124,7 +123,8 @@ func (o *Oracle) Refresh(bank int, rr RefreshRange) {
 
 // RefreshAll models the burst auto-refresh of every row (interval boundary).
 // Each run of consecutive dirty blocks is cleared with one clear, so a bank
-// whose every block is dirty costs what a dense clear does.
+// whose every block is dirty costs what a dense clear does. The blocks stay
+// dirty: their rows stay exposed until Reset.
 func (o *Oracle) RefreshAll() {
 	for b := range o.banks {
 		bk := &o.banks[b]
@@ -137,7 +137,6 @@ func (o *Oracle) RefreshAll() {
 				clear(bk.exposure[first:last])
 				w &^= (1<<n - 1) << lo
 			}
-			bk.dirty[i] = 0
 		}
 	}
 }
@@ -149,12 +148,12 @@ func (o *Oracle) Reset() {
 	o.RefreshAll()
 	for b := range o.banks {
 		bk := &o.banks[b]
-		for i, fw := range bk.flagDirty {
-			for ; fw != 0; fw &= fw - 1 {
-				w := i<<6 | bits.TrailingZeros64(fw)
+		for i, dw := range bk.dirty {
+			for ; dw != 0; dw &= dw - 1 {
+				w := i<<6 | bits.TrailingZeros64(dw)
 				bk.exposed[w], bk.missed[w] = 0, 0
 			}
-			bk.flagDirty[i] = 0
+			bk.dirty[i] = 0
 		}
 	}
 	o.violations = 0
@@ -191,9 +190,9 @@ func (o *Oracle) MissedVictimRate() float64 {
 func (o *Oracle) VisitExposed(fn func(bank, row int, missed bool)) {
 	for b := range o.banks {
 		bk := &o.banks[b]
-		for i, fw := range bk.flagDirty {
-			for ; fw != 0; fw &= fw - 1 {
-				w := i<<6 | bits.TrailingZeros64(fw)
+		for i, dw := range bk.dirty {
+			for ; dw != 0; dw &= dw - 1 {
+				w := i<<6 | bits.TrailingZeros64(dw)
 				for ex := bk.exposed[w]; ex != 0; ex &= ex - 1 {
 					r := bits.TrailingZeros64(ex)
 					fn(b, w<<6|r, bk.missed[w]&(1<<r) != 0)

@@ -120,9 +120,8 @@ func FuzzOracleMatchesRef(f *testing.F) {
 }
 
 // TestOracleMatchesRefAcrossBitmapWords covers what the fuzz geometries
-// cannot reach: banks of more than 4096 rows, whose dirty and flagDirty
-// bitmaps span several words, including all-ones words, and a partial
-// last block.
+// cannot reach: banks of more than 4096 rows, whose dirty bitmaps span
+// several words, including all-ones words, and a partial last block.
 func TestOracleMatchesRefAcrossBitmapWords(t *testing.T) {
 	const banks, rows, threshold = 2, 3*4096 + 65, 3
 	// Rows on either side of every bitmap-word boundary, and the edges.
