@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"sync"
 
 	"catsim/internal/addrmap"
@@ -64,6 +65,7 @@ type part struct {
 	oracleThreshold uint32
 
 	closed    []closedStream
+	cursors   []cursor // replay a Recording's streams into slots
 	slots     []engine.CoreSlot
 	openRT    *workload.Runtime
 	openSlots []engine.OpenSlot
@@ -166,10 +168,20 @@ func sameSchemeShape(a, b *Config) bool {
 // them with engine.RunSharded in channel order; any other run is one
 // partition through engine.RunInPlace. Reuse requires the partition count
 // of the previous run.
-func (ctx *Context) Run(cfg Config) (Result, error) {
+func (ctx *Context) Run(cfg Config) (Result, error) { return ctx.RunRecorded(cfg, nil) }
+
+// RunRecorded is Run with cfg's closed-loop request streams replayed from
+// rec instead of generated; the Result is identical. rec must have been
+// recorded for cfg's stream identity (see Recording), and the run must be
+// Recordable. A nil rec, or one whose streams did not fit packed records,
+// generates the streams as Run does.
+func (ctx *Context) RunRecorded(cfg Config, rec *Recording) (Result, error) {
 	cfg.fill()
 	if err := cfg.validate(); err != nil {
 		return Result{}, err
+	}
+	if rec != nil && !(Recordable(cfg) && rec.recorded && sameStream(&rec.cfg, &cfg)) {
+		return Result{}, fmt.Errorf("sim: the recording was not made for this run's request streams")
 	}
 	sharded := cfg.sharded()
 	n, stride := 1, 1
@@ -196,6 +208,9 @@ func (ctx *Context) Run(cfg Config) (Result, error) {
 	for p := range ctx.parts {
 		if err := ctx.buildPart(p, &cfg, &prev, was, stride, cpuNS); err != nil {
 			return Result{}, err
+		}
+		if rec != nil && rec.packed {
+			ctx.parts[p].replay(rec)
 		}
 		if sharded {
 			ctx.ecfgs[p].Channels = &ctx.parts[p].channels
@@ -296,6 +311,7 @@ func (ctx *Context) buildPart(p int, cfg, prev *Config, was bool, stride int, cp
 		for i := range pt.closed {
 			pt.closed[i].reseed(cfg.Seed)
 			pt.slots[i].CPU.Reset()
+			pt.slots[i].Gen = pt.closed[i].gen // a recorded run may have left a cursor
 		}
 		if pt.openRT != nil {
 			pt.openRT.Reset(cfg.Seed)

@@ -257,28 +257,40 @@ func TestContextRecoversFromFailedRun(t *testing.T) {
 // TestContextSteadyStateAllocs pins the zero-alloc reuse property on the
 // closed-loop sweep path, with and without the oracle (the oracle-on case
 // is a protection sweep's cell): after warmup, a repeated same-shape run
-// through one context must not allocate on the hot path. A small fixed
-// tolerance absorbs runtime noise (timer/GC bookkeeping), not per-run
-// growth.
+// through one context must not allocate on the hot path — a seed sweep
+// generating its streams, and a figure grid's runs replaying one
+// recording. A small fixed tolerance absorbs runtime noise (timer/GC
+// bookkeeping), not per-run growth.
 func TestContextSteadyStateAllocs(t *testing.T) {
-	for _, check := range []bool{false, true} {
-		cfg, _ := contextCase(t, mitigation.KindDRCAT, false, "closed")
-		cfg.CheckProtection = check
-		cfg.EpochNS = 0
-		ctx := NewContext()
-		seed := uint64(1)
-		run := func() {
-			cfg.Seed = seed
-			seed++
-			if _, err := ctx.Run(cfg); err != nil {
-				t.Fatal(err)
+	for _, recorded := range []bool{false, true} {
+		for _, check := range []bool{false, true} {
+			cfg, _ := contextCase(t, mitigation.KindDRCAT, false, "closed")
+			cfg.CheckProtection = check
+			cfg.EpochNS = 0
+			var rec *Recording
+			if recorded {
+				rec = NewRecording(0)
+				if err := rec.Record(cfg); err != nil {
+					t.Fatal(err)
+				}
 			}
-		}
-		run() // build
-		run() // settle slab growth
-		if allocs := testing.AllocsPerRun(10, run); allocs > 2 {
-			t.Errorf("CheckProtection=%v: steady-state context run allocates %.1f times per run, want <= 2",
-				check, allocs)
+			ctx := NewContext()
+			seed := uint64(1)
+			run := func() {
+				if !recorded {
+					cfg.Seed = seed
+					seed++
+				}
+				if _, err := ctx.RunRecorded(cfg, rec); err != nil {
+					t.Fatal(err)
+				}
+			}
+			run() // build
+			run() // settle slab growth
+			if allocs := testing.AllocsPerRun(10, run); allocs > 2 {
+				t.Errorf("recorded=%v CheckProtection=%v: steady-state context run allocates %.1f times per run, want <= 2",
+					recorded, check, allocs)
+			}
 		}
 	}
 }

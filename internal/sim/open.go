@@ -111,6 +111,26 @@ func (c *Config) closedStream(policy addrmap.Policy, i int) (closedStream, error
 	return cs, nil
 }
 
+// drawClosed builds each core's generator stack in turn and draws its
+// RequestsPerCore requests in order — exactly the sequence a live run
+// feeds the engine — handing each to emit with its core index and
+// generator. It stops early, reporting false, when emit returns false.
+// Capture and Recording.Record both walk the streams through it.
+func (c *Config) drawClosed(policy addrmap.Policy, emit func(core int, gen trace.Generator, req trace.Request) bool) (bool, error) {
+	for i := 0; i < c.Cores; i++ {
+		cs, err := c.closedStream(policy, i)
+		if err != nil {
+			return false, err
+		}
+		for k := 0; k < c.RequestsPerCore; k++ {
+			if !emit(i, cs.gen, cs.gen.Next()) {
+				return false, nil
+			}
+		}
+	}
+	return true, nil
+}
+
 // replayStreams turns a captured container back into engine sources:
 // closed streams become cores (budgets from the capture), open streams
 // become single-shot arrival slots. When an OpenLoop spec rides along, its
@@ -171,19 +191,17 @@ func Capture(cfg Config) (*trace.Container, error) {
 		return nil, err
 	}
 	c := &trace.Container{Geometry: cfg.Geometry}
-	for i := 0; i < cfg.Cores; i++ {
-		cs, err := cfg.closedStream(policy, i)
-		if err != nil {
-			return nil, err
+	if _, err := cfg.drawClosed(policy, func(i int, gen trace.Generator, req trace.Request) bool {
+		if i == len(c.Streams) {
+			c.Streams = append(c.Streams, trace.Stream{
+				Name: fmt.Sprintf("core%d:%s", i, gen.Name()),
+				Reqs: make([]trace.Request, 0, cfg.RequestsPerCore),
+			})
 		}
-		reqs := make([]trace.Request, cfg.RequestsPerCore)
-		for k := range reqs {
-			reqs[k] = cs.gen.Next()
-		}
-		c.Streams = append(c.Streams, trace.Stream{
-			Name: fmt.Sprintf("core%d:%s", i, cs.gen.Name()),
-			Reqs: reqs,
-		})
+		c.Streams[i].Reqs = append(c.Streams[i].Reqs, req)
+		return true
+	}); err != nil {
+		return nil, err
 	}
 	if cfg.OpenLoop == nil {
 		return c, nil
