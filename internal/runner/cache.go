@@ -65,6 +65,15 @@ func (c *Cache) RunWith(cfg sim.Config, run func(sim.Config) (sim.Result, error)
 	return e.res.Clone(), nil
 }
 
+// has reports whether cfg's key has an entry, finished or in flight.
+func (c *Cache) has(cfg sim.Config) bool {
+	key := sim.CacheKey(cfg)
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	_, ok := c.entries[key]
+	return ok
+}
+
 // Hits reports how many Run calls were served from an existing entry
 // (including calls that blocked on an in-flight execution).
 func (c *Cache) Hits() int64 { return c.hits.Load() }

@@ -53,9 +53,14 @@ func (p *ContextPool) put(ctx *sim.Context) {
 // Run executes one simulation on a pooled context and returns a private
 // copy of the result (the context's Result aliases its reusable buffers,
 // so it must not escape the checkout).
-func (p *ContextPool) Run(cfg sim.Config) (sim.Result, error) {
+func (p *ContextPool) Run(cfg sim.Config) (sim.Result, error) { return p.RunRecorded(cfg, nil) }
+
+// RunRecorded is Run replaying cfg's closed-loop streams from rec (see
+// sim.Context.RunRecorded). A run that panics never returns its context
+// to the pool: the stack it was mutating is dropped with the panic.
+func (p *ContextPool) RunRecorded(cfg sim.Config, rec *sim.Recording) (sim.Result, error) {
 	ctx := p.get()
-	res, err := ctx.Run(cfg)
+	res, err := ctx.RunRecorded(cfg, rec)
 	if err != nil {
 		// A failed run may leave partially built state; the context
 		// rebuilds from scratch next time, so pooling it back is safe.

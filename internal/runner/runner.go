@@ -51,6 +51,11 @@ type Cell struct {
 	// sim.RunPair. Baselines are shared through the cache across every
 	// cell (and figure) that needs them.
 	Pair bool
+	// Stream, when non-nil, is a recording of Config's closed-loop request
+	// streams (sim.Recording): the cell's run and its baseline replay it
+	// instead of generating the streams. Results are identical, and the
+	// cache keys on Config alone.
+	Stream *sim.Recording
 }
 
 // CellResult is the measured outcome of one cell.
@@ -67,7 +72,7 @@ type CellResult struct {
 // dispatching new cells and surfaces the context error.
 func (e *Engine) Grid(ctx context.Context, cells []Cell) ([]CellResult, error) {
 	return Map(ctx, e.Parallel, len(cells), func(i int) (CellResult, error) {
-		r, err := e.runCell(cells[i])
+		r, err := e.RunCell(cells[i])
 		if e.OnCell != nil {
 			e.OnCell(i, r, err)
 		}
@@ -93,14 +98,17 @@ func eto(scheme, baseline sim.Result) float64 {
 	return (scheme.ExecNS - baseline.ExecNS) / baseline.ExecNS
 }
 
-func (e *Engine) runCell(c Cell) (CellResult, error) {
-	res, err := e.Run(c.Config)
+// RunCell executes one cell — its run and, for a paired cell, its
+// baseline, both replaying c.Stream when set — through the engine's
+// context pool and cache.
+func (e *Engine) RunCell(c Cell) (CellResult, error) {
+	res, err := e.run(c.Config, c.Stream)
 	if err != nil {
 		return CellResult{}, err
 	}
 	out := CellResult{Tag: c.Tag, Result: res}
 	if c.Pair {
-		baseline, err := e.Run(baselineConfig(c.Config))
+		baseline, err := e.run(baselineConfig(c.Config), c.Stream)
 		if err != nil {
 			return CellResult{}, fmt.Errorf("baseline: %w", err)
 		}
@@ -127,15 +135,29 @@ func (e *Engine) Pair(ctx context.Context, cfg sim.Config) (CellResult, error) {
 
 // Run executes one simulation through the engine's context pool and
 // cache (directly when neither is configured).
-func (e *Engine) Run(cfg sim.Config) (sim.Result, error) {
-	run := sim.Run
-	if e.Contexts != nil {
-		run = e.Contexts.Run
+func (e *Engine) Run(cfg sim.Config) (sim.Result, error) { return e.run(cfg, nil) }
+
+// run is Run replaying cfg's closed-loop streams from rec when it is set.
+func (e *Engine) run(cfg sim.Config, rec *sim.Recording) (sim.Result, error) {
+	run := func(cfg sim.Config) (sim.Result, error) {
+		if e.Contexts != nil {
+			return e.Contexts.RunRecorded(cfg, rec)
+		}
+		return sim.NewContext().RunRecorded(cfg, rec)
 	}
 	if e.Cache == nil {
 		return run(cfg)
 	}
 	return e.Cache.RunWith(cfg, run)
+}
+
+// Cached reports whether the cache already holds, or is computing, every
+// run cell c needs, so executing c draws no request streams.
+func (e *Engine) Cached(c Cell) bool {
+	if e.Cache == nil || !e.Cache.has(c.Config) {
+		return false
+	}
+	return !c.Pair || e.Cache.has(baselineConfig(c.Config))
 }
 
 // Map runs fn(0..n-1) on at most `parallel` workers (0 = GOMAXPROCS) and
