@@ -31,6 +31,7 @@ import (
 	"time"
 
 	"catsim/internal/runner"
+	"catsim/internal/sim"
 )
 
 // ErrBadOptions marks a New failure caused by invalid Options — a usage
@@ -73,7 +74,10 @@ type Server struct {
 	// contexts pools reusable run contexts across the worker pool, so a
 	// worker draining a queue of same-shape jobs (a seed sweep, say)
 	// rewinds its warm component stack instead of rebuilding it per job.
-	contexts   *runner.ContextPool
+	contexts *runner.ContextPool
+	// run executes a job's simulation: contexts.Run, or a test's fault
+	// injector wrapped around it.
+	run        func(sim.Config) (sim.Result, error)
 	engineRuns atomic.Int64
 	closing    atomic.Bool
 	quit       chan struct{}
@@ -102,6 +106,7 @@ func New(o Options) (*Server, error) {
 		o.SnapshotInterval = 30 * time.Second
 	}
 	s := &Server{opts: o, store: newStore(), contexts: runner.NewContextPool(), quit: make(chan struct{})}
+	s.run = s.contexts.Run
 	if o.SnapshotPath != "" {
 		if _, err := os.Stat(o.SnapshotPath); err == nil {
 			if err := s.loadSnapshot(o.SnapshotPath); err != nil {
@@ -212,14 +217,22 @@ func (s *Server) worker() {
 }
 
 // runJob executes one simulation, streaming each epoch sample into the
-// job as it completes.
+// job as it completes. A run that panics fails its job with the panic
+// text, so the worker and every queued job survive it; the pooled context
+// the run held is dropped with the panic, never reused.
 func (s *Server) runJob(j *Job) {
 	j.setRunning()
 	s.logf("job %s running: %s", j.ID, j.Key)
 	cfg := j.cfg
 	cfg.OnSample = j.appendSample
 	s.engineRuns.Add(1)
-	res, err := s.contexts.Run(cfg)
+	defer func() {
+		if p := recover(); p != nil {
+			s.logf("job %s panicked: %v", j.ID, p)
+			j.fail(fmt.Sprintf("panic: %v", p))
+		}
+	}()
+	res, err := s.run(cfg)
 	if err != nil {
 		s.logf("job %s failed: %v", j.ID, err)
 		j.fail(err.Error())
@@ -327,10 +340,13 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, statusOf(j, true))
 		return
 	}
+	// The reply describes the job as submitted: once it is queued, an idle
+	// worker may start it before the reply is written.
+	st := statusOf(j, false)
 	select {
 	case s.queue <- j:
 		s.logf("job %s queued: %s", j.ID, j.Key)
-		writeJSON(w, http.StatusAccepted, statusOf(j, false))
+		writeJSON(w, http.StatusAccepted, st)
 	default:
 		s.store.remove(j)
 		httpError(w, http.StatusServiceUnavailable, "job queue full (%d deep): retry later", cap(s.queue))

@@ -39,6 +39,13 @@ func newTestServer(t *testing.T, o Options) (*Server, *httptest.Server) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	return s, startTestServer(t, s)
+}
+
+// startTestServer starts a built server behind an httptest front end and
+// tears both down when the test ends.
+func startTestServer(t *testing.T, s *Server) *httptest.Server {
+	t.Helper()
 	s.Start()
 	ts := httptest.NewServer(s.Handler())
 	t.Cleanup(func() {
@@ -49,7 +56,7 @@ func newTestServer(t *testing.T, o Options) (*Server, *httptest.Server) {
 			t.Errorf("Close: %v", err)
 		}
 	})
-	return s, ts
+	return ts
 }
 
 // submit POSTs a job and decodes the submission response.
@@ -563,6 +570,61 @@ func TestFailedJobStreams(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusInternalServerError {
 		t.Errorf("result of failed job = %d, want 500", resp.StatusCode)
+	}
+}
+
+// TestPanickingJobFailsAndWorkerSurvives: a run that panics mid-run
+// (injected through the server's run seam, from inside the pooled run)
+// fails its job with the panic text and a terminal stream error line, and
+// the single worker then completes a normal job on a freshly built
+// context: the panicking run's context never went back to the pool.
+func TestPanickingJobFailsAndWorkerSurvives(t *testing.T) {
+	s, err := New(Options{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const faultSeed = 666
+	run := s.run
+	s.run = func(cfg sim.Config) (sim.Result, error) {
+		if cfg.Seed == faultSeed {
+			cfg.OnSample = func(engine.Sample) { panic("injected fault") }
+		}
+		return run(cfg)
+	}
+	ts := startTestServer(t, s)
+
+	bad := testJob()
+	bad.Seed = faultSeed
+	st := submit(t, ts, bad, http.StatusAccepted)
+	_, result, errMsg := parseStream(t, streamBody(t, ts, st.ID))
+	if result != nil || !strings.Contains(errMsg, "injected fault") {
+		t.Fatalf("panicking job streamed result=%v err=%q, want a terminal error naming the panic", result, errMsg)
+	}
+	if state := s.store.jobs()[0].State(); state != StateFailed {
+		t.Errorf("panicking job state = %v, want failed", state)
+	}
+
+	good := testJob()
+	st = submit(t, ts, good, http.StatusAccepted)
+	_, result, errMsg = parseStream(t, streamBody(t, ts, st.ID))
+	if result == nil {
+		t.Fatalf("job after the panic did not complete: %s", errMsg)
+	}
+	cfg, err := good.Config()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := sim.Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantJSON, _ := json.Marshal(want)
+	gotJSON, _ := json.Marshal(*result)
+	if !bytes.Equal(gotJSON, wantJSON) {
+		t.Errorf("job after the panic diverges from direct sim.Run:\n got: %s\nwant: %s", gotJSON, wantJSON)
+	}
+	if builds, reuses := s.ContextStats(); builds != 2 || reuses != 0 {
+		t.Errorf("context pool builds %d, reuses %d; want 2 and 0 (the panicking run's context dropped)", builds, reuses)
 	}
 }
 
