@@ -167,11 +167,15 @@ golden:
 	$(GO) run ./cmd/experiments $(GOLDEN_FLAGS) > cmd/experiments/testdata/golden-scale005.txt
 
 # CI's golden gate: text output must match the checked-in golden byte for
-# byte, and the JSON output must decode as []Report.
+# byte, and the JSON output must decode as []Report. The text runs twice:
+# sequentially (-parallel 1), and with eight workers, several of which
+# wait on one recording of a shared request stream.
 golden-check:
 	$(GO) build -o /tmp/catsim-experiments ./cmd/experiments
-	/tmp/catsim-experiments $(GOLDEN_FLAGS) > /tmp/catsim-golden.txt
-	diff -u cmd/experiments/testdata/golden-scale005.txt /tmp/catsim-golden.txt
+	/tmp/catsim-experiments $(GOLDEN_FLAGS) -parallel 1 > /tmp/catsim-golden-p1.txt
+	diff -u cmd/experiments/testdata/golden-scale005.txt /tmp/catsim-golden-p1.txt
+	/tmp/catsim-experiments $(GOLDEN_FLAGS) -parallel 8 > /tmp/catsim-golden-p8.txt
+	diff -u cmd/experiments/testdata/golden-scale005.txt /tmp/catsim-golden-p8.txt
 	/tmp/catsim-experiments $(GOLDEN_FLAGS) -format json > /tmp/catsim-golden.json
 	/tmp/catsim-experiments -validate-json /tmp/catsim-golden.json
 

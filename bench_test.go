@@ -114,7 +114,11 @@ func BenchmarkFullSystemSimulation(b *testing.B) {
 
 // --- Runner engine: the sequential path vs the worker pool + cache. ---
 // Comparing these two pairs is the repo's standing speedup measurement:
-// identical grids, identical output, different wall-clock.
+// identical grids, identical output, different wall-clock. Every variant
+// records each workload's closed-loop streams once per grid and replays
+// them to the grid's schemes (the stream memo behind experiments' grids),
+// so NoCache turns off only result memoization: its baselines run again
+// per scheme, on the same recorded streams.
 
 func BenchmarkFig8GridSequentialNoCache(b *testing.B) {
 	o := benchOpts()
