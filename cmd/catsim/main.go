@@ -132,11 +132,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		case "SCA":
 			spec = sim.SchemeSpec{Kind: mitigation.KindSCA, Counters: *counters}
 		case "PRA":
-			p := *praP
-			if p == 0 {
-				p = mitigation.PRAProbabilityForThreshold(uint32(*threshold))
-			}
-			spec = sim.SchemeSpec{Kind: mitigation.KindPRA, PRAProb: p}
+			spec = sim.SchemeSpec{Kind: mitigation.KindPRA, PRAProb: *praP}
 		case "PRCAT":
 			spec = sim.SchemeSpec{Kind: mitigation.KindPRCAT, Counters: *counters, MaxLevels: *levels}
 		case "DRCAT":
@@ -148,6 +144,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 		default:
 			return fail(fmt.Errorf("unknown scheme %q (kind names also parse as specs, e.g. comet:counters=512)", *scheme))
 		}
+	}
+	// PRA's p pairs with the unscaled threshold, the hardware parameter
+	// the paper tabulates; the builder would pick it from the scaled one.
+	if spec.Kind == mitigation.KindPRA && spec.PRAProb == 0 {
+		spec.PRAProb = mitigation.PRAProbabilityForThreshold(uint32(*threshold))
 	}
 
 	geom := dram.Default2Channel()
@@ -215,6 +216,14 @@ func run(args []string, stdout, stderr io.Writer) int {
 			return fail(fmt.Errorf("unknown attack mode %q", *attack))
 		}
 		cfg.Attack = &sim.AttackConfig{Kernel: *kernel, Mode: mode}
+	}
+	if cfg.Threshold < 1 {
+		return fail(fmt.Errorf("-threshold %d at -scale %g rounds to zero", *threshold, *scale))
+	}
+	// Validate once here: the pair below runs the scheme and its baseline
+	// on one config, and would report a config error once per half.
+	if err := sim.Validate(cfg); err != nil {
+		return fail(err)
 	}
 
 	// The scheme run and its no-mitigation baseline are independent:

@@ -6,30 +6,55 @@ import (
 	"testing"
 )
 
-// TestRejectsOutOfRangeFlags: a -threshold above 2^32-1 or a -scale
-// outside (0, 1] exits 1 with an error naming the flag, before anything
+// TestRejectsOutOfRangeFlags: a -threshold above 2^32-1, a -scale outside
+// (0, 1], a threshold that scales to zero, or a config the simulator
+// rejects exits 1 with one error line naming the problem, before anything
 // is simulated or reported.
 func TestRejectsOutOfRangeFlags(t *testing.T) {
 	for _, tc := range []struct {
 		args []string
-		flag string
+		want string
 	}{
 		{[]string{"-scheme", "PRA", "-threshold", "4294967301"}, "-threshold"},
 		{[]string{"-threshold", "4294967296"}, "-threshold"},
 		{[]string{"-scale", "3"}, "-scale"},
 		{[]string{"-scale", "-0.5"}, "-scale"},
 		{[]string{"-scale", "0"}, "-scale"},
+		{[]string{"-workload", "black", "-threshold", "10", "-scale", "0.01"}, "-threshold 10 at -scale 0.01 rounds to zero"},
+		{[]string{"-workload", "black", "-cores", "0"}, "at least one core"},
+		{[]string{"-workload", "black", "-shards", "2"}, "-affine"},
 	} {
 		var out, errb bytes.Buffer
 		if code := run(tc.args, &out, &errb); code != 1 {
 			t.Errorf("%v: exit %d, want 1", tc.args, code)
 		}
-		if !strings.Contains(errb.String(), tc.flag) {
-			t.Errorf("%v: error %q does not name %s", tc.args, errb.String(), tc.flag)
+		if !strings.Contains(errb.String(), tc.want) {
+			t.Errorf("%v: error %q does not name %s", tc.args, errb.String(), tc.want)
+		}
+		if n := strings.Count(errb.String(), "\n"); n != 1 {
+			t.Errorf("%v: %d lines on stderr, want 1:\n%s", tc.args, n, errb.String())
 		}
 		if strings.Contains(out.String(), "scheme") {
 			t.Errorf("%v: printed a report:\n%s", tc.args, out.String())
 		}
+	}
+}
+
+// TestPRASpecMatchesFlag: a PRA spec string without p simulates the p its
+// label prints, the one the plain -scheme PRA spelling picks for the
+// unscaled threshold.
+func TestPRASpecMatchesFlag(t *testing.T) {
+	report := func(args ...string) string {
+		var out, errb bytes.Buffer
+		args = append([]string{"-workload", "black", "-scale", "0.005"}, args...)
+		if code := run(args, &out, &errb); code != 0 {
+			t.Fatalf("%v: exit %d:\n%s", args, code, errb.String())
+		}
+		return out.String()
+	}
+	spec, flag := report("-scheme", "pra:threshold=32768"), report("-scheme", "PRA", "-threshold", "32768")
+	if spec != flag {
+		t.Errorf("spec and flag spellings differ:\n%s\nvs\n%s", spec, flag)
 	}
 }
 

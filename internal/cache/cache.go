@@ -1,9 +1,9 @@
 // Package cache implements the last-level cache of the paper's system
 // (Table I: 512 KB per core): a set-associative, write-back, write-allocate
 // LRU cache. The synthetic workload presets are calibrated post-LLC, so the
-// crosstalk experiments drive memory directly; the LLC substrate is used by
-// the examples (to turn a raw program reference stream into the memory
-// traffic the controller sees) and by the locality studies.
+// crosstalk experiments drive memory directly; the adaptive example uses
+// the cache to turn a raw program reference stream into the memory traffic
+// the controller sees.
 package cache
 
 import (
@@ -18,18 +18,6 @@ type Config struct {
 	Ways      int
 }
 
-// PerCoreLLC is the paper's 512 KB per-core last-level cache.
-func PerCoreLLC(cores int) Config {
-	return Config{SizeBytes: 512 * 1024 * cores, LineBytes: 64, Ways: 16}
-}
-
-// Stats counts cache events.
-type Stats struct {
-	Hits       int64
-	Misses     int64
-	Writebacks int64
-}
-
 // Cache is a set-associative write-back cache. Not safe for concurrent use.
 type Cache struct {
 	cfg     Config
@@ -39,7 +27,8 @@ type Cache struct {
 	dirty   []bool
 	lastUse []int64
 	tick    int64
-	stats   Stats
+	hits    int64
+	misses  int64
 }
 
 // New builds a cache; all dimensions must be powers of two.
@@ -81,7 +70,7 @@ func (c *Cache) Access(addr int64, write bool) (hit bool, victim int64, writebac
 	base := set * c.cfg.Ways
 	for w := 0; w < c.cfg.Ways; w++ {
 		if c.tags[base+w] == line {
-			c.stats.Hits++
+			c.hits++
 			c.lastUse[base+w] = c.tick
 			if write {
 				c.dirty[base+w] = true
@@ -89,7 +78,7 @@ func (c *Cache) Access(addr int64, write bool) (hit bool, victim int64, writebac
 			return true, 0, false
 		}
 	}
-	c.stats.Misses++
+	c.misses++
 	slot := base
 	for w := 1; w < c.cfg.Ways; w++ {
 		if c.tags[base+w] == -1 {
@@ -103,7 +92,6 @@ func (c *Cache) Access(addr int64, write bool) (hit bool, victim int64, writebac
 	if c.tags[slot] >= 0 && c.dirty[slot] {
 		victim = c.tags[slot] << c.offBits
 		writeback = true
-		c.stats.Writebacks++
 	}
 	c.tags[slot] = line
 	c.dirty[slot] = write
@@ -111,14 +99,11 @@ func (c *Cache) Access(addr int64, write bool) (hit bool, victim int64, writebac
 	return false, victim, writeback
 }
 
-// Stats returns accumulated counts.
-func (c *Cache) Stats() Stats { return c.stats }
-
 // HitRate returns the fraction of accesses that hit.
 func (c *Cache) HitRate() float64 {
-	total := c.stats.Hits + c.stats.Misses
+	total := c.hits + c.misses
 	if total == 0 {
 		return 0
 	}
-	return float64(c.stats.Hits) / float64(total)
+	return float64(c.hits) / float64(total)
 }

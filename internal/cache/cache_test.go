@@ -20,8 +20,8 @@ func TestBasicHitMiss(t *testing.T) {
 	if hit, _, _ := c.Access(32, false); !hit {
 		t.Error("same-line access missed")
 	}
-	if c.Stats().Misses != 1 || c.Stats().Hits != 2 {
-		t.Errorf("stats = %+v", c.Stats())
+	if c.misses != 1 || c.hits != 2 {
+		t.Errorf("%d misses, %d hits; want 1 and 2", c.misses, c.hits)
 	}
 }
 
@@ -45,7 +45,8 @@ func TestEvictionLRUAndWriteback(t *testing.T) {
 }
 
 func TestWorkingSetFitsPerfectly(t *testing.T) {
-	c, err := New(PerCoreLLC(1))
+	// The paper's 512 KB per-core LLC (Table I).
+	c, err := New(Config{SizeBytes: 512 * 1024, LineBytes: 64, Ways: 16})
 	if err != nil {
 		t.Fatal(err)
 	}

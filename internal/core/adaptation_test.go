@@ -90,6 +90,51 @@ func TestGeometricLadderGrowsAdaptively(t *testing.T) {
 	}
 }
 
+func TestTreeEvolutionFollowsCostModel(t *testing.T) {
+	// §IV-D: above the critical bias (x* = 3w in the worked example) the
+	// unbalanced evolution refreshes fewer rows, and the T/4, T/2, T
+	// ladder makes the tree take it. Drive two trees with reference
+	// streams well below and well above that bias and check which one
+	// grows deeper.
+	mk := func() *Tree {
+		return mustTree(t, Config{
+			Rows: 1 << 12, Counters: 4, MaxLevels: 4,
+			RefreshThreshold: 1 << 14, PreSplit: 1,
+			Ladder: GeometricLadder(4, 1<<14),
+		})
+	}
+	// The hot region is the last eighth of the bank (the w/2 group of the
+	// example). Bias factor b = extra accesses to it per uniform access.
+	drive := func(tree *Tree, hotShare float64) {
+		n := 1 << 18
+		hotLo := tree.Config().Rows * 7 / 8
+		src := rng.NewXoshiro256(99)
+		for i := 0; i < n; i++ {
+			if rng.Float64(src) < hotShare {
+				tree.Access(hotLo + rng.Intn(src, tree.Config().Rows/8))
+			} else {
+				tree.Access(rng.Intn(src, tree.Config().Rows))
+			}
+		}
+	}
+	weak, strong := mk(), mk()
+	drive(weak, 0.15)   // mild bias: roughly uniform pressure
+	drive(strong, 0.75) // strong bias: well past critical
+	maxDepth := func(tree *Tree) int {
+		d := 0
+		for _, l := range tree.Leaves() {
+			if l.Depth > d {
+				d = l.Depth
+			}
+		}
+		return d
+	}
+	if maxDepth(strong) <= maxDepth(weak) {
+		t.Errorf("strong bias depth %d should exceed weak bias depth %d",
+			maxDepth(strong), maxDepth(weak))
+	}
+}
+
 func TestDRCATTracksMultipleHotSpots(t *testing.T) {
 	// §V-B: "the reconfiguration of the CAT according to the weights of
 	// the counters has the flexibility of adapting to multiple hot spots".

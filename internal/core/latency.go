@@ -2,11 +2,10 @@ package core
 
 // Lookup-latency model (paper §VII-A). The paper's synthesis gives an
 // average PRCAT lookup of 3.6 ns (circuit latency plus repeated SRAM
-// accesses), 4 ns for DRCAT (the weight-register access is added), and
-// about 7.5 ns for a DRCAT reconfiguration (tree traversal to find cold
-// counters); all are far below DRAM's row-activation latency, and tree
-// updates proceed in parallel with the memory access, so lookups are never
-// on the critical path. The constants below are calibrated so a typical
+// accesses) and 4 ns for DRCAT (the weight-register access is added);
+// both are far below DRAM's row-activation latency, and tree updates
+// proceed in parallel with the memory access, so lookups are never on the
+// critical path. The constants below are calibrated so a typical
 // M=64, L=11 tree (4-5 sequential SRAM accesses per lookup) reproduces the
 // published averages.
 const (
@@ -21,10 +20,6 @@ const (
 	// refresh-triggering lookup, amortised per access in the paper's
 	// reported 4 ns average.
 	WeightRegisterNS = 0.4
-
-	// ReconfigLatencyNS is the paper's reported latency of one DRCAT
-	// merge+split reconfiguration (tree traversal off the critical path).
-	ReconfigLatencyNS = 7.5
 )
 
 // AvgLookupNS estimates the average lookup latency from the measured SRAM

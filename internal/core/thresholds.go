@@ -103,13 +103,6 @@ func UniformLadder(l int, t uint32) []uint32 {
 	return ladder
 }
 
-// PaperLadder returns the published canonical ladder for M=64, L=10 scaled
-// to refresh threshold T, as full-length ladder (L = 10). For T = 32768 the
-// growth rungs are exactly the published 5155/10309/12886/16384/32768.
-func PaperLadder(t uint32) []uint32 {
-	return NewLadder(64, 10, t)
-}
-
 // sampleProfile evaluates the canonical profile at normalized position
 // pos in [0, 1] with piecewise-linear interpolation.
 func sampleProfile(pos float64) float64 {

@@ -25,7 +25,6 @@ type Core struct {
 	window   []int64 // completion times (CPU cycles) of outstanding reads
 	head     int     // ring-buffer head (oldest)
 	count    int
-	retired  int64 // requests fully issued
 	lastDone int64 // latest read completion seen
 }
 
@@ -43,7 +42,6 @@ func (c *Core) Reset() {
 	c.Now = 0
 	c.head = 0
 	c.count = 0
-	c.retired = 0
 	c.lastDone = 0
 }
 
@@ -72,14 +70,10 @@ func (c *Core) PrepareIssue() int64 {
 func (c *Core) NoteRead(done int64) {
 	c.window[(c.head+c.count)%len(c.window)] = done
 	c.count++
-	c.retired++
 	if done > c.lastDone {
 		c.lastDone = done
 	}
 }
-
-// NoteWrite records a posted write (does not occupy the read window).
-func (c *Core) NoteWrite() { c.retired++ }
 
 // Drain returns the time at which all outstanding reads have completed.
 func (c *Core) Drain() int64 {
@@ -89,6 +83,3 @@ func (c *Core) Drain() int64 {
 	}
 	return t
 }
-
-// Issued returns the number of requests the core has issued.
-func (c *Core) Issued() int64 { return c.retired }

@@ -46,18 +46,6 @@ func TestCoreDrainCoversLastCompletion(t *testing.T) {
 	}
 }
 
-func TestCoreWritesArePosted(t *testing.T) {
-	c, _ := NewCore(1)
-	c.NoteWrite()
-	c.NoteWrite()
-	if at := c.PrepareIssue(); at != 0 {
-		t.Errorf("writes must not occupy the read window; issue at %d", at)
-	}
-	if c.Issued() != 2 {
-		t.Errorf("Issued = %d, want 2", c.Issued())
-	}
-}
-
 func TestNewCoreValidation(t *testing.T) {
 	if _, err := NewCore(0); err == nil {
 		t.Error("expected window error")

@@ -86,8 +86,8 @@ func TestTimingDefaultsValid(t *testing.T) {
 	if err := tm.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	if tm.CycleNS() != 1.25 {
-		t.Errorf("CycleNS = %v, want 1.25", tm.CycleNS())
+	if tm.BusMHz != 800 {
+		t.Errorf("BusMHz = %d, want 800 (1.25 ns cycles)", tm.BusMHz)
 	}
 	if tm.TRC != tm.TRAS+tm.TRP {
 		t.Errorf("TRC = %d, want TRAS+TRP = %d", tm.TRC, tm.TRAS+tm.TRP)
@@ -104,12 +104,5 @@ func TestTimingValidateCatchesInconsistency(t *testing.T) {
 	tm.TREFI = 0
 	if err := tm.Validate(); err == nil {
 		t.Error("expected positivity error")
-	}
-}
-
-func TestRegularRefreshEnergy(t *testing.T) {
-	// 2.5 mW over 64 ms = 160 uJ = 1.6e5 nJ.
-	if got := RegularRefreshEnergyNJ(); got != 160000 {
-		t.Errorf("RegularRefreshEnergyNJ = %v, want 160000", got)
 	}
 }

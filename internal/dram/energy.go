@@ -21,11 +21,3 @@ const (
 
 // RefreshIntervalNS returns the auto-refresh window in nanoseconds.
 func RefreshIntervalNS() float64 { return RefreshIntervalMS * 1e6 }
-
-// RegularRefreshEnergyNJ returns the per-bank energy spent on regular
-// refresh during one interval, implied by the 2.5 mW constant. It is used
-// only for reporting; CMRPO uses the power form directly.
-func RegularRefreshEnergyNJ() float64 {
-	// W * ns = nJ: (2.5e-3 W) * (6.4e7 ns) = 1.6e5 nJ per bank per interval.
-	return RegularRefreshPowerMW * 1e-3 * RefreshIntervalNS()
-}

@@ -20,18 +20,6 @@ type Scrambler interface {
 	Name() string
 }
 
-// IdentityScrambler is the no-remap default.
-type IdentityScrambler struct{}
-
-// ToPhysical implements Scrambler.
-func (IdentityScrambler) ToPhysical(l int) int { return l }
-
-// ToLogical implements Scrambler.
-func (IdentityScrambler) ToLogical(p int) int { return p }
-
-// Name implements Scrambler.
-func (IdentityScrambler) Name() string { return "identity" }
-
 // XORScrambler flips row-address bits with a fixed mask — the folded/
 // twisted layouts of van de Goor's taxonomy. XOR is an involution, so the
 // mapping is its own inverse.

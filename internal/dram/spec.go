@@ -90,22 +90,6 @@ func Geometries() []GeometryPreset {
 // Geometry returns the resolved geometry.
 func (s GeometrySpec) Geometry() Geometry { return s.Geom }
 
-// DefaultGeometrySpec is the paper's baseline ("2ch").
-func DefaultGeometrySpec() GeometrySpec {
-	return GeometrySpec{Base: "2ch", Geom: Default2Channel()}
-}
-
-// SpecOf renders a geometry as a spec: an exactly matching preset when one
-// exists, otherwise the baseline plus overrides.
-func SpecOf(g Geometry) GeometrySpec {
-	for _, p := range geoPresets {
-		if p.Geom == g {
-			return GeometrySpec{Base: p.Name, Geom: g}
-		}
-	}
-	return GeometrySpec{Base: "2ch", Geom: g}
-}
-
 // fieldOf returns the override field's value of g, by canonical name.
 func fieldOf(g Geometry, name string) int {
 	switch name {

@@ -85,7 +85,7 @@ func TestGeometrySpecRoundTrip(t *testing.T) {
 // TestGeometrySpecFlagValue: a *GeometrySpec works as a flag.Value.
 func TestGeometrySpecFlagValue(t *testing.T) {
 	fs := flag.NewFlagSet("t", flag.ContinueOnError)
-	spec := DefaultGeometrySpec()
+	var spec GeometrySpec
 	fs.Var(&spec, "geometry", "")
 	if err := fs.Parse([]string{"-geometry", "4ch:rows=128Ki"}); err != nil {
 		t.Fatal(err)
@@ -96,7 +96,7 @@ func TestGeometrySpecFlagValue(t *testing.T) {
 	}
 	fs2 := flag.NewFlagSet("t2", flag.ContinueOnError)
 	fs2.SetOutput(&strings.Builder{})
-	spec2 := DefaultGeometrySpec()
+	var spec2 GeometrySpec
 	fs2.Var(&spec2, "geometry", "")
 	if err := fs2.Parse([]string{"-geometry", "2ch:rows=100"}); err == nil {
 		t.Error("non-power-of-two rows parsed without error")
@@ -136,21 +136,6 @@ func TestParseGeometryErrors(t *testing.T) {
 		if !strings.Contains(err.Error(), c.want) {
 			t.Errorf("ParseGeometry(%q) error %q does not mention %q", c.in, err, c.want)
 		}
-	}
-}
-
-// TestSpecOf: a known geometry renders as its preset name; an unknown one
-// spells out its differences over the baseline and still round-trips.
-func TestSpecOf(t *testing.T) {
-	if s := SpecOf(QuadCore4Channel()); s.String() != "quad4ch" {
-		t.Errorf("SpecOf(quad4ch) = %q", s.String())
-	}
-	g := Default2Channel()
-	g.Channels = 16
-	s := SpecOf(g)
-	back, err := ParseGeometry(s.String())
-	if err != nil || back.Geom != g {
-		t.Errorf("SpecOf custom: %q parsed back to %+v, %v", s.String(), back.Geom, err)
 	}
 }
 

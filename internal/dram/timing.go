@@ -42,9 +42,6 @@ func DDR3_1600() Timing {
 	}
 }
 
-// CycleNS returns the duration of one bus cycle in nanoseconds.
-func (t Timing) CycleNS() float64 { return 1000 / float64(t.BusMHz) }
-
 // RowRefreshCycles is the bank-busy time to refresh a single row on demand
 // (an internal ACTIVATE+PRECHARGE pair): tRC. Victim-row refreshes issued by
 // the mitigation schemes are modelled as sequences of these.

@@ -476,13 +476,10 @@ func runLoop(cfg *Config, scr *Scratch) (int64, *sampler, error) {
 		if cfg.Attr != nil {
 			cfg.Attr.OnActivate(flat, trackRow)
 		}
-		// Completion: a core tracks its outstanding reads and writes; an
-		// open slot only extends the run's end.
+		// Completion: a core tracks its outstanding reads (writes are
+		// posted); an open slot only extends the run's end.
 		if req.Write {
 			cfg.Ctrl.Write(issueBus, coord)
-			if cs != nil {
-				cs.CPU.NoteWrite()
-			}
 		} else {
 			doneCPU := cfg.Ctrl.Read(issueBus, coord) * int64(cfg.CPUPerBus)
 			if cs != nil {

@@ -135,9 +135,6 @@ func (c *Controller) SetVictimRowCycles(cycles int) {
 	c.rowCycles = cycles
 }
 
-// Bank exposes a bank's state (diagnostics and tests).
-func (c *Controller) Bank(flat int) *dram.Bank { return &c.banks[flat] }
-
 // Stats returns accumulated statistics.
 func (c *Controller) Stats() Stats { return c.stats }
 
@@ -248,9 +245,6 @@ func (c *Controller) FlushWrites(at int64) {
 	}
 }
 
-// PendingWrites reports queued writes for a channel (tests).
-func (c *Controller) PendingWrites(ch int) int { return len(c.writeQ[ch]) }
-
 // VictimRefresh queues rows*rowCycles of refresh work on the bank. The
 // work drains in idle time and interleaves with demand row by row (see
 // access), modelling a controller that breaks the victim-refresh burst
@@ -264,14 +258,6 @@ func (c *Controller) VictimRefresh(at int64, flat int, rows int) {
 	b.RefreshDebt += int64(rows) * int64(c.rowCycles)
 	b.VictimRefreshRows += int64(rows)
 	c.stats.VictimRefreshRows += int64(rows)
-}
-
-// AvgReadLatencyNS returns the mean demand-read latency.
-func (c *Controller) AvgReadLatencyNS() float64 {
-	if c.stats.Reads == 0 {
-		return 0
-	}
-	return float64(c.stats.ReadLatencySum) / float64(c.stats.Reads) * c.timing.CycleNS()
 }
 
 // String summarises the controller state.

@@ -52,9 +52,6 @@ func (c *CAT) Kind() Kind { return c.kind }
 // CountersPerBank implements Scheme.
 func (c *CAT) CountersPerBank() int { return c.trees[0].Config().Counters }
 
-// Tree exposes the per-bank tree for diagnostics and examples.
-func (c *CAT) Tree(bank int) *core.Tree { return c.trees[bank] }
-
 // OnActivate implements Scheme.
 func (c *CAT) OnActivate(bank, row int) []RefreshRange {
 	lo, hi, refresh := c.trees[bank].Access(row)

@@ -206,10 +206,10 @@ func TestCATBanksAreIndependent(t *testing.T) {
 	for i := 0; i < 4096; i++ {
 		c.OnActivate(0, 5)
 	}
-	if c.Tree(0).Stats().Accesses != 4096 {
+	if c.trees[0].Stats().Accesses != 4096 {
 		t.Error("bank 0 did not receive the traffic")
 	}
-	if c.Tree(1).Stats().Accesses != 0 {
+	if c.trees[1].Stats().Accesses != 0 {
 		t.Error("bank 1 received unexpected traffic")
 	}
 }

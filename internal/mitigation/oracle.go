@@ -172,16 +172,6 @@ func (o *Oracle) ExposedVictimRows() int64 { return o.exposedN }
 // exposure cross T without a refresh — the rows an attack flipped.
 func (o *Oracle) MissedVictimRows() int64 { return o.missedN }
 
-// MissedVictimRate returns MissedVictimRows over ExposedVictimRows, the
-// protection-harness headline metric (0 for sound schemes, and 0 when no
-// victim was ever exposed).
-func (o *Oracle) MissedVictimRate() float64 {
-	if o.exposedN == 0 {
-		return 0
-	}
-	return float64(o.missedN) / float64(o.exposedN)
-}
-
 // VisitExposed calls fn for every distinct (bank, row) victim that saw any
 // aggressor exposure over the run, in (bank, row) order, with missed
 // reporting whether its exposure ever crossed the threshold unrefreshed.

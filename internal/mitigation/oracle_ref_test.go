@@ -3,8 +3,8 @@ package mitigation
 // refOracle is the differential reference for Oracle: the dense oracle
 // that tracked every row with its own exposure pair and two bool flags,
 // clearing the whole geometry on every RefreshAll and Reset. It is kept
-// verbatim apart from its name; MissedVictimRate and Drive, which read
-// only the counters and the methods below, stay on Oracle alone.
+// verbatim apart from its name; Drive, which reads only the methods
+// below, stays on Oracle alone.
 // FuzzOracleMatchesRef and the tests in oracle_test.go require the two to
 // agree on every verdict, counter and visited victim.
 type refOracle struct {

@@ -234,12 +234,6 @@ func Register(k Kind, b Builder) {
 	builders[k] = b
 }
 
-// BuilderFor returns the registered builder for a kind.
-func BuilderFor(k Kind) (Builder, bool) {
-	b, ok := builders[k]
-	return b, ok
-}
-
 // ShardSafe reports whether the kind's registered builder declared its
 // state bank-decomposable (see Builder.ShardSafe). Unregistered kinds are
 // not shard-safe.

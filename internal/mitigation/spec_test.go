@@ -187,7 +187,7 @@ func TestSpecFlagValue(t *testing.T) {
 
 func TestEveryKindHasBuilder(t *testing.T) {
 	for _, k := range Kinds() {
-		if _, ok := BuilderFor(k); !ok {
+		if _, ok := builders[k]; !ok {
 			t.Errorf("kind %v has no registered builder", k)
 		}
 	}

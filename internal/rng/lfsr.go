@@ -59,9 +59,6 @@ func (l *FibLFSR) Uint64() uint64 {
 	return v
 }
 
-// State exposes the register contents for tests.
-func (l *FibLFSR) State() uint32 { return l.state }
-
 func parity32(v uint32) uint32 {
 	v ^= v >> 16
 	v ^= v >> 8

@@ -3,9 +3,9 @@
 //
 // Two families are provided:
 //
-//   - High-quality generators (SplitMix64, Xoshiro256**) that stand in for
-//     the "true" hardware PRNG of Srinivasan et al. [25] assumed by PRA's
-//     reliability analysis (paper §III-A, Fig. 1).
+//   - Xoshiro256**, a high-quality generator that stands in for the "true"
+//     hardware PRNG of Srinivasan et al. [25] assumed by PRA's reliability
+//     analysis (paper §III-A, Fig. 1), seeded through the SplitMix64 mix.
 //
 //   - Fibonacci LFSRs (FibLFSR, any width up to 32 bits and any feedback
 //     polynomial), the cheap hardware alternative whose insufficient

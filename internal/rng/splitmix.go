@@ -1,25 +1,18 @@
 package rng
 
-// SplitMix64 is Vigna's splitmix64 generator: a tiny, statistically strong
-// 64-bit generator with period 2^64. It is the default "true PRNG" stand-in
-// for the hardware TRNG assumed by PRA's reliability analysis, and it seeds
-// the larger-state generators.
-type SplitMix64 struct {
-	state uint64
-}
+// golden is splitmix64's state increment, 2^64 divided by the golden ratio.
+const golden = 0x9e3779b97f4a7c15
 
-// NewSplitMix64 returns a generator seeded with seed.
-func NewSplitMix64(seed uint64) *SplitMix64 {
-	return &SplitMix64{state: seed}
-}
-
-// Uint64 returns the next value in the stream.
-func (s *SplitMix64) Uint64() uint64 {
-	s.state += 0x9e3779b97f4a7c15
-	z := s.state
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
+// SplitMix64 is one step of Vigna's splitmix64 generator: the value a
+// generator in state x emits next. The generator then moves to state
+// x+golden, so SplitMix64(s), SplitMix64(s+golden), ... is its stream
+// from seed s. The mix is a bijection on 64-bit values. It expands
+// Xoshiro256 seeds and is the sketch package's hash.
+func SplitMix64(x uint64) uint64 {
+	x += golden
+	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
+	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
+	return x ^ (x >> 31)
 }
 
 // Xoshiro256 implements xoshiro256** 1.0 (Blackman & Vigna), a fast
@@ -41,14 +34,14 @@ func NewXoshiro256(seed uint64) *Xoshiro256 {
 // NewXoshiro256(seed) would produce, without allocating. Run contexts use
 // it to rewind per-run streams between reused runs.
 func (x *Xoshiro256) Seed(seed uint64) {
-	sm := SplitMix64{state: seed}
 	for i := range x.s {
-		x.s[i] = sm.Uint64()
+		x.s[i] = SplitMix64(seed)
+		seed += golden
 	}
 	// An all-zero state is invalid (fixed point); SplitMix64 cannot emit
 	// four consecutive zeros, but guard anyway for safety.
 	if x.s[0]|x.s[1]|x.s[2]|x.s[3] == 0 {
-		x.s[0] = 0x9e3779b97f4a7c15
+		x.s[0] = golden
 	}
 }
 

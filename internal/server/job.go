@@ -92,13 +92,6 @@ func jobID(key string) string {
 	return fmt.Sprintf("j%016x", h.Sum64())
 }
 
-// State returns the job's current lifecycle state.
-func (j *Job) State() JobState {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.state
-}
-
 func (j *Job) setRunning() {
 	j.mu.Lock()
 	j.state = StateRunning

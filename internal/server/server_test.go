@@ -600,7 +600,11 @@ func TestPanickingJobFailsAndWorkerSurvives(t *testing.T) {
 	if result != nil || !strings.Contains(errMsg, "injected fault") {
 		t.Fatalf("panicking job streamed result=%v err=%q, want a terminal error naming the panic", result, errMsg)
 	}
-	if state := s.store.jobs()[0].State(); state != StateFailed {
+	j := s.store.jobs()[0]
+	j.mu.Lock()
+	state := j.state
+	j.mu.Unlock()
+	if state != StateFailed {
 		t.Errorf("panicking job state = %v, want failed", state)
 	}
 

@@ -127,8 +127,8 @@ func TestSnapshotResumesQueuedJobs(t *testing.T) {
 	if err != nil {
 		t.Fatalf("restart from snapshot: %v", err)
 	}
-	if got := s2.store.jobs(); len(got) != 1 || got[0].State() != StateQueued {
-		t.Fatalf("restored store = %d jobs (state %v), want 1 queued", len(got), got[0].State())
+	if got := s2.store.jobs(); len(got) != 1 || got[0].state != StateQueued {
+		t.Fatalf("restored store = %d jobs (state %v), want 1 queued", len(got), got[0].state)
 	}
 	s2.Start()
 	ts2 := httptest.NewServer(s2.Handler())
@@ -174,8 +174,8 @@ func TestSnapshotPersistsFailedJobs(t *testing.T) {
 	s2.Start()
 	defer closeServer(t, s2)
 	j, ok := s2.store.get(st.ID)
-	if !ok || j.State() != StateFailed || j.errMsg != errMsg {
-		t.Errorf("restored failed job = %v/%q, want failed/%q", j.State(), j.errMsg, errMsg)
+	if !ok || j.state != StateFailed || j.errMsg != errMsg {
+		t.Errorf("restored failed job = %v/%q, want failed/%q", j.state, j.errMsg, errMsg)
 	}
 }
 
@@ -283,8 +283,8 @@ func FuzzReadSnapshot(f *testing.F) {
 		}
 		for i, sj := range persisted.Jobs {
 			j := restored[i]
-			if j.ID != sj.ID || j.State().String() != sj.State {
-				t.Fatalf("persisted job %s/%s restored as %s/%v", sj.ID, sj.State, j.ID, j.State())
+			if j.ID != sj.ID || j.state.String() != sj.State {
+				t.Fatalf("persisted job %s/%s restored as %s/%v", sj.ID, sj.State, j.ID, j.state)
 			}
 			switch j.state {
 			case StateDone:

@@ -39,7 +39,7 @@ func BenchmarkCountMinEstimate(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		c.Estimate(keys[i&4095])
+		c.hashMin(keys[i&4095])
 	}
 }
 

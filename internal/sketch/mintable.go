@@ -28,9 +28,6 @@ func NewMinTable(entries int) (*MinTable, error) {
 	return t, nil
 }
 
-// Cap returns the entry count.
-func (t *MinTable) Cap() int { return len(t.keys) }
-
 // Live returns the number of occupied entries.
 func (t *MinTable) Live() int { return t.filled }
 
@@ -73,12 +70,6 @@ func (t *MinTable) Insert(key int64, count uint32) (evictedKey int64, evictedCou
 	t.counts[slot] = count
 	return evictedKey, evictedCount, true
 }
-
-// Key returns the key at idx (-1 when empty).
-func (t *MinTable) Key(idx int) int64 { return t.keys[idx] }
-
-// Count returns the count at idx.
-func (t *MinTable) Count(idx int) uint32 { return t.counts[idx] }
 
 // Add increments the count at idx by delta and returns the new value.
 func (t *MinTable) Add(idx int, delta uint32) uint32 {

@@ -96,9 +96,6 @@ func (m *MisraGries) Insert(key int64) (idx int, evicted int64, ok bool) {
 	return slot, evicted, true
 }
 
-// Key returns the key tracked at idx (-1 when empty).
-func (m *MisraGries) Key(idx int) int64 { return m.keys[idx] }
-
 // Count returns the count at idx.
 func (m *MisraGries) Count(idx int) uint32 { return m.counts[idx] }
 

@@ -20,23 +20,17 @@
 // counter arrays. None are safe for concurrent use.
 package sketch
 
-import "fmt"
+import (
+	"fmt"
 
-// splitmix64 is the SplitMix64 finalizer, used as the sketch hash: it is
-// bijective, cheap, and — combined with a per-depth seed — gives the
-// pairwise-independent-enough index streams a count-min sketch needs.
-func splitmix64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
-}
+	"catsim/internal/rng"
+)
 
 // CountMin is a count-min sketch over int64 keys: depth hash rows of width
 // counters each. Update uses the conservative-update (Estan-Varghese)
-// rule, which preserves the one-sided error bound — Estimate(k) is always
-// at least the number of Update(k) calls since the last Reset — while
-// inflating shared counters far less than plain increment.
+// rule, which preserves the one-sided error bound — the estimate Update(k)
+// returns is always at least the number of Update(k) calls since the last
+// Reset — while inflating shared counters far less than plain increment.
 type CountMin struct {
 	width, depth int
 	counters     []uint32 // depth rows of width, row-major
@@ -66,24 +60,20 @@ func NewCountMin(width, depth int, seed uint64) (*CountMin, error) {
 func (c *CountMin) Counters() int { return c.width * c.depth }
 
 // hashMin fills c.idx with the per-depth counter indices for key and
-// returns the minimum of the indexed counters. Hashing, index formation
+// returns the minimum of the indexed counters. The hash is rng.SplitMix64
+// of the key xor a per-depth seed: cheap, bijective, and independent
+// enough across depths for a count-min sketch. Hashing, index formation
 // and the min reduction run in one pass so each counter row is touched
 // exactly once, and the min accumulates branchlessly (the compare outcome
 // is data-dependent, so a conditional move beats a mispredicting branch).
 func (c *CountMin) hashMin(key int64) uint32 {
 	m := ^uint32(0)
 	for d := 0; d < c.depth; d++ {
-		i := d*c.width + int(splitmix64(uint64(key)^c.seeds[d])%uint64(c.width))
+		i := d*c.width + int(rng.SplitMix64(uint64(key)^c.seeds[d])%uint64(c.width))
 		c.idx[d] = i
 		m = min(m, c.counters[i])
 	}
 	return m
-}
-
-// Estimate returns the current over-estimate of key's count: the minimum
-// of its depth counters.
-func (c *CountMin) Estimate(key int64) uint32 {
-	return c.hashMin(key)
 }
 
 // Update counts one occurrence of key with the conservative-update rule
@@ -103,17 +93,6 @@ func (c *CountMin) Update(key int64) uint32 {
 	return m + 1
 }
 
-// Decay halves every counter shift times (counter >>= shift), the aging
-// used by frequency-estimation consumers. The crosstalk trackers do NOT
-// use it: decayed counters can undercount true activation counts, which
-// would void the never-undercount invariant CoMeT's soundness rests on —
-// they reset whole windows with Reset instead.
-func (c *CountMin) Decay(shift uint) {
-	for i := range c.counters {
-		c.counters[i] >>= shift
-	}
-}
-
 // Reset zeroes every counter (a new counting window).
 func (c *CountMin) Reset() {
 	for i := range c.counters {
@@ -128,7 +107,7 @@ func (c *CountMin) Reseed(seed uint64) {
 	c.Reset()
 	s := seed
 	for d := range c.seeds {
-		s = splitmix64(s)
+		s = rng.SplitMix64(s)
 		c.seeds[d] = s
 	}
 }

@@ -32,7 +32,7 @@ func newRefCountMin(width, depth int, seed uint64) *refCountMin {
 	}
 	s := seed
 	for d := range c.seeds {
-		s = splitmix64(s)
+		s = rng.SplitMix64(s)
 		c.seeds[d] = s
 	}
 	return c
@@ -40,7 +40,7 @@ func newRefCountMin(width, depth int, seed uint64) *refCountMin {
 
 func (c *refCountMin) hash(key int64) {
 	for d := 0; d < c.depth; d++ {
-		c.idx[d] = d*c.width + int(splitmix64(uint64(key)^c.seeds[d])%uint64(c.width))
+		c.idx[d] = d*c.width + int(rng.SplitMix64(uint64(key)^c.seeds[d])%uint64(c.width))
 	}
 }
 
@@ -89,8 +89,8 @@ func TestCountMinMatchesReference(t *testing.T) {
 				key = int64(rng.Float64(src) * 100000)
 			}
 			if rng.Float64(src) < 0.25 {
-				if got, want := cm.Estimate(key), ref.estimate(key); got != want {
-					t.Fatalf("%dx%d step %d: Estimate(%d) = %d, reference %d", geom.w, geom.d, step, key, got, want)
+				if got, want := cm.hashMin(key), ref.estimate(key); got != want {
+					t.Fatalf("%dx%d step %d: estimate(%d) = %d, reference %d", geom.w, geom.d, step, key, got, want)
 				}
 			} else {
 				if got, want := cm.Update(key), ref.update(key); got != want {
@@ -171,9 +171,9 @@ func TestMinTableMatchesReference(t *testing.T) {
 			}
 		}
 		for i := range refKeys {
-			if mt.Key(i) != refKeys[i] || mt.Count(i) != refCounts[i] {
+			if mt.keys[i] != refKeys[i] || mt.counts[i] != refCounts[i] {
 				t.Fatalf("entries=%d: slot %d diverges: (%d,%d) != (%d,%d)",
-					entries, i, mt.Key(i), mt.Count(i), refKeys[i], refCounts[i])
+					entries, i, mt.keys[i], mt.counts[i], refKeys[i], refCounts[i])
 			}
 		}
 		if mt.Live() != refLive(refKeys) {
@@ -283,9 +283,9 @@ func TestMisraGriesMatchesReference(t *testing.T) {
 			}
 		}
 		for i := range ref.keys {
-			if mg.Key(i) != ref.keys[i] || mg.Count(i) != ref.counts[i] {
+			if mg.keys[i] != ref.keys[i] || mg.Count(i) != ref.counts[i] {
 				t.Fatalf("entries=%d: slot %d diverges: (%d,%d) != (%d,%d)",
-					entries, i, mg.Key(i), mg.Count(i), ref.keys[i], ref.counts[i])
+					entries, i, mg.keys[i], mg.Count(i), ref.keys[i], ref.counts[i])
 			}
 		}
 	}
@@ -361,8 +361,8 @@ func TestStochasticMatchesReference(t *testing.T) {
 			}
 		}
 		for i := range refKeys {
-			if st.Key(i) != refKeys[i] {
-				t.Fatalf("entries=%d: slot %d key %d != reference %d", entries, i, st.Key(i), refKeys[i])
+			if st.keys[i] != refKeys[i] {
+				t.Fatalf("entries=%d: slot %d key %d != reference %d", entries, i, st.keys[i], refKeys[i])
 			}
 		}
 	}

@@ -51,16 +51,6 @@ func (s *Stochastic) Live() int { return s.filled }
 // a full table), for PRNG-energy accounting.
 func (s *Stochastic) Draws() int64 { return s.draws }
 
-// Find returns the index tracking key, or -1.
-func (s *Stochastic) Find(key int64) int {
-	for i, k := range s.keys {
-		if k == key {
-			return i
-		}
-	}
-	return -1
-}
-
 // Observe counts one occurrence of key. A tracked key increments exactly.
 // A miss takes a free slot (count 1); on a full table the minimum entry is
 // replaced with probability 1/(min+1), the new entry inheriting count
@@ -90,9 +80,6 @@ func (s *Stochastic) Observe(key int64) (idx int, count uint32) {
 	s.counts[minIdx] = min + 1
 	return minIdx, s.counts[minIdx]
 }
-
-// Key returns the key at idx (-1 when empty).
-func (s *Stochastic) Key(idx int) int64 { return s.keys[idx] }
 
 // SetCount overwrites the count at idx (resetting after a refresh).
 func (s *Stochastic) SetCount(idx int, v uint32) { s.counts[idx] = v }

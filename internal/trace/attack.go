@@ -107,16 +107,11 @@ type Attack struct {
 // 2*TargetsPerBank aggressors per bank).
 const TargetsPerBank = 4
 
-// NewAttack builds kernel attack number kernel (0..11 in the paper's setup)
-// over the given geometry and mapping policy, blending with the benign
-// generator according to mode, using the paper's Gaussian pattern.
-func NewAttack(kernel int, mode AttackMode, g dram.Geometry, policy addrmap.Policy, benign Generator) (*Attack, error) {
-	return NewAttackPattern(kernel, mode, PatternGaussian, g, policy, benign)
-}
-
-// NewAttackPattern builds a kernel attack with an explicit target pattern.
-// Attacks are deterministic per (kernel, pattern) pair: the same arguments
-// always produce the same target set and emission order.
+// NewAttackPattern builds kernel attack number kernel (0..11 in the
+// paper's setup) over the given geometry and mapping policy, aiming at
+// targets laid out by pattern and blending with the benign generator
+// according to mode. Attacks are deterministic per (kernel, pattern) pair:
+// the same arguments always produce the same target set and emission order.
 func NewAttackPattern(kernel int, mode AttackMode, pattern Pattern, g dram.Geometry, policy addrmap.Policy, benign Generator) (*Attack, error) {
 	if benign == nil {
 		return nil, fmt.Errorf("trace: attack needs a benign workload to blend with")
@@ -255,15 +250,6 @@ func gaussianRow(src rng.Source, rows int) int {
 
 // Name implements Generator.
 func (a *Attack) Name() string { return a.name }
-
-// Mode returns the blend mode.
-func (a *Attack) Mode() AttackMode { return a.mode }
-
-// Pattern returns the target pattern.
-func (a *Attack) Pattern() Pattern { return a.pattern }
-
-// Targets returns the encoded target addresses (diagnostics).
-func (a *Attack) Targets() []int64 { return a.targets }
 
 // hammerGap is the attack request gap: hammer loops are tight, a
 // CLFLUSH + load pair.

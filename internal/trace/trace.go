@@ -176,9 +176,6 @@ func (g *Synthetic) Reseed(seed uint64) {
 // Name implements Generator.
 func (g *Synthetic) Name() string { return g.spec.Name }
 
-// Spec returns the workload parameters.
-func (g *Synthetic) Spec() Spec { return g.spec }
-
 func (g *Synthetic) randomFootprintLine() int64 {
 	return g.footBase + int64(rng.Float64(g.src)*float64(g.footLines))
 }

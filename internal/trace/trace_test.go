@@ -208,23 +208,23 @@ func TestGapMeanControlsIntensity(t *testing.T) {
 func TestAttackTargetsGaussianAndPerBank(t *testing.T) {
 	g := testGeom()
 	benign := mustGen(t, presets[0], 1)
-	atk, err := NewAttack(0, Heavy, g, testPolicy(t), benign)
+	atk, err := NewAttackPattern(0, Heavy, PatternGaussian, g, testPolicy(t), benign)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := len(atk.Targets()); got != g.TotalBanks()*TargetsPerBank {
+	if got := len(atk.targets); got != g.TotalBanks()*TargetsPerBank {
 		t.Errorf("targets = %d, want %d (4 per bank)", got, g.TotalBanks()*TargetsPerBank)
 	}
 	// Distinct kernels pick distinct targets.
-	atk2, _ := NewAttack(1, Heavy, g, testPolicy(t), mustGen(t, presets[0], 1))
+	atk2, _ := NewAttackPattern(1, Heavy, PatternGaussian, g, testPolicy(t), mustGen(t, presets[0], 1))
 	same := 0
-	for i, a := range atk.Targets() {
-		if atk2.Targets()[i] == a {
+	for i, a := range atk.targets {
+		if atk2.targets[i] == a {
 			same++
 		}
 	}
-	if same > len(atk.Targets())/4 {
-		t.Errorf("%d/%d identical targets across kernels", same, len(atk.Targets()))
+	if same > len(atk.targets)/4 {
+		t.Errorf("%d/%d identical targets across kernels", same, len(atk.targets))
 	}
 }
 
@@ -233,12 +233,12 @@ func TestAttackModeBlendFractions(t *testing.T) {
 	p := testPolicy(t)
 	for _, mode := range []AttackMode{Heavy, Medium, Light} {
 		benign := mustGen(t, presets[0], 9)
-		atk, err := NewAttack(3, mode, g, p, benign)
+		atk, err := NewAttackPattern(3, mode, PatternGaussian, g, p, benign)
 		if err != nil {
 			t.Fatal(err)
 		}
 		targetSet := make(map[int64]bool)
-		for _, a := range atk.Targets() {
+		for _, a := range atk.targets {
 			targetSet[a] = true
 		}
 		hits := 0
