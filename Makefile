@@ -168,13 +168,17 @@ GOLDEN_FLAGS = -scale 0.05 -seed 1 -workloads black,comm1 -lfsr-trials 50 -q
 golden:
 	$(GO) test ./internal/experiments -run TestGoldenText -update
 	$(GO) run ./cmd/experiments $(GOLDEN_FLAGS) > cmd/experiments/testdata/golden-scale005.txt
+	$(GO) run ./cmd/experiments -list > cmd/experiments/testdata/list.txt
 
 # CI's golden gate: text output must match the checked-in golden byte for
 # byte, and the JSON output must decode as []Report. The text runs twice:
 # sequentially (-parallel 1), and with eight workers, several of which
-# wait on one recording of a shared request stream.
+# wait on one recording of a shared request stream. The -list output
+# (names, descriptions and presentation order) has its own golden.
 golden-check:
 	$(GO) build -o /tmp/catsim-experiments ./cmd/experiments
+	/tmp/catsim-experiments -list > /tmp/catsim-list.txt
+	diff -u cmd/experiments/testdata/list.txt /tmp/catsim-list.txt
 	/tmp/catsim-experiments $(GOLDEN_FLAGS) -parallel 1 > /tmp/catsim-golden-p1.txt
 	diff -u cmd/experiments/testdata/golden-scale005.txt /tmp/catsim-golden-p1.txt
 	/tmp/catsim-experiments $(GOLDEN_FLAGS) -parallel 8 > /tmp/catsim-golden-p8.txt

@@ -34,6 +34,9 @@ func TestUnknownTargetExitsTwoAndPrintsRegistry(t *testing.T) {
 	}
 }
 
+// TestListPrintsRegistry holds -list to every experiment and, byte for
+// byte, to testdata/list.txt (`make golden` regenerates it), which pins
+// the presentation order.
 func TestListPrintsRegistry(t *testing.T) {
 	code, stdout, _ := runCLI(t, "-list")
 	if code != 0 {
@@ -43,6 +46,13 @@ func TestListPrintsRegistry(t *testing.T) {
 		if !strings.Contains(stdout, e.Name) || !strings.Contains(stdout, e.Description) {
 			t.Errorf("-list missing %s", e.Name)
 		}
+	}
+	want, err := os.ReadFile(filepath.Join("testdata", "list.txt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stdout != string(want) {
+		t.Errorf("-list output differs from testdata/list.txt:\n%s", stdout)
 	}
 }
 

@@ -7,6 +7,46 @@ import (
 	"testing"
 )
 
+// TestGeometryPresetNamesAndDocs pins the presets' names and docs in
+// their listed order.
+func TestGeometryPresetNamesAndDocs(t *testing.T) {
+	want := []struct{ name, doc string }{
+		{"2ch", "paper baseline: 2 channels, 8 banks/rank, 64Ki rows (Table I)"},
+		{"4ch", "4-channel mapping of §VIII-B (2 ranks/channel, 64 banks)"},
+		{"quad2ch", "quad-core 2-channel system (128Ki rows/bank)"},
+		{"quad4ch", "quad-core 4-channel system (128Ki rows/bank)"},
+		{"ddr5", "8-channel DDR5-class organisation (2 ranks, 32 banks/rank, 8KiB rows)"},
+	}
+	got := Geometries()
+	if len(got) != len(want) {
+		t.Fatalf("got %d presets, want %d", len(got), len(want))
+	}
+	for i, p := range got {
+		if p.Name != want[i].name || p.Doc != want[i].doc {
+			t.Errorf("preset %d = {%q, %q}, want {%q, %q}", i, p.Name, p.Doc, want[i].name, want[i].doc)
+		}
+	}
+}
+
+// TestGeometryPresetTableValid: every preset name is lowercase, unique
+// and free of the grammar's separators, so ParseGeometry can reach it,
+// and every preset geometry validates.
+func TestGeometryPresetTableValid(t *testing.T) {
+	seen := map[string]bool{}
+	for _, p := range Geometries() {
+		if p.Name == "" || p.Name != strings.ToLower(p.Name) || strings.ContainsAny(p.Name, ":,= ") {
+			t.Errorf("preset name %q: want non-empty lowercase without any of \":,= \"", p.Name)
+		}
+		if seen[p.Name] {
+			t.Errorf("preset %q listed twice", p.Name)
+		}
+		seen[p.Name] = true
+		if err := p.Geom.Validate(); err != nil {
+			t.Errorf("preset %q: %v", p.Name, err)
+		}
+	}
+}
+
 // TestGeometryPresetsRegistered: every preset resolves by name, validates,
 // and round-trips through the compact string form untouched.
 func TestGeometryPresetsRegistered(t *testing.T) {

@@ -29,6 +29,31 @@ func TestRegistryMatchesCanonicalOrder(t *testing.T) {
 	}
 }
 
+// TestExperimentTableValid: every experiment has a unique non-empty name,
+// a description for -list and a Run.
+func TestExperimentTableValid(t *testing.T) {
+	seen := map[string]bool{}
+	for _, e := range Experiments() {
+		if e.Name == "" || e.Description == "" || e.Run == nil {
+			t.Errorf("experiment %q: want a name, a description and a Run", e.Name)
+		}
+		if seen[e.Name] {
+			t.Errorf("experiment %q listed twice", e.Name)
+		}
+		seen[e.Name] = true
+		if got, ok := Lookup(e.Name); !ok || got.Name != e.Name {
+			t.Errorf("Lookup(%q) = %q, %t", e.Name, got.Name, ok)
+		}
+	}
+	// The historical ReproduceAll drift: ablations and headlines must be
+	// listed so every iterator (ReproduceAll, the CLI) runs them.
+	for _, name := range []string{"ablations", "headlines"} {
+		if !seen[name] {
+			t.Errorf("%s missing from the experiments", name)
+		}
+	}
+}
+
 func TestRunExperimentUnknownName(t *testing.T) {
 	err := RunExperiment("nope", Options{}, NewTextRenderer(&bytes.Buffer{}))
 	if err == nil || !strings.Contains(err.Error(), "unknown experiment") {

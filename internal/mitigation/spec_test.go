@@ -186,10 +186,26 @@ func TestSpecFlagValue(t *testing.T) {
 }
 
 func TestEveryKindHasBuilder(t *testing.T) {
-	for _, k := range Kinds() {
-		if _, ok := builders[k]; !ok {
-			t.Errorf("kind %v has no registered builder", k)
+	for k := Kind(0); k < kindEnd; k++ {
+		if kindNames[k] == "" || builders[k].Build == nil {
+			t.Errorf("kind %d: want a name and a Build", int(k))
 		}
+	}
+	if got := len(Kinds()); got != int(kindEnd) {
+		t.Errorf("Kinds() lists %d kinds, want all %d below kindEnd", got, int(kindEnd))
+	}
+}
+
+// TestKindStrings pins every family's name, the canonical spelling specs,
+// JSON and figure labels are built from.
+func TestKindStrings(t *testing.T) {
+	want := []string{"None", "SCA", "PRA", "PRCAT", "DRCAT", "CounterCache", "CoMeT", "ABACuS", "Stochastic"}
+	var got []string
+	for _, k := range Kinds() {
+		got = append(got, k.String())
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("Kind strings = %q, want %q", got, want)
 	}
 }
 
