@@ -163,7 +163,7 @@ func Default2Channel() Geometry { return dram.Default2Channel() }
 // flag.Value for CLI -geometry flags.
 type GeometrySpec = dram.GeometrySpec
 
-// GeometryPreset is one named entry of the geometry preset registry.
+// GeometryPreset is one named entry of the geometry preset table.
 type GeometryPreset = dram.GeometryPreset
 
 // ParseGeometry parses the compact geometry form "preset" or
@@ -171,7 +171,7 @@ type GeometryPreset = dram.GeometryPreset
 // Preset names match case-insensitively; sizes accept Ki/Mi suffixes.
 func ParseGeometry(s string) (GeometrySpec, error) { return dram.ParseGeometry(s) }
 
-// Geometries lists the registered geometry presets in registration order.
+// Geometries lists the geometry presets in presentation order.
 func Geometries() []GeometryPreset { return dram.Geometries() }
 
 // SimConfig configures a full-system simulation run.

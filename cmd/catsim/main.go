@@ -240,7 +240,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	} else {
 		fmt.Fprintf(stdout, "workload   %s (%s)\n", wl.Name, wl.Suite)
 	}
-	fmt.Fprintf(stdout, "scheme     %s, T=%d (scale %.2f)\n", spec.Label(uint32(*threshold)), *threshold, *scale)
+	fmt.Fprintf(stdout, "scheme     %s, T=%d (scale %g)\n", spec.Label(uint32(*threshold)), *threshold, *scale)
 	fmt.Fprintf(stdout, "exec       %.3f ms (baseline %.3f ms)\n", r.ExecNS/1e6, baseline.ExecNS/1e6)
 	fmt.Fprintf(stdout, "activations %d, victim rows refreshed %d (%d commands)\n",
 		r.Counts.Activations, r.Counts.RowsRefreshed, r.Counts.RefreshEvents)

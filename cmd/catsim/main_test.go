@@ -56,6 +56,10 @@ func TestPRASpecMatchesFlag(t *testing.T) {
 	if spec != flag {
 		t.Errorf("spec and flag spellings differ:\n%s\nvs\n%s", spec, flag)
 	}
+	// The scale prints as given, not rounded to two decimals.
+	if !strings.Contains(spec, "(scale 0.005)") {
+		t.Errorf("report does not print (scale 0.005):\n%s", spec)
+	}
 }
 
 // TestSmallRun: a small valid run exits 0 and prints the CMRPO line.

@@ -69,6 +69,23 @@ func TestUnknownWorkloadFailsLoudly(t *testing.T) {
 	}
 }
 
+// TestNegativeCountsExitOne: a negative -intervals or -lfsr-trials fails
+// the run with one error line naming the value, before any simulation.
+func TestNegativeCountsExitOne(t *testing.T) {
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-intervals", "-3", "fig3"}, "experiments: intervals -3 is negative\n"},
+		{[]string{"-lfsr-trials", "-5", "lfsr"}, "experiments: lfsr trials -5 is negative\n"},
+	} {
+		code, _, stderr := runCLI(t, append([]string{"-q", "-format", "json"}, tc.args...)...)
+		if code != 1 || stderr != tc.want {
+			t.Errorf("%v: exit %d, stderr %q; want exit 1, stderr %q", tc.args, code, stderr, tc.want)
+		}
+	}
+}
+
 func TestHelpExitsZero(t *testing.T) {
 	code, _, stderr := runCLI(t, "-h")
 	if code != 0 {

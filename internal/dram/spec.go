@@ -13,9 +13,9 @@ import (
 // compact string form ("ddr5:channels=8,ranks=2,banks=32,rows=128Ki") — a
 // named base preset plus field overrides — that round-trips through
 // String()/ParseGeometry/JSON and backs a -geometry flag.Value in every
-// CLI. Presets wrap the paper's Default* constructors and self-register
-// below; ParseGeometry validates the resolved geometry, so a bad -geometry
-// fails with a clear error before any simulation state is built.
+// CLI. The presets table below wraps the paper's Default* constructors;
+// ParseGeometry validates the resolved geometry, so a bad -geometry fails
+// with a clear error before any simulation state is built.
 
 // GeometrySpec names a base preset and carries the fully resolved
 // geometry. The string form renders only the fields that differ from the
@@ -27,43 +27,46 @@ type GeometrySpec struct {
 	Geom Geometry
 }
 
-// GeometryPreset is one registered named geometry.
+// GeometryPreset is one named geometry.
 type GeometryPreset struct {
 	Name string
 	Doc  string
 	Geom Geometry
 }
 
-var (
-	geoPresets  []GeometryPreset
-	geoByName   = map[string]Geometry{}
-	geoOverride = []string{"channels", "ranks", "banks", "rows", "colbytes", "linebytes"}
-)
-
-// RegisterGeometry installs a named preset. Registering a duplicate name
-// or an invalid geometry panics (a programming error, caught by the
-// registry test).
-func RegisterGeometry(name, doc string, g Geometry) {
-	name = strings.ToLower(strings.TrimSpace(name))
-	if name == "" || strings.ContainsAny(name, ":,= ") {
-		panic(fmt.Sprintf("dram: RegisterGeometry(%q): bad preset name", name))
-	}
-	if _, dup := geoByName[name]; dup {
-		panic(fmt.Sprintf("dram: RegisterGeometry(%q): already registered", name))
-	}
-	if err := g.Validate(); err != nil {
-		panic(fmt.Sprintf("dram: RegisterGeometry(%q): %v", name, err))
-	}
-	geoByName[name] = g
-	geoPresets = append(geoPresets, GeometryPreset{Name: name, Doc: doc, Geom: g})
+// geoPresets lists the named geometries in presentation order. Names are
+// lowercase and free of the grammar's ":,= " (the preset table test
+// checks them and every geometry's validity).
+var geoPresets = []GeometryPreset{
+	{Name: "2ch", Doc: "paper baseline: 2 channels, 8 banks/rank, 64Ki rows (Table I)", Geom: Default2Channel()},
+	{Name: "4ch", Doc: "4-channel mapping of §VIII-B (2 ranks/channel, 64 banks)", Geom: Default4Channel()},
+	{Name: "quad2ch", Doc: "quad-core 2-channel system (128Ki rows/bank)", Geom: QuadCore2Channel()},
+	{Name: "quad4ch", Doc: "quad-core 4-channel system (128Ki rows/bank)", Geom: QuadCore4Channel()},
+	{Name: "ddr5", Doc: "8-channel DDR5-class organisation (2 ranks, 32 banks/rank, 8KiB rows)", Geom: DDR5_8Channel()},
 }
 
-func init() {
-	RegisterGeometry("2ch", "paper baseline: 2 channels, 8 banks/rank, 64Ki rows (Table I)", Default2Channel())
-	RegisterGeometry("4ch", "4-channel mapping of §VIII-B (2 ranks/channel, 64 banks)", Default4Channel())
-	RegisterGeometry("quad2ch", "quad-core 2-channel system (128Ki rows/bank)", QuadCore2Channel())
-	RegisterGeometry("quad4ch", "quad-core 4-channel system (128Ki rows/bank)", QuadCore4Channel())
-	RegisterGeometry("ddr5", "8-channel DDR5-class organisation (2 ranks, 32 banks/rank, 8KiB rows)", DDR5_8Channel())
+// presetGeometry returns the named preset's geometry.
+func presetGeometry(name string) (Geometry, bool) {
+	for _, p := range geoPresets {
+		if p.Name == name {
+			return p.Geom, true
+		}
+	}
+	return Geometry{}, false
+}
+
+// geoFields are the overridable fields in canonical order: the grammar's
+// name for each and its place in a Geometry.
+var geoFields = []struct {
+	name string
+	of   func(*Geometry) *int
+}{
+	{"channels", func(g *Geometry) *int { return &g.Channels }},
+	{"ranks", func(g *Geometry) *int { return &g.RanksPerCh }},
+	{"banks", func(g *Geometry) *int { return &g.BanksPerRk }},
+	{"rows", func(g *Geometry) *int { return &g.RowsPerBank }},
+	{"colbytes", func(g *Geometry) *int { return &g.ColBytes }},
+	{"linebytes", func(g *Geometry) *int { return &g.LineBytes }},
 }
 
 // DDR5_8Channel is an 8-channel DDR5-class organisation: 2 ranks/channel,
@@ -80,7 +83,7 @@ func DDR5_8Channel() Geometry {
 	}
 }
 
-// Geometries lists the registered presets in registration order.
+// Geometries lists the presets in presentation order.
 func Geometries() []GeometryPreset {
 	out := make([]GeometryPreset, len(geoPresets))
 	copy(out, geoPresets)
@@ -89,42 +92,6 @@ func Geometries() []GeometryPreset {
 
 // Geometry returns the resolved geometry.
 func (s GeometrySpec) Geometry() Geometry { return s.Geom }
-
-// fieldOf returns the override field's value of g, by canonical name.
-func fieldOf(g Geometry, name string) int {
-	switch name {
-	case "channels":
-		return g.Channels
-	case "ranks":
-		return g.RanksPerCh
-	case "banks":
-		return g.BanksPerRk
-	case "rows":
-		return g.RowsPerBank
-	case "colbytes":
-		return g.ColBytes
-	case "linebytes":
-		return g.LineBytes
-	}
-	panic("dram: unknown geometry field " + name)
-}
-
-func setField(g *Geometry, name string, v int) {
-	switch name {
-	case "channels":
-		g.Channels = v
-	case "ranks":
-		g.RanksPerCh = v
-	case "banks":
-		g.BanksPerRk = v
-	case "rows":
-		g.RowsPerBank = v
-	case "colbytes":
-		g.ColBytes = v
-	case "linebytes":
-		g.LineBytes = v
-	}
-}
 
 // formatSize renders a dimension with a Ki/Mi suffix when exact.
 func formatSize(v int) string {
@@ -167,16 +134,16 @@ func (s GeometrySpec) String() string {
 	if base == "" {
 		base = "2ch"
 	}
-	ref, ok := geoByName[base]
+	ref, ok := presetGeometry(base)
 	if !ok {
 		// Unknown base (hand-built spec): spell every field out over the
 		// baseline so the string still parses back to the same geometry.
 		base, ref = "2ch", Default2Channel()
 	}
 	var parts []string
-	for _, name := range geoOverride {
-		if v := fieldOf(s.Geom, name); v != fieldOf(ref, name) {
-			parts = append(parts, name+"="+formatSize(v))
+	for _, f := range geoFields {
+		if v := *f.of(&s.Geom); v != *f.of(&ref) {
+			parts = append(parts, f.name+"="+formatSize(v))
 		}
 	}
 	if len(parts) == 0 {
@@ -201,7 +168,7 @@ func ParseGeometry(str string) (GeometrySpec, error) {
 	if base == "" {
 		base = "2ch"
 	}
-	geom, ok := geoByName[base]
+	geom, ok := presetGeometry(base)
 	if !ok {
 		names := make([]string, len(geoPresets))
 		for i, p := range geoPresets {
@@ -222,16 +189,17 @@ func ParseGeometry(str string) (GeometrySpec, error) {
 		if !ok || name == "" || value == "" {
 			return GeometrySpec{}, fmt.Errorf("dram: geometry %q: field %q is not name=value", str, kv)
 		}
-		valid := false
-		for _, f := range geoOverride {
-			if f == name {
-				valid = true
-				break
+		var field *int
+		accepted := make([]string, len(geoFields))
+		for i, f := range geoFields {
+			if f.name == name {
+				field = f.of(&spec.Geom)
 			}
+			accepted[i] = f.name
 		}
-		if !valid {
+		if field == nil {
 			return GeometrySpec{}, fmt.Errorf("dram: geometry %q: unknown field %q (accepted: %s)",
-				str, name, strings.Join(geoOverride, ", "))
+				str, name, strings.Join(accepted, ", "))
 		}
 		if seen[name] {
 			return GeometrySpec{}, fmt.Errorf("dram: geometry %q: duplicate field %q", str, name)
@@ -241,7 +209,7 @@ func ParseGeometry(str string) (GeometrySpec, error) {
 		if err != nil {
 			return GeometrySpec{}, fmt.Errorf("dram: geometry %q: bad field %s=%q: %v", str, name, value, err)
 		}
-		setField(&spec.Geom, name, v)
+		*field = v
 	}
 	if err := spec.Geom.Validate(); err != nil {
 		return GeometrySpec{}, fmt.Errorf("dram: geometry %q: %w", str, err)

@@ -15,27 +15,23 @@ import (
 // refreshed rows (the CMRPO driver) and SRAM traffic (the dynamic energy
 // and latency driver).
 
-func init() {
-	Register(Experiment{
-		Name:        "ablations",
-		Description: "beyond-paper design-choice ablations: ladder model, weight bits, pre-split depth, counter-cache baseline",
-		Run: func(o Options, emit func(*Report) error) error {
-			for _, tree := range []func(Options) ([]AblationPoint, *Report, error){
-				ablationLaddersReport, ablationWeightBitsReport, ablationPreSplitReport,
-			} {
-				if err := single(tree)(o, emit); err != nil {
-					return err
-				}
-			}
-			// The counter-cache comparison runs full simulations per
-			// workload; default to the CLI's historical 4-workload subset
-			// when the caller did not restrict the set.
-			if len(o.Workloads) == 0 {
-				o.Workloads = []string{"black", "comm1", "face", "libq"}
-			}
-			return single(ablationCounterCacheReport)(o, emit)
-		},
-	})
+// ablationsReports runs the three tree ablations, then the counter-cache
+// comparison.
+func ablationsReports(o Options, emit func(*Report) error) error {
+	for _, tree := range []func(Options) ([]AblationPoint, *Report, error){
+		ablationLaddersReport, ablationWeightBitsReport, ablationPreSplitReport,
+	} {
+		if err := single(tree)(o, emit); err != nil {
+			return err
+		}
+	}
+	// The counter-cache comparison runs full simulations per workload;
+	// default to the CLI's historical 4-workload subset when the caller
+	// did not restrict the set.
+	if len(o.Workloads) == 0 {
+		o.Workloads = []string{"black", "comm1", "face", "libq"}
+	}
+	return single(ablationCounterCacheReport)(o, emit)
 }
 
 // AblationPoint is one variant measurement.

@@ -1,8 +1,8 @@
 // Package experiments regenerates every table and figure of the paper's
-// evaluation. Each generator registers under a name and emits Reports
-// shaped like the paper's plot (same rows/series), so results can be
-// compared side by side with the published numbers; RunExperiment and
-// RunAll render them as text, JSON or CSV.
+// evaluation. Each generator is listed under a name in registry.go and
+// emits Reports shaped like the paper's plot (same rows/series), so
+// results can be compared side by side with the published numbers;
+// RunExperiment and RunAll render them as text, JSON or CSV.
 //
 // Runs are deterministic. The Scale option shrinks the experiment
 // self-similarly: the simulated auto-refresh interval, the refresh
@@ -43,7 +43,7 @@ type Options struct {
 	// Workloads so the closed-loop figures never see them.
 	Workloads []string
 	// Intervals is the number of auto-refresh intervals each run spans
-	// (0 = 1). DRCAT's advantage over PRCAT — keeping the learned tree
+	// (0 = 1; fill rejects a negative count). DRCAT's advantage over PRCAT — keeping the learned tree
 	// across interval boundaries instead of relearning — only shows with
 	// several intervals and phase drift.
 	Intervals int
@@ -55,7 +55,7 @@ type Options struct {
 	// the tables.
 	Progress io.Writer
 	// LFSRTrials is the Monte-Carlo trial count for the lfsr study
-	// (0 = 100).
+	// (0 = 100; the study rejects a negative count).
 	LFSRTrials int
 	// Schemes overrides the figx, figt and figw scheme lineups with
 	// user-defined specs (the CLI's repeatable -scheme flag). Thresholds
@@ -127,6 +127,9 @@ func (o *Options) fill() error {
 			closed = trace.WorkloadNames()
 		}
 		o.Workloads = closed
+	}
+	if o.Intervals < 0 {
+		return fmt.Errorf("experiments: intervals %d is negative", o.Intervals)
 	}
 	if o.Intervals == 0 {
 		o.Intervals = 1
@@ -212,11 +215,7 @@ func scaledThreshold(t uint32, scale float64) uint32 {
 // corrections this implies); PRA's probability is pinned to the *unscaled*
 // threshold, since that is the hardware parameter the paper pairs with p.
 func baseConfig(o Options, wl trace.Spec, spec sim.SchemeSpec, threshold uint32) sim.Config {
-	intervals := o.Intervals
-	if intervals < 1 {
-		intervals = 1
-	}
-	reqPerCore := int(CPUCyclesPerInterval/float64(wl.GapMean)*o.Scale) * intervals
+	reqPerCore := int(CPUCyclesPerInterval/float64(wl.GapMean)*o.Scale) * o.Intervals
 	if reqPerCore < 1000 {
 		reqPerCore = 1000
 	}

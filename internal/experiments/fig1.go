@@ -7,21 +7,6 @@ import (
 	"catsim/internal/rng"
 )
 
-func init() {
-	Register(Experiment{
-		Name:        "fig1",
-		Description: "PRA 5-year unsurvivability grid vs the Chipkill reference (paper Fig. 1)",
-		Run:         single(func(Options) ([]Fig1Point, *Report, error) { return fig1Report() }),
-	})
-	Register(Experiment{
-		Name:        "lfsr",
-		Description: "Monte-Carlo collapse of PRA's guarantee under LFSR PRNGs (paper §III-A)",
-		Run: single(func(o Options) (LFSRStudyResult, *Report, error) {
-			return lfsrReport(o.LFSRTrials)
-		}),
-	})
-}
-
 // Fig1Point is one bar of Fig. 1.
 type Fig1Point struct {
 	Threshold       uint32
@@ -85,7 +70,10 @@ type LFSRStudyResult struct {
 }
 
 func lfsrReport(trials int) (LFSRStudyResult, *Report, error) {
-	if trials < 1 {
+	if trials < 0 {
+		return LFSRStudyResult{}, nil, fmt.Errorf("experiments: lfsr trials %d is negative", trials)
+	}
+	if trials == 0 {
 		trials = 100
 	}
 	cfg := reliability.MonteCarloConfig{

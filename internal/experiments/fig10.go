@@ -97,14 +97,6 @@ func RunFig10Policy(o Options, threshold uint32, kind mitigation.Kind) ([]Fig10P
 	return out, nil
 }
 
-func init() {
-	Register(Experiment{
-		Name:        "fig10",
-		Description: "DRCAT counter/depth sensitivity sweep with SCA references at T=32K/16K (paper Fig. 10)",
-		Run:         fig10Reports,
-	})
-}
-
 // fig10Reports measures both thresholds and emits one report each.
 func fig10Reports(o Options, emit func(*Report) error) error {
 	if err := fillFig10(&o); err != nil {

@@ -97,19 +97,6 @@ func RunFig11(o Options, threshold uint32) ([]Fig11Point, error) {
 	return out, nil
 }
 
-func init() {
-	Register(Experiment{
-		Name:        "fig11",
-		Description: "CMRPO by system size and mapping policy at T=32K/16K (paper Fig. 11, §VIII-B)",
-		Run:         fig11Reports,
-	})
-	Register(Experiment{
-		Name:        "fig12",
-		Description: "refresh-threshold sensitivity 64K..8K with the paper's per-threshold lineups (paper Fig. 12)",
-		Run:         single(fig12Report),
-	})
-}
-
 // fig11Reports measures both thresholds and emits one report each.
 func fig11Reports(o Options, emit func(*Report) error) error {
 	if err := o.fill(); err != nil {

@@ -23,14 +23,6 @@ type Fig13Point struct {
 // kernels (at least two) to bound the sweep.
 const Fig13Kernels = 12
 
-func init() {
-	Register(Experiment{
-		Name:        "fig13",
-		Description: "ETO of benign workloads under blended kernel attacks (paper Fig. 13, §VIII-D)",
-		Run:         single(fig13Report),
-	})
-}
-
 // fig13Report measures the attack study: three blend modes x three refresh
 // thresholds x the counter-based schemes (SCA_128/PRCAT_64/DRCAT_64, with
 // counters doubled at T=8K), averaging ETO over the kernel attacks blended

@@ -11,19 +11,6 @@ import (
 	"catsim/internal/trace"
 )
 
-func init() {
-	Register(Experiment{
-		Name:        "fig2",
-		Description: "SCA energy-breakdown sweep (M=16..64K) with counter-cache reference lines (paper Fig. 2)",
-		Run:         single(fig2Report),
-	})
-	Register(Experiment{
-		Name:        "fig3",
-		Description: "row-access frequency skew in the hottest DRAM bank (paper Fig. 3)",
-		Run:         single(fig3Report),
-	})
-}
-
 // Fig2Point is one x-position of Fig. 2: the per-bank, per-interval energy
 // of SCA with M counters, averaged over the workload set.
 type Fig2Point struct {

@@ -83,25 +83,16 @@ func RunFig8(o Options, threshold uint32) (*Fig8Data, error) {
 	return data, nil
 }
 
-func init() {
-	Register(Experiment{
-		Name:        "fig8",
-		Description: "per-workload CMRPO matrix for the paper's scheme lineup at T=32K/16K (paper Fig. 8)",
-		Run: func(o Options, emit func(*Report) error) error {
-			return fig89Reports("fig8", o,
-				"Fig. 8: CMRPO (percent of regular refresh power)",
-				func(c Cell) float64 { return c.CMRPO }, emit)
-		},
-	})
-	Register(Experiment{
-		Name:        "fig9",
-		Description: "per-workload execution-time overhead from the Fig. 8 runs (paper Fig. 9)",
-		Run: func(o Options, emit func(*Report) error) error {
-			return fig89Reports("fig9", o,
-				"Fig. 9: execution time overhead (ETO)",
-				func(c Cell) float64 { return c.ETO }, emit)
-		},
-	})
+// fig8Reports renders the CMRPO matrix (paper Fig. 8).
+func fig8Reports(o Options, emit func(*Report) error) error {
+	return fig89Reports("fig8", o, "Fig. 8: CMRPO (percent of regular refresh power)",
+		func(c Cell) float64 { return c.CMRPO }, emit)
+}
+
+// fig9Reports renders the ETO matrix of the same runs (paper Fig. 9).
+func fig9Reports(o Options, emit func(*Report) error) error {
+	return fig89Reports("fig9", o, "Fig. 9: execution time overhead (ETO)",
+		func(c Cell) float64 { return c.ETO }, emit)
 }
 
 // fig89Reports measures both thresholds and emits one report per

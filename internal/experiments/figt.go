@@ -54,14 +54,6 @@ func figTSchemes() []sim.SchemeSpec {
 	}
 }
 
-func init() {
-	Register(Experiment{
-		Name:        "figt",
-		Description: "beyond-paper time-series study: per-epoch adaptation dynamics and missed-victim exposure across attack onset (-scheme overrides the lineup)",
-		Run:         single(figtReport),
-	})
-}
-
 // figtReport measures the trajectories. The benign carrier is the first
 // memory-intensive workload of the options' workload set (as in figx);
 // each scheme is one oracle-checked engine run with epochs of a quarter

@@ -75,28 +75,16 @@ func figWWorkloads(o Options) ([]workload.Config, error) {
 	return out, nil
 }
 
-func init() {
-	Register(Experiment{
-		Name:        "figw",
-		Description: "open-loop multi-tenant study: scheme x arrival process x attacker fraction, per-tenant attribution (-scheme overrides the lineup)",
-		Run:         single(figwReport),
-	})
-}
-
 // figwConfig sizes one open-loop cell: the request budget covers the
 // scaled auto-refresh interval(s) at the workload's mean arrival rate, so
 // trigger rates stay representative exactly like the closed-loop figures.
 func figwConfig(o Options, ol workload.Config, frac float64, spec sim.SchemeSpec, threshold uint32) sim.Config {
-	intervals := o.Intervals
-	if intervals < 1 {
-		intervals = 1
-	}
 	if frac > 0 {
 		ol.Cohort.Attacker = &workload.AttackerSpec{
 			Fraction: frac, Mode: trace.Heavy, Pattern: trace.PatternDoubleSided,
 		}
 	}
-	seconds := dram.RefreshIntervalNS() * o.Scale * 1e-9 * float64(intervals)
+	seconds := dram.RefreshIntervalNS() * o.Scale * 1e-9 * float64(o.Intervals)
 	ol.Requests = int(ol.Arrival.MeanRateRPS() * seconds)
 	if ol.Requests < 2000 {
 		ol.Requests = 2000

@@ -58,14 +58,6 @@ func FigXPatterns() []trace.Pattern {
 // FigXThresholds is the refresh-threshold sweep.
 func FigXThresholds() []uint32 { return []uint32{32768, 16384} }
 
-func init() {
-	Register(Experiment{
-		Name:        "figx",
-		Description: "beyond-paper overhead-vs-protection study: scheme x threshold x adversarial pattern, oracle-checked (-scheme overrides the lineup)",
-		Run:         single(figxReport),
-	})
-}
-
 // figxReport measures the protection study. The benign carrier is the
 // first memory-intensive workload of the options' workload set; cells run
 // on the shared worker pool and cache like every other figure (the

@@ -13,14 +13,6 @@ type Headline struct {
 	Note  string
 }
 
-func init() {
-	Register(Experiment{
-		Name:        "headlines",
-		Description: "programmatic verdicts on the paper's key comparative claims",
-		Run:         single(headlinesReport),
-	})
-}
-
 // headlinesReport evaluates the paper's key comparative claims
 // programmatically and builds a verdict table. It runs a compact
 // measurement set at the configured scale (workload subset recommended;

@@ -2,32 +2,11 @@ package experiments
 
 import (
 	"bytes"
-	"reflect"
 	"strings"
 	"testing"
 
 	"catsim/internal/mitigation"
 )
-
-func TestRegistryMatchesCanonicalOrder(t *testing.T) {
-	if got := Names(); !reflect.DeepEqual(got, canonicalOrder) {
-		t.Errorf("registered experiments %v\nwant canonical order %v (update both the registration and canonicalOrder)",
-			got, canonicalOrder)
-	}
-	for _, e := range Experiments() {
-		if e.Description == "" {
-			t.Errorf("experiment %s has no description", e.Name)
-		}
-	}
-	// The historical ReproduceAll drift: ablations and headlines must be
-	// registered so every registry iterator (ReproduceAll, the CLI) runs
-	// them.
-	for _, name := range []string{"ablations", "headlines"} {
-		if _, ok := Lookup(name); !ok {
-			t.Errorf("%s missing from the registry", name)
-		}
-	}
-}
 
 // TestExperimentTableValid: every experiment has a unique non-empty name,
 // a description for -list and a Run.

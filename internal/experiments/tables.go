@@ -8,21 +8,6 @@ import (
 	"catsim/internal/mitigation"
 )
 
-func init() {
-	Register(Experiment{
-		Name:        "table1",
-		Description: "system configuration as wired into the simulator defaults (paper Table I)",
-		Run: func(o Options, emit func(*Report) error) error {
-			return emit(table1Report())
-		},
-	})
-	Register(Experiment{
-		Name:        "table2",
-		Description: "hardware energy and area for M=32..512 plus the PRNG spec (paper Table II)",
-		Run:         single(func(Options) ([]Table2Row, *Report, error) { return table2Report() }),
-	})
-}
-
 func table1Report() *Report {
 	g := dram.Default2Channel()
 	t := dram.DDR3_1600()

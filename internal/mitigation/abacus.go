@@ -193,15 +193,14 @@ func (a *ABACuS) Snapshot() Snapshot {
 	return Snapshot{Live: a.mg.Live(), Cap: a.mg.Cap()}
 }
 
-func init() {
-	Register(KindABACuS, Builder{
-		Params: []ParamDef{{Name: "counters", Doc: "shared Misra-Gries entries across all banks"}},
-		Build: func(spec SchemeSpec, banks, rowsPerBank int) (Scheme, error) {
-			entries, err := spec.Params.Int("counters", 0)
-			if err != nil {
-				return nil, err
-			}
-			return NewABACuS(banks, rowsPerBank, entries, spec.Threshold)
-		},
-	})
+var abacusBuilder = Builder{
+	Name:   "ABACuS",
+	Params: []ParamDef{{Name: "counters", Doc: "shared Misra-Gries entries across all banks"}},
+	Build: func(spec SchemeSpec, banks, rowsPerBank int) (Scheme, error) {
+		entries, err := spec.Params.Int("counters", 0)
+		if err != nil {
+			return nil, err
+		}
+		return NewABACuS(banks, rowsPerBank, entries, spec.Threshold)
+	},
 }

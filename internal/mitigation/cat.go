@@ -108,9 +108,10 @@ func (c *CAT) Snapshot() Snapshot {
 	return s
 }
 
-// catBuilder adapts NewCAT to the spec registry for one tree policy.
-func catBuilder(policy core.Policy) Builder {
+// catBuilder adapts NewCAT to the family table for one tree policy.
+func catBuilder(name string, policy core.Policy) Builder {
 	return Builder{
+		Name:      name,
 		ShardSafe: true, // one tree per bank, no shared state
 		Params: []ParamDef{
 			{Name: "counters", Doc: "tree counters per bank M"},
@@ -148,7 +149,7 @@ func catBuilder(policy core.Policy) Builder {
 	}
 }
 
-func init() {
-	Register(KindPRCAT, catBuilder(core.PRCAT))
-	Register(KindDRCAT, catBuilder(core.DRCAT))
-}
+var (
+	prcatBuilder = catBuilder("PRCAT", core.PRCAT)
+	drcatBuilder = catBuilder("DRCAT", core.DRCAT)
+)

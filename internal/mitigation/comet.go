@@ -161,30 +161,29 @@ func (c *CoMeT) Snapshot() Snapshot {
 	return s
 }
 
-func init() {
-	Register(KindCoMeT, Builder{
-		// Per-bank CMS + RAT; hash seeds derive from (seed, bank) alone and
-		// no randomness is drawn at runtime, so state decomposes by bank.
-		ShardSafe: true,
-		Params: []ParamDef{
-			{Name: "counters", Doc: "sketch counters per bank"},
-			{Name: "depth", Doc: "sketch hash rows (default 4)"},
-			{Name: "seed", Doc: "per-bank hash seed (default 1)"},
-		},
-		Build: func(spec SchemeSpec, banks, rowsPerBank int) (Scheme, error) {
-			counters, err := spec.Params.Int("counters", 0)
-			if err != nil {
-				return nil, err
-			}
-			depth, err := spec.Params.Int("depth", 4)
-			if err != nil {
-				return nil, err
-			}
-			seed, err := spec.Params.Uint64("seed", 1)
-			if err != nil {
-				return nil, err
-			}
-			return NewCoMeT(banks, rowsPerBank, spec.Threshold, counters, depth, seed)
-		},
-	})
+var cometBuilder = Builder{
+	Name: "CoMeT",
+	// Per-bank CMS + RAT; hash seeds derive from (seed, bank) alone and
+	// no randomness is drawn at runtime, so state decomposes by bank.
+	ShardSafe: true,
+	Params: []ParamDef{
+		{Name: "counters", Doc: "sketch counters per bank"},
+		{Name: "depth", Doc: "sketch hash rows (default 4)"},
+		{Name: "seed", Doc: "per-bank hash seed (default 1)"},
+	},
+	Build: func(spec SchemeSpec, banks, rowsPerBank int) (Scheme, error) {
+		counters, err := spec.Params.Int("counters", 0)
+		if err != nil {
+			return nil, err
+		}
+		depth, err := spec.Params.Int("depth", 4)
+		if err != nil {
+			return nil, err
+		}
+		seed, err := spec.Params.Uint64("seed", 1)
+		if err != nil {
+			return nil, err
+		}
+		return NewCoMeT(banks, rowsPerBank, spec.Threshold, counters, depth, seed)
+	},
 }

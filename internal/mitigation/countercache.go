@@ -159,24 +159,23 @@ func (cc *CounterCache) Snapshot() Snapshot {
 	return s
 }
 
-func init() {
-	Register(KindCounterCache, Builder{
-		Params: []ParamDef{
-			{Name: "counters", Doc: "on-chip cache entries per bank"},
-			{Name: "ways", Doc: "cache associativity (default 8)"},
-		},
-		Short:     "CC",
-		ShardSafe: true, // tags, values and LRU state all indexed by bank
-		Build: func(spec SchemeSpec, banks, rowsPerBank int) (Scheme, error) {
-			entries, err := spec.Params.Int("counters", 0)
-			if err != nil {
-				return nil, err
-			}
-			ways, err := spec.Params.Int("ways", 8)
-			if err != nil {
-				return nil, err
-			}
-			return NewCounterCache(banks, rowsPerBank, spec.Threshold, entries, ways)
-		},
-	})
+var counterCacheBuilder = Builder{
+	Name: "CounterCache",
+	Params: []ParamDef{
+		{Name: "counters", Doc: "on-chip cache entries per bank"},
+		{Name: "ways", Doc: "cache associativity (default 8)"},
+	},
+	Short:     "CC",
+	ShardSafe: true, // tags, values and LRU state all indexed by bank
+	Build: func(spec SchemeSpec, banks, rowsPerBank int) (Scheme, error) {
+		entries, err := spec.Params.Int("counters", 0)
+		if err != nil {
+			return nil, err
+		}
+		ways, err := spec.Params.Int("ways", 8)
+		if err != nil {
+			return nil, err
+		}
+		return NewCounterCache(banks, rowsPerBank, spec.Threshold, entries, ways)
+	},
 }

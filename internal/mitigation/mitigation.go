@@ -58,34 +58,31 @@ const (
 	kindEnd // sentinel: every valid Kind is below this
 )
 
-// kindNames is the single registry of valid kinds. Every addition here
-// must be matched by an energy-model entry; the mitigation and energy
-// tests iterate Kinds() so an unregistered or uncosted kind fails loudly
+// families is the one table of scheme families, indexed by Kind; each
+// entry is the builder the family's file declares. Every kind below
+// kindEnd has one, and the mitigation and energy tests iterate Kinds(),
+// so a kind without a name, a builder or an energy model fails loudly
 // instead of silently falling through.
-var kindNames = [kindEnd]string{
-	KindNone:         "None",
-	KindSCA:          "SCA",
-	KindPRA:          "PRA",
-	KindPRCAT:        "PRCAT",
-	KindDRCAT:        "DRCAT",
-	KindCounterCache: "CounterCache",
-	KindCoMeT:        "CoMeT",
-	KindABACuS:       "ABACuS",
-	KindStochastic:   "Stochastic",
+var families = [kindEnd]Builder{
+	KindNone:         noneBuilder,
+	KindSCA:          scaBuilder,
+	KindPRA:          praBuilder,
+	KindPRCAT:        prcatBuilder,
+	KindDRCAT:        drcatBuilder,
+	KindCounterCache: counterCacheBuilder,
+	KindCoMeT:        cometBuilder,
+	KindABACuS:       abacusBuilder,
+	KindStochastic:   stochasticBuilder,
 }
 
-// Valid reports whether k is a registered scheme family.
-func (k Kind) Valid() bool {
-	return k >= 0 && k < kindEnd && kindNames[k] != ""
-}
+// Valid reports whether k is a scheme family.
+func (k Kind) Valid() bool { return k >= 0 && k < kindEnd }
 
-// Kinds returns every registered scheme family in declaration order.
+// Kinds returns every scheme family in declaration order.
 func Kinds() []Kind {
-	out := make([]Kind, 0, int(kindEnd))
-	for k := Kind(0); k < kindEnd; k++ {
-		if k.Valid() {
-			out = append(out, k)
-		}
+	out := make([]Kind, kindEnd)
+	for i := range out {
+		out[i] = Kind(i)
 	}
 	return out
 }
@@ -94,7 +91,7 @@ func Kinds() []Kind {
 // which deliberately stands out in labels and tables.
 func (k Kind) String() string {
 	if k.Valid() {
-		return kindNames[k]
+		return families[k].Name
 	}
 	return fmt.Sprintf("Kind(%d)!?", int(k))
 }
@@ -208,7 +205,7 @@ type BankRefresh struct {
 // cross-shard refreshes are the serialized commit point), and its builder
 // must therefore never declare ShardSafe. The engine rejects CrossBank
 // schemes in sharded runs, and the mitigation shard-safety test locks the
-// registry against the contradiction.
+// family table against the contradiction.
 type CrossBank interface {
 	PendingCrossBank() []BankRefresh
 }
@@ -272,10 +269,9 @@ func clampRange(lo, hi, rows int) RefreshRange {
 	return RefreshRange{Lo: lo, Hi: hi}
 }
 
-func init() {
-	Register(KindNone, Builder{
-		ShardSafe: true, // stateless
-		Label:     func(SchemeSpec) string { return "None" },
-		Build:     func(SchemeSpec, int, int) (Scheme, error) { return NewNone(), nil },
-	})
+var noneBuilder = Builder{
+	Name:      "None",
+	ShardSafe: true, // stateless
+	Label:     func(SchemeSpec) string { return "None" },
+	Build:     func(SchemeSpec, int, int) (Scheme, error) { return NewNone(), nil },
 }

@@ -90,34 +90,33 @@ func PRAProbabilityForThreshold(t uint32) float64 {
 	}
 }
 
-func init() {
-	Register(KindPRA, Builder{
-		Params: []ParamDef{
-			{Name: "p", Doc: "refresh probability per activation (default: the paper's value for the threshold)"},
-			{Name: "seed", Doc: "PRNG seed (default 1)"},
-		},
-		// The figure label carries p, not a counter budget; an unset p
-		// resolves to the paper's value for the spec's threshold.
-		Label: func(spec SchemeSpec) string {
-			p, err := spec.Params.Float("p", 0)
-			if err != nil || p == 0 {
-				p = PRAProbabilityForThreshold(spec.Threshold)
-			}
-			return fmt.Sprintf("PRA_%g", p)
-		},
-		Build: func(spec SchemeSpec, banks, rowsPerBank int) (Scheme, error) {
-			p, err := spec.Params.Float("p", 0)
-			if err != nil {
-				return nil, err
-			}
-			if p == 0 {
-				p = PRAProbabilityForThreshold(spec.Threshold)
-			}
-			seed, err := spec.Params.Uint64("seed", 1)
-			if err != nil {
-				return nil, err
-			}
-			return NewPRA(rowsPerBank, p, seed)
-		},
-	})
+var praBuilder = Builder{
+	Name: "PRA",
+	Params: []ParamDef{
+		{Name: "p", Doc: "refresh probability per activation (default: the paper's value for the threshold)"},
+		{Name: "seed", Doc: "PRNG seed (default 1)"},
+	},
+	// The figure label carries p, not a counter budget; an unset p
+	// resolves to the paper's value for the spec's threshold.
+	Label: func(spec SchemeSpec) string {
+		p, err := spec.Params.Float("p", 0)
+		if err != nil || p == 0 {
+			p = PRAProbabilityForThreshold(spec.Threshold)
+		}
+		return fmt.Sprintf("PRA_%g", p)
+	},
+	Build: func(spec SchemeSpec, banks, rowsPerBank int) (Scheme, error) {
+		p, err := spec.Params.Float("p", 0)
+		if err != nil {
+			return nil, err
+		}
+		if p == 0 {
+			p = PRAProbabilityForThreshold(spec.Threshold)
+		}
+		seed, err := spec.Params.Uint64("seed", 1)
+		if err != nil {
+			return nil, err
+		}
+		return NewPRA(rowsPerBank, p, seed)
+	},
 }

@@ -110,16 +110,15 @@ func (s *SCA) Snapshot() Snapshot {
 	return snap
 }
 
-func init() {
-	Register(KindSCA, Builder{
-		Params:    []ParamDef{{Name: "counters", Doc: "group counters per bank M"}},
-		ShardSafe: true, // per-bank counter groups, no shared state
-		Build: func(spec SchemeSpec, banks, rowsPerBank int) (Scheme, error) {
-			m, err := spec.Params.Int("counters", 0)
-			if err != nil {
-				return nil, err
-			}
-			return NewSCA(banks, rowsPerBank, m, spec.Threshold)
-		},
-	})
+var scaBuilder = Builder{
+	Name:      "SCA",
+	Params:    []ParamDef{{Name: "counters", Doc: "group counters per bank M"}},
+	ShardSafe: true, // per-bank counter groups, no shared state
+	Build: func(spec SchemeSpec, banks, rowsPerBank int) (Scheme, error) {
+		m, err := spec.Params.Int("counters", 0)
+		if err != nil {
+			return nil, err
+		}
+		return NewSCA(banks, rowsPerBank, m, spec.Threshold)
+	},
 }

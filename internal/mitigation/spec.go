@@ -10,11 +10,11 @@ import (
 // This file makes scheme configuration data instead of code: a SchemeSpec
 // is a serializable {Kind, Threshold, Params} value with a compact string
 // form ("comet:counters=512,depth=4,seed=7") and a JSON form, and every
-// scheme family registers a builder (Register) that constructs it from a
-// spec for a given DRAM geometry. The experiment harness, both CLIs and
-// the catsim facade all build schemes through this one registry, so a new
-// scheme family — or a new configuration of an existing one — needs no
-// new constructor plumbing anywhere else.
+// scheme family declares a Builder that constructs it from a spec for a
+// given DRAM geometry. The experiment harness, both CLIs and the catsim
+// facade all build schemes through the one family table (families), so a
+// new configuration of an existing family needs no new constructor
+// plumbing anywhere.
 
 // Params holds a spec's named parameters as exact decimal strings, which
 // keeps string, JSON and flag round-trips lossless (uint64 seeds do not
@@ -136,9 +136,9 @@ func (l *SpecList) Set(str string) error {
 }
 
 // ParseSpec parses the compact spec form "kind:key=value,...". The kind is
-// matched case-insensitively against the registered families (plus the
+// matched case-insensitively against the scheme families (plus the
 // figure-label aliases "cc" and "dsac"); parameter names are validated
-// against the kind's registered builder.
+// against the kind's builder.
 func ParseSpec(str string) (SchemeSpec, error) {
 	spec := SchemeSpec{}
 	kindPart, paramPart, hasParams := strings.Cut(strings.TrimSpace(str), ":")
@@ -190,10 +190,15 @@ type ParamDef struct {
 	Doc  string
 }
 
-// Builder constructs a scheme family from a spec. Params declares the
-// accepted parameter names; Build may assume spec.Kind matches the
-// registered kind and every param name is declared.
+// Builder describes one scheme family: its name, accepted parameters,
+// labelling and construction. Each family's file declares its Builder as
+// a package variable, and the families table indexes them by Kind. Params
+// declares the accepted parameter names; Build may assume spec.Kind is
+// the family's kind and every param name is declared.
 type Builder struct {
+	// Name is the family name Kind.String returns ("SCA",
+	// "CounterCache"); its lowercase form is the spec grammar's kind.
+	Name   string
 	Params []ParamDef
 	// Short is the family's figure-label abbreviation ("CC", "DSAC");
 	// empty uses the Kind name.
@@ -209,50 +214,33 @@ type Builder struct {
 	// never be marked shard-safe.
 	ShardSafe bool
 	// Label renders the figure label for a spec; nil selects the default
-	// "<Short>_<counters>" form. Registered next to Build so every
-	// caller — sim grids, report tables, cache keys — shares one naming.
+	// "<Short>_<counters>" form. Declared next to Build so every caller —
+	// sim grids, report tables, cache keys — shares one naming.
 	Label func(spec SchemeSpec) string
 	Build func(spec SchemeSpec, banks, rowsPerBank int) (Scheme, error)
 }
 
-var builders = map[Kind]Builder{}
-
-// Register installs the builder for a scheme family. Each file that
-// implements a family self-registers from init(); registering an invalid
-// or already-registered kind panics (a programming error, caught by the
-// registry tests).
-func Register(k Kind, b Builder) {
-	if !k.Valid() {
-		panic(fmt.Sprintf("mitigation: Register(%v): invalid kind", k))
-	}
-	if _, dup := builders[k]; dup {
-		panic(fmt.Sprintf("mitigation: Register(%v): already registered", k))
-	}
-	if b.Build == nil {
-		panic(fmt.Sprintf("mitigation: Register(%v): nil Build", k))
-	}
-	builders[k] = b
-}
-
-// ShardSafe reports whether the kind's registered builder declared its
-// state bank-decomposable (see Builder.ShardSafe). Unregistered kinds are
-// not shard-safe.
+// ShardSafe reports whether the kind's builder declared its state
+// bank-decomposable (see Builder.ShardSafe). Invalid kinds are not
+// shard-safe.
 func ShardSafe(k Kind) bool {
-	return builders[k].ShardSafe
+	return k.Valid() && families[k].ShardSafe
 }
 
 // Label renders the figure label for a spec ("DRCAT_64", "CC_1024",
-// "PRA_0.002", "None"): the registered family's Label override when set,
-// otherwise "<Short>_<counters>". This is the single naming authority the
+// "PRA_0.002", "None"): the family's Label override when set, otherwise
+// "<Short>_<counters>". This is the single naming authority the
 // experiment grids and report tables share.
 func Label(spec SchemeSpec) string {
-	b, ok := builders[spec.Kind]
-	if ok && b.Label != nil {
-		return b.Label(spec)
-	}
 	short := spec.Kind.String()
-	if ok && b.Short != "" {
-		short = b.Short
+	if spec.Kind.Valid() {
+		b := families[spec.Kind]
+		if b.Label != nil {
+			return b.Label(spec)
+		}
+		if b.Short != "" {
+			short = b.Short
+		}
 	}
 	counters, err := spec.Params.Int("counters", 0)
 	if err != nil {
@@ -261,13 +249,11 @@ func Label(spec SchemeSpec) string {
 	return fmt.Sprintf("%s_%d", short, counters)
 }
 
+// validParam checks name against the params of k, which must be valid.
 func validParam(k Kind, name string) error {
-	b, ok := builders[k]
-	if !ok {
-		return nil // unregistered kinds are caught by Build
-	}
-	names := make([]string, 0, len(b.Params)+1)
-	for _, p := range b.Params {
+	params := families[k].Params
+	names := make([]string, 0, len(params)+1)
+	for _, p := range params {
 		if p.Name == name {
 			return nil
 		}
@@ -285,10 +271,6 @@ func Build(spec SchemeSpec, banks, rowsPerBank int) (Scheme, error) {
 	if !spec.Kind.Valid() {
 		return nil, fmt.Errorf("mitigation: unknown scheme kind %v (valid: %s)", spec.Kind, kindList())
 	}
-	b, ok := builders[spec.Kind]
-	if !ok {
-		return nil, fmt.Errorf("mitigation: no builder registered for %v", spec.Kind)
-	}
 	for name := range spec.Params {
 		if err := validParam(spec.Kind, name); err != nil {
 			return nil, fmt.Errorf("mitigation: spec %q: %w", spec.String(), err)
@@ -297,7 +279,7 @@ func Build(spec SchemeSpec, banks, rowsPerBank int) (Scheme, error) {
 	if spec.Threshold == 0 && spec.Kind != KindNone {
 		return nil, fmt.Errorf("mitigation: spec %q: missing threshold", spec.String())
 	}
-	scheme, err := b.Build(spec, banks, rowsPerBank)
+	scheme, err := families[spec.Kind].Build(spec, banks, rowsPerBank)
 	if err != nil {
 		return nil, fmt.Errorf("mitigation: spec %q: %w", spec.String(), err)
 	}

@@ -187,7 +187,7 @@ func TestSpecFlagValue(t *testing.T) {
 
 func TestEveryKindHasBuilder(t *testing.T) {
 	for k := Kind(0); k < kindEnd; k++ {
-		if kindNames[k] == "" || builders[k].Build == nil {
+		if families[k].Name == "" || families[k].Build == nil {
 			t.Errorf("kind %d: want a name and a Build", int(k))
 		}
 	}
@@ -210,7 +210,7 @@ func TestKindStrings(t *testing.T) {
 }
 
 // TestLabelEveryKind locks the figure labels the tables and cache keys
-// are built from, now that naming lives in the builder registry next to
+// are built from, now that naming lives in the family table next to
 // construction (the sim package's historical per-kind switch is gone),
 // and holds every built scheme's Name to its label.
 func TestLabelEveryKind(t *testing.T) {

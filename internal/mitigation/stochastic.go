@@ -114,23 +114,22 @@ func (s *Stochastic) Snapshot() Snapshot {
 	return snap
 }
 
-func init() {
-	Register(KindStochastic, Builder{
-		Params: []ParamDef{
-			{Name: "counters", Doc: "exact counters per bank"},
-			{Name: "seed", Doc: "replace-minimum PRNG seed (default 1)"},
-		},
-		Short: "DSAC",
-		Build: func(spec SchemeSpec, banks, rowsPerBank int) (Scheme, error) {
-			m, err := spec.Params.Int("counters", 0)
-			if err != nil {
-				return nil, err
-			}
-			seed, err := spec.Params.Uint64("seed", 1)
-			if err != nil {
-				return nil, err
-			}
-			return NewStochastic(banks, rowsPerBank, m, spec.Threshold, seed)
-		},
-	})
+var stochasticBuilder = Builder{
+	Name: "Stochastic",
+	Params: []ParamDef{
+		{Name: "counters", Doc: "exact counters per bank"},
+		{Name: "seed", Doc: "replace-minimum PRNG seed (default 1)"},
+	},
+	Short: "DSAC",
+	Build: func(spec SchemeSpec, banks, rowsPerBank int) (Scheme, error) {
+		m, err := spec.Params.Int("counters", 0)
+		if err != nil {
+			return nil, err
+		}
+		seed, err := spec.Params.Uint64("seed", 1)
+		if err != nil {
+			return nil, err
+		}
+		return NewStochastic(banks, rowsPerBank, m, spec.Threshold, seed)
+	},
 }
