@@ -7,27 +7,6 @@ import (
 	"testing"
 )
 
-// TestGeometryPresetNamesAndDocs pins the presets' names and docs in
-// their listed order.
-func TestGeometryPresetNamesAndDocs(t *testing.T) {
-	want := []struct{ name, doc string }{
-		{"2ch", "paper baseline: 2 channels, 8 banks/rank, 64Ki rows (Table I)"},
-		{"4ch", "4-channel mapping of §VIII-B (2 ranks/channel, 64 banks)"},
-		{"quad2ch", "quad-core 2-channel system (128Ki rows/bank)"},
-		{"quad4ch", "quad-core 4-channel system (128Ki rows/bank)"},
-		{"ddr5", "8-channel DDR5-class organisation (2 ranks, 32 banks/rank, 8KiB rows)"},
-	}
-	got := Geometries()
-	if len(got) != len(want) {
-		t.Fatalf("got %d presets, want %d", len(got), len(want))
-	}
-	for i, p := range got {
-		if p.Name != want[i].name || p.Doc != want[i].doc {
-			t.Errorf("preset %d = {%q, %q}, want {%q, %q}", i, p.Name, p.Doc, want[i].name, want[i].doc)
-		}
-	}
-}
-
 // TestGeometryPresetTableValid: every preset name is lowercase, unique
 // and free of the grammar's separators, so ParseGeometry can reach it,
 // and every preset geometry validates.
@@ -47,26 +26,24 @@ func TestGeometryPresetTableValid(t *testing.T) {
 	}
 }
 
-// TestGeometryPresetsRegistered: every preset resolves by name, validates,
-// and round-trips through the compact string form untouched.
+// TestGeometryPresetsRegistered: the presets keep their names, docs and
+// geometries in listed order, and every preset resolves by name and
+// round-trips through the compact string form untouched.
 func TestGeometryPresetsRegistered(t *testing.T) {
-	want := map[string]Geometry{
-		"2ch":     Default2Channel(),
-		"4ch":     Default4Channel(),
-		"quad2ch": QuadCore2Channel(),
-		"quad4ch": QuadCore4Channel(),
-		"ddr5":    DDR5_8Channel(),
+	want := []GeometryPreset{
+		{"2ch", "paper baseline: 2 channels, 8 banks/rank, 64Ki rows (Table I)", Default2Channel()},
+		{"4ch", "4-channel mapping of §VIII-B (2 ranks/channel, 64 banks)", Default4Channel()},
+		{"quad2ch", "quad-core 2-channel system (128Ki rows/bank)", QuadCore2Channel()},
+		{"quad4ch", "quad-core 4-channel system (128Ki rows/bank)", QuadCore4Channel()},
+		{"ddr5", "8-channel DDR5-class organisation (2 ranks, 32 banks/rank, 8KiB rows)", DDR5_8Channel()},
 	}
 	got := Geometries()
 	if len(got) != len(want) {
 		t.Fatalf("got %d presets, want %d", len(got), len(want))
 	}
-	for _, p := range got {
-		if p.Geom != want[p.Name] {
-			t.Errorf("preset %q = %+v, want %+v", p.Name, p.Geom, want[p.Name])
-		}
-		if p.Doc == "" {
-			t.Errorf("preset %q has no doc string", p.Name)
+	for i, p := range got {
+		if p != want[i] {
+			t.Errorf("preset %d = %+v, want %+v", i, p, want[i])
 		}
 		spec, err := ParseGeometry(p.Name)
 		if err != nil {
@@ -147,8 +124,8 @@ func TestGeometrySpecFlagValue(t *testing.T) {
 // names the problem (the satellite "bad geometry fails loudly" contract).
 func TestParseGeometryErrors(t *testing.T) {
 	cases := []struct{ in, want string }{
-		{"ddr6", "unknown preset"},
-		{"2ch:gadgets=3", "unknown field"},
+		{"ddr6", `unknown preset "ddr6" (valid: 2ch, 4ch, quad2ch, quad4ch, ddr5)`},
+		{"2ch:gadgets=3", `unknown field "gadgets" (accepted: channels, ranks, banks, rows, colbytes, linebytes)`},
 		{"2ch:channels", "not name=value"},
 		{"2ch:channels=abc", "want integer"},
 		{"2ch:channels=3", "power of two"},

@@ -43,9 +43,9 @@ type Options struct {
 	// Workloads so the closed-loop figures never see them.
 	Workloads []string
 	// Intervals is the number of auto-refresh intervals each run spans
-	// (0 = 1; fill rejects a negative count). DRCAT's advantage over PRCAT — keeping the learned tree
-	// across interval boundaries instead of relearning — only shows with
-	// several intervals and phase drift.
+	// (0 = 1; fill rejects a negative count). DRCAT's advantage over
+	// PRCAT — keeping the learned tree across interval boundaries instead
+	// of relearning — only shows with several intervals and phase drift.
 	Intervals int
 	// Quiet suppresses progress lines on long sweeps.
 	Quiet bool

@@ -292,17 +292,20 @@ func TestStochasticCanMissUnderPressure(t *testing.T) {
 	}
 }
 
+// TestKindRegistry pins every family's name in Kinds() order: the
+// canonical spelling specs, JSON and figure labels are built from.
 func TestKindRegistry(t *testing.T) {
+	want := []string{"None", "SCA", "PRA", "PRCAT", "DRCAT", "CounterCache", "CoMeT", "ABACuS", "Stochastic"}
 	kinds := Kinds()
-	if len(kinds) != 9 {
-		t.Fatalf("Kinds() = %v, want the 9 registered families", kinds)
+	if len(kinds) != len(want) {
+		t.Fatalf("Kinds() = %v, want the %d families %q", kinds, len(want), want)
 	}
-	for _, k := range kinds {
+	for i, k := range kinds {
 		if !k.Valid() {
 			t.Errorf("kind %d invalid despite registry listing", int(k))
 		}
-		if s := k.String(); strings.Contains(s, "Kind(") {
-			t.Errorf("kind %d has no name: %q", int(k), s)
+		if s := k.String(); s != want[i] {
+			t.Errorf("kind %d String() = %q, want %q", int(k), s, want[i])
 		}
 	}
 	bogus := Kind(97)

@@ -91,9 +91,10 @@ func TestParseSpecErrors(t *testing.T) {
 		in      string
 		wantErr string
 	}{
-		{"bogus:counters=1", "unknown scheme kind"},
+		{"bogus:counters=1", `unknown scheme kind "bogus" (valid: none, sca, pra, prcat, drcat, countercache, comet, abacus, stochastic)`},
 		{"", "unknown scheme kind"},
-		{"sca:bogus=1", `unknown param "bogus"`},
+		{"sca:bogus=1", `unknown param "bogus" for sca (accepted: counters, threshold)`},
+		{"drcat:depth=3", `unknown param "depth" for drcat (accepted: counters, levels, weightbits, presplit, threshold)`},
 		{"sca:counters=abc", "want number"},
 		{"sca:counters=1,counters=2", "duplicate param"},
 		{"sca:counters", "not name=value"},
@@ -193,19 +194,6 @@ func TestEveryKindHasBuilder(t *testing.T) {
 	}
 	if got := len(Kinds()); got != int(kindEnd) {
 		t.Errorf("Kinds() lists %d kinds, want all %d below kindEnd", got, int(kindEnd))
-	}
-}
-
-// TestKindStrings pins every family's name, the canonical spelling specs,
-// JSON and figure labels are built from.
-func TestKindStrings(t *testing.T) {
-	want := []string{"None", "SCA", "PRA", "PRCAT", "DRCAT", "CounterCache", "CoMeT", "ABACuS", "Stochastic"}
-	var got []string
-	for _, k := range Kinds() {
-		got = append(got, k.String())
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("Kind strings = %q, want %q", got, want)
 	}
 }
 
