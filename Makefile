@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build fmt vet lint test race race-shard fuzz-smoke catbench-test bench bench-sketch bench-engine bench-shard bench-server bench-sweep bench-gate-files bench-diff bench-accept repro golden golden-check replay-check serve server-check
+.PHONY: all build fmt vet lint test race race-shard race-server fuzz-smoke catbench-test bench bench-sketch bench-engine bench-shard bench-server bench-sweep bench-gate-files bench-diff bench-accept repro golden golden-check replay-check serve server-check
 
 all: build fmt vet test
 
@@ -37,7 +37,7 @@ test:
 
 # The experiments package guards its full sweeps behind -short so the
 # race pass stays within CI's time budget.
-race: race-shard
+race: race-shard race-server
 	$(GO) test -race -short ./...
 
 # The sharded engine's goroutines + merge under the race detector: the
@@ -46,6 +46,11 @@ race: race-shard
 race-shard:
 	$(GO) test -race -run 'Shard|Affine' ./internal/engine ./internal/sim
 	$(GO) run -race ./cmd/catsim -geometry ddr5 -cores 8 -affine -shards 8 -workload black -scheme DRCAT -scale 0.02
+
+# The server's job state, which workers, streams, /result requests and
+# the drain all reach, under the race detector ten times over.
+race-server:
+	$(GO) test -race -count=10 -run 'Lifecycle|Stream|Result|Drain|Panick' ./internal/server ./cmd/catsim-server
 
 # Fuzz smoke: each parser that takes outside input (trace containers, the
 # scheme-spec, geometry and arrival grammars, catsim-server job bodies and

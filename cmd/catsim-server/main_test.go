@@ -115,13 +115,13 @@ func TestServeStreamShutdownResume(t *testing.T) {
 	}
 }
 
-// TestShutdownRejectsNewJobs: during drain, POST is 503.
-func TestShutdownWhileStreaming(t *testing.T) {
+// TestStreamToResultThenExitZero: a job streamed to its result line, then
+// the SIGTERM path exits 0. (The drain itself, with a stream attached to
+// the in-flight job and a POST during it, is internal/server's
+// TestDrainFinishesInFlightJob.)
+func TestStreamToResultThenExitZero(t *testing.T) {
 	base, shutdown := boot(t, "-workers", "1")
 	id, _ := postJob(t, base, http.StatusAccepted)
-	// Attach a stream that outlives the shutdown call: it must still
-	// receive the full job (Close drains in-flight work before Shutdown
-	// closes the listener).
 	resp, err := http.Get(base + "/v1/jobs/" + id + "/stream")
 	if err != nil {
 		t.Fatal(err)

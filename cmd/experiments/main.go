@@ -193,10 +193,14 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (code int
 		return 2
 	}
 
+	if err := experiments.Validate(o); err != nil {
+		fmt.Fprintln(stderr, "experiments:", strings.TrimPrefix(err.Error(), "experiments: "))
+		return 1
+	}
 	for _, target := range targets {
 		start := time.Now()
 		if text {
-			fmt.Fprintf(stdout, "==== %s (scale %.2f) ====\n", target, *scale)
+			fmt.Fprintf(stdout, "==== %s (scale %g) ====\n", target, *scale)
 		}
 		if err := experiments.RunExperiment(target, o, renderer); err != nil {
 			fmt.Fprintln(stderr, "experiments:", strings.TrimPrefix(err.Error(), "experiments: "))

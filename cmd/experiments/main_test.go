@@ -69,8 +69,10 @@ func TestUnknownWorkloadFailsLoudly(t *testing.T) {
 	}
 }
 
-// TestNegativeCountsExitOne: a negative -intervals or -lfsr-trials fails
-// the run with one error line naming the value, before any simulation.
+// TestNegativeCountsExitOne: a negative -intervals or -lfsr-trials, a
+// -scale outside (0, 1] or an unknown workload fails the run with one
+// error line naming the value, whichever target is named, before the
+// first banner. want is the start of that line.
 func TestNegativeCountsExitOne(t *testing.T) {
 	for _, tc := range []struct {
 		args []string
@@ -78,10 +80,16 @@ func TestNegativeCountsExitOne(t *testing.T) {
 	}{
 		{[]string{"-intervals", "-3", "fig3"}, "experiments: intervals -3 is negative\n"},
 		{[]string{"-lfsr-trials", "-5", "lfsr"}, "experiments: lfsr trials -5 is negative\n"},
+		{[]string{"-scale", "5", "table1"}, "experiments: scale 5 out of (0,1]\n"},
+		{[]string{"-scale", "0", "fig1"}, "experiments: scale 0 out of (0,1]\n"},
+		{[]string{"-intervals", "-3", "table1"}, "experiments: intervals -3 is negative\n"},
+		{[]string{"-workloads", "nosuch", "table1"}, `experiments: unknown workload "nosuch" (valid: `},
+		{[]string{"-lfsr-trials", "-5", "table1"}, "experiments: lfsr trials -5 is negative\n"},
 	} {
-		code, _, stderr := runCLI(t, append([]string{"-q", "-format", "json"}, tc.args...)...)
-		if code != 1 || stderr != tc.want {
-			t.Errorf("%v: exit %d, stderr %q; want exit 1, stderr %q", tc.args, code, stderr, tc.want)
+		code, stdout, stderr := runCLI(t, append([]string{"-q"}, tc.args...)...)
+		if code != 1 || stdout != "" || strings.Count(stderr, "\n") != 1 || !strings.HasPrefix(stderr, tc.want) {
+			t.Errorf("%v: exit %d, stdout %q, stderr %q; want exit 1, no stdout, one stderr line starting %q",
+				tc.args, code, stdout, stderr, tc.want)
 		}
 	}
 }
@@ -177,12 +185,14 @@ func TestCSVFormat(t *testing.T) {
 	}
 }
 
+// TestTextQuietIsDeterministicShape also pins the banner's scale, printed
+// as given rather than rounded.
 func TestTextQuietIsDeterministicShape(t *testing.T) {
-	code, stdout, _ := runCLI(t, "-q", "table1")
+	code, stdout, _ := runCLI(t, "-q", "-scale", "0.005", "table1")
 	if code != 0 {
 		t.Fatalf("exit = %d", code)
 	}
-	if !strings.Contains(stdout, "==== table1") || !strings.Contains(stdout, "---- table1 done ----") {
+	if !strings.HasPrefix(stdout, "==== table1 (scale 0.005) ====\n") || !strings.Contains(stdout, "---- table1 done ----") {
 		t.Errorf("quiet banners missing: %q", stdout)
 	}
 	if strings.Contains(stdout, "done in") || strings.Contains(stdout, "result cache:") {

@@ -146,6 +146,17 @@ func (o *Options) fill() error {
 	return nil
 }
 
+// Validate reports the first option a generator would reject: it fills a
+// copy of o, as sim.Validate does for a Config, and checks the lfsr
+// study's trial count, so a caller can check once before running any
+// target. Generators that never fill their options accept more.
+func Validate(o Options) error {
+	if o.LFSRTrials < 0 {
+		return fmt.Errorf("experiments: lfsr trials %d is negative", o.LFSRTrials)
+	}
+	return o.fill()
+}
+
 // engine returns the grid executor for these options. Call after fill.
 func (o *Options) engine() *runner.Engine {
 	return &runner.Engine{Parallel: o.Parallel, Cache: o.Cache, Contexts: o.pool}

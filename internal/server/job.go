@@ -48,16 +48,13 @@ func parseJobState(s string) (JobState, error) {
 	return 0, fmt.Errorf("server: unknown job state %q", s)
 }
 
-// terminal reports whether the job will never change again.
-func (s JobState) terminal() bool { return s == StateDone || s == StateFailed }
-
 // Job is one accepted simulation: the canonical unit of the cross-request
 // cache. Its identity is the canonical sim.CacheKey of its config, so two
 // requests describing the same simulation — however spelled — share one
 // Job: the second attaches to the in-flight run, or replays the recorded
-// samples and result byte-identically. All mutable state is guarded by mu;
-// samples is append-only, so streams hold an index and wait on cond for
-// more.
+// samples and result byte-identically. Mutable state is guarded by mu and
+// changes only through update; readers take a view and wait on its
+// changed channel. samples is append-only, so a view stays valid.
 type Job struct {
 	// ID is "j" + the 16-hex FNV-1a of Key — stable across restarts, so a
 	// resumed server re-serves the same URLs.
@@ -71,7 +68,7 @@ type Job struct {
 	cfg sim.Config
 
 	mu      sync.Mutex
-	cond    *sync.Cond
+	changed chan struct{}
 	state   JobState
 	samples []engine.Sample
 	result  sim.Result
@@ -80,9 +77,7 @@ type Job struct {
 
 func newJob(req JobRequest, cfg sim.Config) *Job {
 	key := sim.CacheKey(cfg)
-	j := &Job{ID: jobID(key), Key: key, Req: req, cfg: cfg}
-	j.cond = sync.NewCond(&j.mu)
-	return j
+	return &Job{ID: jobID(key), Key: key, Req: req, cfg: cfg, changed: make(chan struct{})}
 }
 
 // jobID derives the stable public identifier from the canonical key.
@@ -92,40 +87,48 @@ func jobID(key string) string {
 	return fmt.Sprintf("j%016x", h.Sum64())
 }
 
-func (j *Job) setRunning() {
+// update applies change under mu, then wakes every waiter: it closes
+// changed and makes a new one.
+func (j *Job) update(change func()) {
 	j.mu.Lock()
-	j.state = StateRunning
-	j.mu.Unlock()
-	j.cond.Broadcast()
+	defer j.mu.Unlock()
+	change()
+	close(j.changed)
+	j.changed = make(chan struct{})
 }
 
-// appendSample records one streamed epoch sample and wakes every attached
-// stream. Runs on the simulation goroutine via sim.Config.OnSample.
+func (j *Job) setRunning() { j.update(func() { j.state = StateRunning }) }
+
+// appendSample records one streamed epoch sample. Runs on the simulation
+// goroutine via sim.Config.OnSample.
 func (j *Job) appendSample(s engine.Sample) {
-	j.mu.Lock()
-	j.samples = append(j.samples, s)
-	j.mu.Unlock()
-	j.cond.Broadcast()
+	j.update(func() { j.samples = append(j.samples, s) })
 }
 
 func (j *Job) finish(res sim.Result) {
-	j.mu.Lock()
-	j.result = res
-	j.state = StateDone
-	j.mu.Unlock()
-	j.cond.Broadcast()
+	j.update(func() { j.result, j.state = res, StateDone })
 }
 
 func (j *Job) fail(msg string) {
-	j.mu.Lock()
-	j.errMsg = msg
-	j.state = StateFailed
-	j.mu.Unlock()
-	j.cond.Broadcast()
+	j.update(func() { j.errMsg, j.state = msg, StateFailed })
 }
 
-// wake nudges every waiter (shutdown, client disconnects).
-func (j *Job) wake() { j.cond.Broadcast() }
+// jobView is one consistent read of a job; changed closes at its next
+// change.
+type jobView struct {
+	samples []engine.Sample
+	state   JobState
+	result  sim.Result
+	errMsg  string
+	changed <-chan struct{}
+}
+
+func (j *Job) view() jobView {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	n := len(j.samples)
+	return jobView{samples: j.samples[:n:n], state: j.state, result: j.result, errMsg: j.errMsg, changed: j.changed}
+}
 
 // store indexes jobs by canonical key (the cache) and by public ID (the
 // URLs), remembering submission order for listings and snapshots.

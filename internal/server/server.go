@@ -79,11 +79,13 @@ type Server struct {
 	// injector wrapped around it.
 	run        func(sim.Config) (sim.Result, error)
 	engineRuns atomic.Int64
-	closing    atomic.Bool
-	quit       chan struct{}
-	wg         sync.WaitGroup
-	startOnce  sync.Once
-	closeOnce  sync.Once
+	// quit closes when Close begins; stopped once the workers have
+	// exited or Close's context has expired.
+	quit      chan struct{}
+	stopped   chan struct{}
+	wg        sync.WaitGroup
+	startOnce sync.Once
+	closeOnce sync.Once
 }
 
 // New builds a Server, restoring state from Options.SnapshotPath if the
@@ -105,7 +107,8 @@ func New(o Options) (*Server, error) {
 	if o.SnapshotInterval == 0 {
 		o.SnapshotInterval = 30 * time.Second
 	}
-	s := &Server{opts: o, store: newStore(), contexts: runner.NewContextPool(), quit: make(chan struct{})}
+	s := &Server{opts: o, store: newStore(), contexts: runner.NewContextPool(),
+		quit: make(chan struct{}), stopped: make(chan struct{})}
 	s.run = s.contexts.Run
 	if o.SnapshotPath != "" {
 		if _, err := os.Stat(o.SnapshotPath); err == nil {
@@ -153,14 +156,14 @@ func (s *Server) Start() {
 }
 
 // Close drains the server: stop accepting jobs (503), let each worker
-// finish its in-flight job — so attached streams terminate with their
-// result — wake every blocked stream, and write a final snapshot. Jobs
-// still queued persist as queued and resume on the next start. The
-// context bounds how long Close waits for in-flight jobs.
+// finish its in-flight job, then end every waiting stream and /result
+// request — with the result for a job that finished, the shutdown error
+// for one that did not — and write a final snapshot. Jobs still queued
+// persist as queued and resume on the next start. The context bounds how
+// long Close waits for in-flight jobs.
 func (s *Server) Close(ctx context.Context) error {
 	var err error
 	s.closeOnce.Do(func() {
-		s.closing.Store(true)
 		close(s.quit)
 		done := make(chan struct{})
 		go func() {
@@ -172,10 +175,7 @@ func (s *Server) Close(ctx context.Context) error {
 		case <-ctx.Done():
 			err = ctx.Err()
 		}
-		// Wake streams blocked on jobs that will now never run.
-		for _, j := range s.store.jobs() {
-			j.wake()
-		}
+		close(s.stopped)
 		if s.opts.SnapshotPath != "" {
 			if serr := s.SaveSnapshot(s.opts.SnapshotPath); serr != nil && err == nil {
 				err = serr
@@ -301,14 +301,13 @@ type jobStatus struct {
 }
 
 func statusOf(j *Job, cached bool) jobStatus {
-	j.mu.Lock()
-	defer j.mu.Unlock()
+	v := j.view()
 	return jobStatus{
-		ID: j.ID, State: j.state.String(), Cached: cached,
-		Samples: len(j.samples), Key: j.Key,
+		ID: j.ID, State: v.state.String(), Cached: cached,
+		Samples: len(v.samples), Key: j.Key,
 		Stream: "/v1/jobs/" + j.ID + "/stream",
 		Result: "/v1/jobs/" + j.ID + "/result",
-		Error:  j.errMsg,
+		Error:  v.errMsg,
 	}
 }
 
@@ -319,9 +318,11 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 }
 
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	if s.closing.Load() {
+	select {
+	case <-s.quit:
 		httpError(w, http.StatusServiceUnavailable, "server shutting down")
 		return
+	default:
 	}
 	req, err := decodeJobRequest(http.MaxBytesReader(w, r.Body, 1<<20))
 	if err != nil {
@@ -414,52 +415,27 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	}
 	flush()
 
-	ctx := r.Context()
-	// cond.Wait cannot watch a context, so a watcher goroutine turns
-	// client disconnection into a broadcast; it exits when the handler
-	// returns (the request context is cancelled then).
-	go func() {
-		<-ctx.Done()
-		j.wake()
-	}()
-
 	next := 0
-	for {
-		j.mu.Lock()
-		for next >= len(j.samples) && !j.state.terminal() &&
-			ctx.Err() == nil && !s.closing.Load() {
-			j.cond.Wait()
-		}
-		view := j.samples[:len(j.samples)]
-		state := j.state
-		res := j.result
-		errMsg := j.errMsg
-		j.mu.Unlock()
-
-		for next < len(view) {
-			if err := enc.sample(&view[next]); err != nil {
-				return
+	s.watch(r.Context(), j, func(v jobView, stopped bool) bool {
+		for ; next < len(v.samples); next++ {
+			if err := enc.sample(&v.samples[next]); err != nil {
+				return true
 			}
-			next++
 			flush()
 		}
 		switch {
-		case ctx.Err() != nil:
-			return
-		case state == StateDone:
-			enc.result(&res)
-			flush()
-			return
-		case state == StateFailed:
-			enc.fail(errMsg)
-			flush()
-			return
-		case s.closing.Load():
+		case v.state == StateDone:
+			enc.result(&v.result)
+		case v.state == StateFailed:
+			enc.fail(v.errMsg)
+		case stopped:
 			enc.fail("server shutting down before the job ran")
-			flush()
-			return
+		default:
+			return false
 		}
-	}
+		flush()
+		return true
+	})
 }
 
 // handleResult blocks until the job reaches a terminal state, then
@@ -469,25 +445,37 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	ctx := r.Context()
-	go func() {
-		<-ctx.Done()
-		j.wake()
-	}()
-	j.mu.Lock()
-	for !j.state.terminal() && ctx.Err() == nil && !s.closing.Load() {
-		j.cond.Wait()
-	}
-	state := j.state
-	res := j.result
-	errMsg := j.errMsg
-	j.mu.Unlock()
-	switch {
-	case state == StateDone:
-		writeJSON(w, http.StatusOK, res)
-	case state == StateFailed:
-		httpError(w, http.StatusInternalServerError, "%s", errMsg)
-	default:
-		httpError(w, http.StatusServiceUnavailable, "server shutting down before the job ran")
+	s.watch(r.Context(), j, func(v jobView, stopped bool) bool {
+		switch {
+		case v.state == StateDone:
+			writeJSON(w, http.StatusOK, v.result)
+		case v.state == StateFailed:
+			httpError(w, http.StatusInternalServerError, "%s", v.errMsg)
+		case stopped:
+			httpError(w, http.StatusServiceUnavailable, "server shutting down before the job ran")
+		default:
+			return false
+		}
+		return true
+	})
+}
+
+// watch calls visit with a view of j and again after each change, until
+// visit reports it is done or ctx (the client) ends. Once the server has
+// stopped, visit gets one last view with stopped set.
+func (s *Server) watch(ctx context.Context, j *Job, visit func(v jobView, stopped bool) bool) {
+	stopped := false
+	for {
+		v := j.view()
+		if visit(v, stopped) || stopped {
+			return
+		}
+		select {
+		case <-v.changed:
+		case <-s.stopped:
+			stopped = true
+		case <-ctx.Done():
+			return
+		}
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -629,6 +630,140 @@ func TestPanickingJobFailsAndWorkerSurvives(t *testing.T) {
 	}
 	if builds, reuses := s.ContextStats(); builds != 2 || reuses != 0 {
 		t.Errorf("context pool builds %d, reuses %d; want 2 and 0 (the panicking run's context dropped)", builds, reuses)
+	}
+}
+
+// TestDrainFinishesInFlightJob: Close lets the in-flight job finish, so a
+// stream attached to it ends with its result and /result returns 200,
+// while the job queued behind it ends its stream with the shutdown error.
+// A POST during the drain gets 503. The run seam holds the first job
+// after its first sample until Close has begun.
+func TestDrainFinishesInFlightJob(t *testing.T) {
+	s, err := New(Options{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sampled, release := make(chan struct{}), make(chan struct{})
+	hold := sync.OnceFunc(func() { close(sampled); <-release })
+	run := s.run
+	s.run = func(cfg sim.Config) (sim.Result, error) {
+		onSample := cfg.OnSample
+		cfg.OnSample = func(smp engine.Sample) { onSample(smp); hold() }
+		return run(cfg)
+	}
+	ts := startTestServer(t, s)
+	releaseHeld := sync.OnceFunc(func() { close(release) })
+	// On an early failure, let the job finish and stop the server, so the
+	// front end's teardown does not wait on the open streams.
+	defer func() {
+		releaseHeld()
+		s.Close(context.Background())
+	}()
+
+	held := testJob()
+	held.Requests, held.Epochs = 50000, 64
+	heldID := submit(t, ts, held, http.StatusAccepted).ID
+	select {
+	case <-sampled:
+	case <-time.After(30 * time.Second):
+		t.Fatal("held job never streamed its first sample")
+	}
+	queuedID := submit(t, ts, testJob(), http.StatusAccepted).ID
+
+	get := func(path string) *http.Response {
+		resp, err := http.Get(ts.URL + "/v1/jobs/" + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { resp.Body.Close() })
+		return resp
+	}
+	heldStream := bufio.NewReader(get(heldID + "/stream").Body)
+	first, err := heldStream.ReadBytes('\n')
+	if err != nil || !bytes.HasPrefix(first, []byte(`{"sample":`)) {
+		t.Fatalf("held stream's first line = %q, %v; want a sample", first, err)
+	}
+	queuedStream := get(queuedID + "/stream").Body
+	type reply struct {
+		code int
+		body []byte
+	}
+	heldResult := make(chan reply, 1)
+	go func() {
+		resp, err := http.Get(ts.URL + "/v1/jobs/" + heldID + "/result")
+		if err != nil {
+			t.Error(err)
+			heldResult <- reply{}
+			return
+		}
+		defer resp.Body.Close()
+		body, _ := io.ReadAll(resp.Body)
+		heldResult <- reply{resp.StatusCode, body}
+	}()
+
+	closed := make(chan error, 1)
+	go func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+		defer cancel()
+		closed <- s.Close(ctx)
+	}()
+	// A repeat POST is a cache hit (200) until Close begins, then 503.
+	body, _ := json.Marshal(held)
+	for deadline := time.Now().Add(30 * time.Second); ; {
+		resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		raw, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode == http.StatusServiceUnavailable {
+			if !strings.Contains(string(raw), "server shutting down") {
+				t.Errorf("503 during the drain = %s, want the shutdown error", raw)
+			}
+			break
+		}
+		if resp.StatusCode != http.StatusOK || time.Now().After(deadline) {
+			t.Fatalf("POST during the drain = %d (body: %s), want 200 until Close begins, then 503", resp.StatusCode, raw)
+		}
+	}
+	releaseHeld()
+
+	cfg, err := held.Config()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := sim.Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantJSON, _ := json.Marshal(want)
+	rest, err := io.ReadAll(heldStream)
+	if err != nil {
+		t.Fatal(err)
+	}
+	samples, result, errMsg := parseStream(t, append(first, rest...))
+	if result == nil {
+		t.Fatalf("held stream ended with %q after %d samples, want its result", errMsg, len(samples))
+	}
+	if gotJSON, _ := json.Marshal(*result); !bytes.Equal(gotJSON, wantJSON) {
+		t.Errorf("held stream's result diverges from direct sim.Run:\n got: %s\nwant: %s", gotJSON, wantJSON)
+	}
+	if got, want := len(samples), len(want.Epochs); got != want || got < 2 {
+		t.Errorf("held stream carried %d samples, want all %d (at least 2)", got, want)
+	}
+	if r := <-heldResult; r.code != http.StatusOK || !bytes.Equal(bytes.TrimSpace(r.body), wantJSON) {
+		t.Errorf("held /result = %d %s, want 200 with the direct sim.Run result", r.code, r.body)
+	}
+	queued, err := io.ReadAll(queuedStream)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if samples, result, errMsg := parseStream(t, queued); len(samples) != 0 || result != nil ||
+		errMsg != "server shutting down before the job ran" {
+		t.Errorf("queued stream = %d samples, result %v, error %q; want only the shutdown error", len(samples), result, errMsg)
+	}
+	if err := <-closed; err != nil {
+		t.Errorf("Close: %v", err)
 	}
 }
 

@@ -115,21 +115,19 @@ func readSnapshot(r io.Reader) (*snapshotFile, error) {
 func (s *Server) snapshotState() *snapshotFile {
 	f := &snapshotFile{}
 	for _, j := range s.store.jobs() {
-		j.mu.Lock()
+		v := j.view()
 		sj := snapshotJob{ID: j.ID, Req: j.Req}
-		switch j.state {
+		switch v.state {
 		case StateDone:
 			sj.State = StateDone.String()
-			sj.Samples = append([]engine.Sample(nil), j.samples...)
-			res := j.result
-			sj.Result = &res
+			sj.Samples = v.samples
+			sj.Result = &v.result
 		case StateFailed:
 			sj.State = StateFailed.String()
-			sj.Error = j.errMsg
+			sj.Error = v.errMsg
 		default:
 			sj.State = StateQueued.String()
 		}
-		j.mu.Unlock()
 		f.Jobs = append(f.Jobs, sj)
 	}
 	return f
