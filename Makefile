@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build fmt vet lint test race race-shard race-server fuzz-smoke catbench-test bench bench-sketch bench-engine bench-shard bench-server bench-sweep bench-gate-files bench-diff bench-accept repro golden golden-check replay-check serve server-check
+.PHONY: all build fmt vet lint test race race-shard race-server fuzz-smoke catbench-test bench bench-sketch bench-engine bench-shard bench-server bench-sweep bench-gate-files bench-diff bench-accept profile-fig8 repro golden golden-check replay-check serve server-check
 
 all: build fmt vet test
 
@@ -156,6 +156,16 @@ bench-accept: bench-gate-files
 	mkdir -p bench/baseline
 	cp BENCH_engine.json BENCH_sketch.json BENCH_shard.json BENCH_server.json BENCH_sweep.json bench/baseline/
 	$(GO) run ./cmd/benchdiff -stamp bench/baseline/BENCH_engine.json bench/baseline/BENCH_sketch.json bench/baseline/BENCH_shard.json bench/baseline/BENCH_server.json bench/baseline/BENCH_sweep.json
+
+# CPU profile of the paper's Figs. 8/9 matrix at scale 0.01, one worker,
+# result cache off (every run simulated, as catbench's fig8 runs it),
+# printed flat-sorted so each layer's share can be compared across
+# changes. The profile stays at /tmp/catsim-fig8.prof for further pprof
+# views (-cum, -peek, -lines).
+profile-fig8:
+	$(GO) build -o /tmp/catsim-experiments ./cmd/experiments
+	/tmp/catsim-experiments -q -scale 0.01 -parallel 1 -cache=false -cpuprofile /tmp/catsim-fig8.prof fig8 > /dev/null
+	$(GO) tool pprof -top /tmp/catsim-experiments /tmp/catsim-fig8.prof
 
 # Full reproduction of the paper's tables and figures at default scale,
 # all cores, shared result cache.

@@ -40,6 +40,11 @@ import (
 // are long-lived.
 const idleTimeout = 2 * time.Minute
 
+// releaseGrace bounds the wait, once -drain has expired, for the streams
+// and /result requests the drain released to write their terminal line
+// before their connections are cut.
+const releaseGrace = time.Second
+
 // readHeaderTimeout is fixed in production; the main-package tests lower it.
 var readHeaderTimeout = 10 * time.Second
 
@@ -126,7 +131,13 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer, ready cha
 	// finish flushing before closing the listener.
 	if err := srv.Close(shutdownCtx); err != nil {
 		fmt.Fprintf(stderr, "catsim-server: shutdown: %v\n", err)
-		hs.Close()
+		// Close has released every waiting stream and /result request to
+		// write the shutdown error; let them, within releaseGrace.
+		graceCtx, cancelGrace := context.WithTimeout(context.Background(), releaseGrace)
+		defer cancelGrace()
+		if hs.Shutdown(graceCtx) != nil {
+			hs.Close()
+		}
 		return 1
 	}
 	if err := hs.Shutdown(shutdownCtx); err != nil {

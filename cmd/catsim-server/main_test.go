@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
@@ -136,6 +137,61 @@ func TestStreamToResultThenExitZero(t *testing.T) {
 	}
 	if code := shutdown(); code != 0 {
 		t.Fatalf("shutdown exit = %d", code)
+	}
+}
+
+// TestDrainExpiryEndsStreamWithTerminalLine: when -drain expires with a
+// job still running, the stream attached to it still ends with a JSON
+// terminal line, and the server exits 1.
+func TestDrainExpiryEndsStreamWithTerminalLine(t *testing.T) {
+	base, shutdown := boot(t, "-workers", "1", "-drain", "50ms")
+	// 2M requests, which outlive the 50 ms drain many times over.
+	const long = `{"scheme":"drcat:counters=64,levels=11","workload":"black","requests":1000000,"seed":7,"epochs":64}`
+	resp, err := http.Post(base+"/v1/jobs", "application/json", strings.NewReader(long))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var st struct {
+		ID string `json:"id"`
+	}
+	err = json.NewDecoder(resp.Body).Decode(&st)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	stream, err := http.Get(base + "/v1/jobs/" + st.ID + "/stream")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer stream.Body.Close()
+	r := bufio.NewReader(stream.Body)
+	first, err := r.ReadBytes('\n')
+	if err != nil || !bytes.Contains(first, []byte(`"sample"`)) {
+		t.Fatalf("first stream line %q (%v), want a sample", first, err)
+	}
+	rest := make(chan []byte, 1)
+	go func() {
+		b, _ := io.ReadAll(r)
+		rest <- b
+	}()
+
+	if code := shutdown(); code != 1 {
+		t.Errorf("exit code %d after the drain bound expired, want 1", code)
+	}
+	var body []byte
+	select {
+	case body = <-rest:
+	case <-time.After(30 * time.Second):
+		t.Fatal("stream still open after the server exited")
+	}
+	lines := bytes.Split(bytes.TrimSpace(append(first, body...)), []byte("\n"))
+	var last struct {
+		Sample json.RawMessage `json:"sample"`
+		Result json.RawMessage `json:"result"`
+		Error  string          `json:"error"`
+	}
+	if err := json.Unmarshal(lines[len(lines)-1], &last); err != nil || last.Sample != nil || (last.Result == nil && last.Error == "") {
+		t.Errorf("stream of %d lines ended with %q, want a JSON result or error line", len(lines), lines[len(lines)-1])
 	}
 }
 

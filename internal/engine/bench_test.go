@@ -59,8 +59,11 @@ func BenchmarkEngineRun(b *testing.B) {
 	}{
 		// "default" is the production path: tournament scheduler plus
 		// batch-advance (what sim.Run configures). heap and linear run
-		// without batching as the reference points.
+		// without batching as the reference points. "decoded" is the
+		// default path with its cores' streams decoded ahead of the timed
+		// run, as sim replays its recordings.
 		{"default", 2, nil, true},
+		{"decoded", 2, nil, true},
 		{"default", 64, nil, true},
 		{"heap", 64, heapSched, false},
 		{"linear", 64, linearSched, false},
@@ -72,6 +75,9 @@ func BenchmarkEngineRun(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()
 				h := makeHarness(b, cfg.cores, reqPerCore, 512, cfg.sched, cfg.batch, 0)
+				if cfg.name == "decoded" {
+					h = decoded(h)
+				}
 				b.StartTimer()
 				if _, err := Run(h.cfg); err != nil {
 					b.Fatal(err)

@@ -10,12 +10,18 @@
 //
 // Closed-loop cores and open-loop arrival slots share one request body:
 // only the issue clock, the read/write completion and the next scheduler
-// key depend on the slot kind. The scheduler picks the slot with the
-// smallest (clock, index) key, epoch sampling is a pure read of scheme and
-// controller statistics, and the steady-state request path performs no
-// allocations (locked by the engine's alloc-gate tests and benchmarked by
-// `make bench-engine`). sim.Context drives RunInPlace and RunSharded;
-// experiments consume the per-epoch Samples through sim.Result.Epochs.
+// key depend on the slot kind. Every request enters that body as a flat
+// bank and logical row. A core fed by a DecodedSource (sim's recorded
+// streams) hands them over as stored; every other request is decoded
+// through Config.Policy right after its issue clock is known. So the
+// address map runs once for each request a generator draws, never for a
+// replayed one, and the memory controller is driven by flat bank index.
+// The scheduler picks the slot with the smallest (clock, index) key, epoch
+// sampling is a pure read of scheme and controller statistics, and the
+// steady-state request path performs no allocations (locked by the
+// engine's alloc-gate tests and benchmarked by `make bench-engine`).
+// sim.Context drives RunInPlace and RunSharded; experiments consume the
+// per-epoch Samples through sim.Result.Epochs.
 package engine
 
 import (
@@ -30,12 +36,36 @@ import (
 )
 
 // CoreSlot couples one core's front end with its request stream and
-// budget.
+// budget. The stream is exactly one of Gen, whose byte addresses the
+// engine decodes through Config.Policy, and Decoded, whose requests
+// arrive already placed.
 type CoreSlot struct {
 	CPU *cpu.Core
 	Gen trace.Generator
+	// Decoded, set in place of Gen, supplies requests that were decoded
+	// once ahead of the run (sim replays its recordings through it), so
+	// the engine skips the address map for them. Its banks are held to
+	// the run's channel range like any decoded address.
+	Decoded DecodedSource
 	// Requests is the number of requests the core issues before retiring.
 	Requests int
+}
+
+// DecodedRequest is one request after address mapping: the flat bank
+// index (dram.Geometry.Flat) and logical row its address decodes to,
+// with the request's compute gap and write flag. The engine still maps
+// the row through Config.Scrambler. The column is not kept: the
+// closed-page controller reads only the bank.
+type DecodedRequest struct {
+	Bank, Row int
+	Gap       int
+	Write     bool
+}
+
+// DecodedSource is a closed-loop request stream whose requests are
+// already decoded for the run's geometry and address map.
+type DecodedSource interface {
+	Next() DecodedRequest
 }
 
 // OpenSource is an open-loop request stream: each request carries its own
@@ -169,8 +199,11 @@ func (c *Config) validate() error {
 		return fmt.Errorf("engine: channel range [%d,%d) out of [0,%d)", r.Lo, r.Hi, c.Geometry.Channels)
 	}
 	for i, cs := range c.Cores {
-		if cs.CPU == nil || cs.Gen == nil {
-			return fmt.Errorf("engine: core %d missing CPU or generator", i)
+		if cs.CPU == nil {
+			return fmt.Errorf("engine: core %d missing CPU", i)
+		}
+		if (cs.Gen == nil) == (cs.Decoded == nil) {
+			return fmt.Errorf("engine: core %d needs exactly one of a generator and a decoded source", i)
 		}
 		if cs.Requests < 1 {
 			return fmt.Errorf("engine: core %d needs at least one request", i)
@@ -304,6 +337,15 @@ func (s *sampler) flush(endCPU int64) {
 	}
 }
 
+// Decode places a generated request under address map p on geometry g:
+// its flat bank and logical row, with its gap and write flag. It is the
+// engine's own decode of every request it is not handed decoded, and what
+// a DecodedSource must return for the same request.
+func Decode(p addrmap.Policy, g *dram.Geometry, q trace.Request) DecodedRequest {
+	c := p.Decode(q.Addr)
+	return DecodedRequest{Bank: g.Flat(c.Bank), Row: c.Row, Gap: q.Gap, Write: q.Write}
+}
+
 // Run executes the event loop to completion.
 func Run(cfg Config) (Result, error) {
 	return RunInPlace(&cfg)
@@ -387,6 +429,9 @@ func runLoop(cfg *Config, scr *Scratch) (int64, *sampler, error) {
 	if cfg.Channels != nil {
 		chLo, chHi = cfg.Channels.Lo, cfg.Channels.Hi
 	}
+	// The channel range as flat banks: channels own contiguous bank runs.
+	banksPerCh := cfg.Geometry.RanksPerCh * cfg.Geometry.BanksPerRk
+	bankLo, bankHi := chLo*banksPerCh, chHi*banksPerCh
 
 	remaining := n
 	for remaining > 0 {
@@ -429,16 +474,35 @@ func runLoop(cfg *Config, scr *Scratch) (int64, *sampler, error) {
 			}
 		}
 		// Issue clock: a core issues once its window admits the request;
-		// an open request hits the controller at its arrival time.
-		var req trace.Request
+		// an open request hits the controller at its arrival time. A
+		// decoded core's request arrives placed; any other is decoded
+		// right after its issue clock is known.
+		var req DecodedRequest
 		var issueCPU int64
-		if cs != nil {
-			req = cs.Gen.Next()
+		switch {
+		case cs == nil:
+			issueCPU = now
+			openEnd = max(openEnd, issueCPU)
+			req = Decode(cfg.Policy, &cfg.Geometry, pendReq[j])
+		case cs.Decoded != nil:
+			req = cs.Decoded.Next()
 			cs.CPU.AdvanceGap(req.Gap)
 			issueCPU = cs.CPU.PrepareIssue()
-		} else {
-			req, issueCPU = pendReq[j], now
-			openEnd = max(openEnd, issueCPU)
+		default:
+			q := cs.Gen.Next()
+			cs.CPU.AdvanceGap(q.Gap)
+			issueCPU = cs.CPU.PrepareIssue()
+			req = Decode(cfg.Policy, &cfg.Geometry, q)
+		}
+		// Every slot's bank is held to the run's channel range, so a
+		// stream pinned to the wrong shard fails instead of touching
+		// another partition's banks. Decoded slots are checked too, though
+		// sim replays recordings only on the sequential engine, whose range
+		// is the whole system.
+		flat := req.Bank
+		if flat < bankLo || flat >= bankHi {
+			return 0, smp, fmt.Errorf("engine: slot %d request for bank %d (channel %d) outside shard channels [%d,%d)",
+				ci, flat, flat/banksPerCh, chLo, chHi)
 		}
 
 		// Auto-refresh interval boundary (burst semantics, §V).
@@ -450,21 +514,15 @@ func runLoop(cfg *Config, scr *Scratch) (int64, *sampler, error) {
 			nextInterval += cfg.IntervalCPU
 		}
 
-		coord := cfg.Policy.Decode(req.Addr)
-		if coord.Bank.Channel < chLo || coord.Bank.Channel >= chHi {
-			return 0, smp, fmt.Errorf("engine: slot %d request for channel %d outside shard channels [%d,%d)",
-				ci, coord.Bank.Channel, chLo, chHi)
-		}
-		flat := cfg.Geometry.Flat(coord.Bank)
 		perBank[flat]++
 		issueBus := issueCPU / int64(cfg.CPUPerBus)
 
 		// Crosstalk couples physically adjacent wordlines: track (and
 		// refresh) in physical row space unless misconfigured.
-		trackRow := coord.Row
-		physRow := coord.Row
+		trackRow := req.Row
+		physRow := req.Row
 		if cfg.Scrambler != nil {
-			physRow = cfg.Scrambler.ToPhysical(coord.Row)
+			physRow = cfg.Scrambler.ToPhysical(req.Row)
 			if !cfg.IgnoreScrambler {
 				trackRow = physRow
 			}
@@ -479,9 +537,9 @@ func runLoop(cfg *Config, scr *Scratch) (int64, *sampler, error) {
 		// Completion: a core tracks its outstanding reads (writes are
 		// posted); an open slot only extends the run's end.
 		if req.Write {
-			cfg.Ctrl.Write(issueBus, coord)
+			cfg.Ctrl.WriteFlat(issueBus, flat)
 		} else {
-			doneCPU := cfg.Ctrl.Read(issueBus, coord) * int64(cfg.CPUPerBus)
+			doneCPU := cfg.Ctrl.ReadFlat(issueBus, flat) * int64(cfg.CPUPerBus)
 			if cs != nil {
 				cs.CPU.NoteRead(doneCPU)
 			} else {

@@ -82,22 +82,57 @@ func makeHarness(t testing.TB, cores, requests int, threshold uint32, sched func
 	}
 }
 
+// decodedSource replays a pre-decoded request stream.
+type decodedSource struct{ reqs []DecodedRequest }
+
+func (d *decodedSource) Next() DecodedRequest {
+	q := d.reqs[0]
+	d.reqs = d.reqs[1:]
+	return q
+}
+
+// predecode draws n requests from gen and places each through policy on
+// geom, without the engine's Decode, as a DecodedSource.
+func predecode(policy addrmap.Policy, geom dram.Geometry, gen trace.Generator, n int) *decodedSource {
+	reqs := make([]DecodedRequest, n)
+	for k := range reqs {
+		q := gen.Next()
+		c := policy.Decode(q.Addr)
+		reqs[k] = DecodedRequest{Bank: geom.Flat(c.Bank), Row: c.Row, Gap: q.Gap, Write: q.Write}
+	}
+	return &decodedSource{reqs: reqs}
+}
+
+// decoded turns h's cores into decoded slots over their own streams: the
+// same requests, handed to the engine already placed.
+func decoded(h *harness) *harness {
+	for i := range h.cfg.Cores {
+		cs := &h.cfg.Cores[i]
+		cs.Decoded = predecode(h.cfg.Policy, h.cfg.Geometry, cs.Gen, cs.Requests)
+		cs.Gen = nil
+	}
+	return h
+}
+
 // TestSchedulersEquivalent is the scheduler-equivalence contract: every
 // scheduler (heap, tournament, linear) with and without batch-advance must
 // replay the exact causal order of the historical per-request O(cores)
 // scan — same per-bank activation counts, same controller statistics,
-// same scheme activity, same end time.
+// same scheme activity, same end time — and so must the production path
+// fed decoded slots.
 func TestSchedulersEquivalent(t *testing.T) {
 	variants := []struct {
-		name  string
-		sched func(int) scheduler
-		batch bool
+		name    string
+		sched   func(int) scheduler
+		batch   bool
+		decoded bool
 	}{
-		{"heap", heapSched, false},
-		{"heap_batch", heapSched, true},
-		{"tournament", nil, false},
-		{"tournament_batch", nil, true},
-		{"linear_batch", linearSched, true},
+		{"heap", heapSched, false, false},
+		{"heap_batch", heapSched, true, false},
+		{"tournament", nil, false, false},
+		{"tournament_batch", nil, true, false},
+		{"linear_batch", linearSched, true, false},
+		{"tournament_batch_decoded", nil, true, true},
 	}
 	for _, cores := range []int{1, 2, 5, 16} {
 		ref := makeHarness(t, cores, 5000, 512, linearSched, false, 0)
@@ -107,6 +142,9 @@ func TestSchedulersEquivalent(t *testing.T) {
 		}
 		for _, v := range variants {
 			h := makeHarness(t, cores, 5000, 512, v.sched, v.batch, 0)
+			if v.decoded {
+				h = decoded(h)
+			}
 			hr, err := Run(h.cfg)
 			if err != nil {
 				t.Fatal(err)
@@ -120,6 +158,38 @@ func TestSchedulersEquivalent(t *testing.T) {
 			}
 			if h.scheme.Counts() != ref.scheme.Counts() {
 				t.Errorf("cores=%d %s: scheme counts diverge", cores, v.name)
+			}
+		}
+	}
+}
+
+// TestDecodedRunMatchesGenerated: cores handed their streams decoded end
+// in the same engine Result (epoch samples included), controller Stats
+// and scheme Counts as cores whose streams the engine decodes, with and
+// without auto-refresh intervals.
+func TestDecodedRunMatchesGenerated(t *testing.T) {
+	for _, cores := range []int{1, 2, 5} {
+		for _, interval := range []int64{0, 2_000_000} {
+			gen := makeHarness(t, cores, 4000, 512, nil, true, 500_000)
+			dec := decoded(makeHarness(t, cores, 4000, 512, nil, true, 500_000))
+			gen.cfg.IntervalCPU, dec.cfg.IntervalCPU = interval, interval
+			want, err := Run(gen.cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := Run(dec.cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("cores=%d interval=%d: decoded result differs from the generated one", cores, interval)
+			}
+			if dec.ctrl.Stats() != gen.ctrl.Stats() {
+				t.Errorf("cores=%d interval=%d: controller stats %+v, generated %+v",
+					cores, interval, dec.ctrl.Stats(), gen.ctrl.Stats())
+			}
+			if dec.scheme.Counts() != gen.scheme.Counts() {
+				t.Errorf("cores=%d interval=%d: scheme counts differ", cores, interval)
 			}
 		}
 	}
@@ -234,10 +304,18 @@ func TestSnapshotterSampled(t *testing.T) {
 // (program-level allocation counts are deterministic — verified with
 // MemProfileRate=1 — so anything GC-timing-dependent is runtime noise).
 func allocsForRun(t testing.TB, requests int) float64 {
+	return allocsFor(t, requests, false)
+}
+
+// allocsFor is allocsForRun with decoded slots when dec is set.
+func allocsFor(t testing.TB, requests int, dec bool) float64 {
 	t.Helper()
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	return testing.AllocsPerRun(3, func() {
 		h := makeHarness(t, 2, requests, 512, nil, true, 0)
+		if dec {
+			h = decoded(h)
+		}
 		if _, err := Run(h.cfg); err != nil {
 			t.Fatal(err)
 		}
@@ -263,12 +341,15 @@ func steadyStateExtra(t *testing.T, allocs func(testing.TB, int) float64) float6
 }
 
 // TestSteadyStateZeroAllocs is the engine's alloc gate: the per-request
-// loop must not allocate. Comparing two runs that differ only in request
-// count cancels the setup allocations exactly, so any nonzero difference
-// is hot-path garbage.
+// loop must not allocate, for generated and decoded slots alike.
+// Comparing two runs that differ only in request count cancels the setup
+// allocations exactly, so any nonzero difference is hot-path garbage.
 func TestSteadyStateZeroAllocs(t *testing.T) {
-	if extra := steadyStateExtra(t, allocsForRun); extra > 0 {
-		t.Errorf("steady-state loop allocated %.0f times over 40000 extra requests on every attempt (want 0)", extra)
+	for _, dec := range []bool{false, true} {
+		allocs := func(t testing.TB, requests int) float64 { return allocsFor(t, requests, dec) }
+		if extra := steadyStateExtra(t, allocs); extra > 0 {
+			t.Errorf("decoded=%v: steady-state loop allocated %.0f times over 40000 extra requests on every attempt (want 0)", dec, extra)
+		}
 	}
 }
 
@@ -283,7 +364,10 @@ func TestConfigValidation(t *testing.T) {
 		func(c *Config) { c.EpochCPU = -1 },
 		func(c *Config) { c.IntervalCPU = -1 },
 		func(c *Config) { c.Cores[0].Requests = 0 },
+		func(c *Config) { c.Cores[0].CPU = nil },
+		// A core needs exactly one stream: neither, or both.
 		func(c *Config) { c.Cores[0].Gen = nil },
+		func(c *Config) { c.Cores[0].Decoded = &decodedSource{} },
 	}
 	for i, mutate := range bad {
 		cfg := h.cfg

@@ -232,15 +232,22 @@ func TestRunShardedRejectsBadPartitions(t *testing.T) {
 
 // TestRunShardedChannelConfinement checks the loud-failure guarantee: a
 // stream that escapes its partition's channel range aborts the run instead
-// of silently touching another shard's banks.
+// of silently touching another shard's banks, whether the engine decodes
+// it or it arrives decoded.
 func TestRunShardedChannelConfinement(t *testing.T) {
 	geom := dram.Default2Channel()
-	w := makeShardWorld(t, geom, 1, 500, 0, false)
-	// Unpin partition 0's core: its stream now spans both channels.
-	w.parts[0].Cores[0].Gen = w.parts[0].Cores[0].Gen.(*pinGen).gen
-	_, err := RunSharded(w.parts, 1)
-	if err == nil || !strings.Contains(err.Error(), "outside shard channels") {
-		t.Fatalf("escaped stream did not fail the run: %v", err)
+	for _, dec := range []bool{false, true} {
+		w := makeShardWorld(t, geom, 1, 500, 0, false)
+		// Unpin partition 0's core: its stream now spans both channels.
+		cs := &w.parts[0].Cores[0]
+		cs.Gen = cs.Gen.(*pinGen).gen
+		if dec {
+			cs.Decoded, cs.Gen = predecode(w.parts[0].Policy, geom, cs.Gen, cs.Requests), nil
+		}
+		_, err := RunSharded(w.parts, 1)
+		if err == nil || !strings.Contains(err.Error(), "outside shard channels") {
+			t.Fatalf("escaped stream (decoded %v) did not fail the run: %v", dec, err)
+		}
 	}
 }
 

@@ -8,11 +8,15 @@
 // The model deliberately works at bank/channel occupancy granularity
 // rather than per-command DDR cycles: CMRPO depends only on which rows are
 // refreshed, and ETO on how long victim refreshes keep banks from demand
-// requests, and bank occupancy captures both.
+// requests, and bank occupancy captures both. Being closed-page, it needs
+// only the bank of each access, so it is driven by flat bank index
+// (dram.Geometry.Flat) and never sees a row or column.
 package memctrl
 
 import (
 	"fmt"
+	"math"
+	"math/bits"
 
 	"catsim/internal/addrmap"
 	"catsim/internal/dram"
@@ -69,15 +73,23 @@ const (
 	writeDrainLow  = 16
 )
 
-// Controller owns the DRAM banks of one system.
+// Controller owns the DRAM banks of one system. Its accesses name a bank
+// by flat index (ReadFlat, WriteFlat, VictimRefresh): flat banks number
+// each rank's banks contiguously and each channel's ranks contiguously,
+// so a bank's rank and channel are shifts of its index. Read and Write
+// take an addrmap.Coord instead and reduce it to its flat bank; they
+// remain only for the end-to-end benchmark's layer ledger
+// (bench/catbench), which replays recorded coordinates through them.
 type Controller struct {
 	geom      dram.Geometry
 	timing    dram.Timing
 	banks     []dram.Bank
-	chanFree  []int64           // data-bus availability per channel
-	nextRef   []int64           // next auto-refresh per rank (flattened ch*ranks+rk)
-	writeQ    [][]addrmap.Coord // posted writes per channel
-	rowCycles int               // bank-busy cycles per victim-refreshed row
+	chanFree  []int64   // data-bus availability per channel
+	nextRef   []int64   // next auto-refresh per rank (flattened ch*ranks+rk)
+	writeQ    [][]int32 // posted writes per channel, as flat banks
+	rankShift uint      // flat bank >> rankShift is its rank index into nextRef
+	chanShift uint      // flat bank >> chanShift is its channel
+	rowCycles int       // bank-busy cycles per victim-refreshed row
 	stats     Stats
 }
 
@@ -90,16 +102,23 @@ func New(geom dram.Geometry, timing dram.Timing) (*Controller, error) {
 	if err := timing.Validate(); err != nil {
 		return nil, err
 	}
+	if geom.TotalBanks() > math.MaxInt32 {
+		return nil, fmt.Errorf("memctrl: %d banks overflow the write queue's 32-bit bank index", geom.TotalBanks())
+	}
+	// Every dimension is a power of two (Validate), so the shifts are exact.
+	rankShift := uint(bits.TrailingZeros(uint(geom.BanksPerRk)))
 	c := &Controller{
-		geom:     geom,
-		timing:   timing,
-		banks:    make([]dram.Bank, geom.TotalBanks()),
-		chanFree: make([]int64, geom.Channels),
-		nextRef:  make([]int64, geom.Channels*geom.RanksPerCh),
-		writeQ:   make([][]addrmap.Coord, geom.Channels),
+		geom:      geom,
+		timing:    timing,
+		banks:     make([]dram.Bank, geom.TotalBanks()),
+		chanFree:  make([]int64, geom.Channels),
+		nextRef:   make([]int64, geom.Channels*geom.RanksPerCh),
+		writeQ:    make([][]int32, geom.Channels),
+		rankShift: rankShift,
+		chanShift: rankShift + uint(bits.TrailingZeros(uint(geom.RanksPerCh))),
 	}
 	for ch := range c.writeQ {
-		c.writeQ[ch] = make([]addrmap.Coord, 0, WriteQueueCap)
+		c.writeQ[ch] = make([]int32, 0, WriteQueueCap)
 	}
 	c.Reset()
 	return c, nil
@@ -138,31 +157,25 @@ func (c *Controller) SetVictimRowCycles(cycles int) {
 // Stats returns accumulated statistics.
 func (c *Controller) Stats() Stats { return c.stats }
 
-// rankIndex flattens a bank's rank coordinates.
-func (c *Controller) rankIndex(id dram.BankID) int {
-	return id.Channel*c.geom.RanksPerCh + id.Rank
-}
-
-// applyAutoRefresh lazily blocks all banks of the rank for tRFC for every
-// tREFI boundary that has passed.
-func (c *Controller) applyAutoRefresh(at int64, id dram.BankID) {
-	r := c.rankIndex(id)
+// applyAutoRefresh lazily blocks all banks of rank r (flattened
+// ch*ranks+rk, whose banks are flat r*BanksPerRk onward) for tRFC for
+// every tREFI boundary that has passed.
+func (c *Controller) applyAutoRefresh(at int64, r int) {
 	for c.nextRef[r] <= at {
 		start := c.nextRef[r]
-		for b := 0; b < c.geom.BanksPerRk; b++ {
-			flat := c.geom.Flat(dram.BankID{Channel: id.Channel, Rank: id.Rank, Bank: b})
-			c.banks[flat].BlockFor(start, int64(c.timing.TRFC))
+		rank := c.banks[r<<c.rankShift : (r+1)<<c.rankShift]
+		for i := range rank {
+			rank[i].BlockFor(start, int64(c.timing.TRFC))
 		}
 		c.nextRef[r] += int64(c.timing.TREFI)
 		c.stats.AutoRefreshes++
 	}
 }
 
-// access performs one closed-page access and returns the data-completion
-// time in bus cycles.
-func (c *Controller) access(at int64, coord addrmap.Coord, cas int) int64 {
-	c.applyAutoRefresh(at, coord.Bank)
-	flat := c.geom.Flat(coord.Bank)
+// access performs one closed-page access to the flat bank and returns the
+// data-completion time in bus cycles.
+func (c *Controller) access(at int64, flat int, cas int) int64 {
+	c.applyAutoRefresh(at, flat>>c.rankShift)
 	b := &c.banks[flat]
 	// Victim-refresh debt drains in bank idle time first.
 	if b.RefreshDebt > 0 && at > b.FreeAt {
@@ -191,7 +204,7 @@ func (c *Controller) access(at int64, coord addrmap.Coord, cas int) int64 {
 	}
 	dataAt := start + int64(c.timing.TRCD) + int64(cas)
 	// Channel data-bus contention: push the access until the burst fits.
-	ch := coord.Bank.Channel
+	ch := flat >> c.chanShift
 	if c.chanFree[ch] > dataAt {
 		delta := c.chanFree[ch] - dataAt
 		start += delta
@@ -203,20 +216,22 @@ func (c *Controller) access(at int64, coord addrmap.Coord, cas int) int64 {
 	return dataAt + int64(c.timing.TBurst)
 }
 
-// Read issues a demand read at bus cycle `at` and returns its completion.
-func (c *Controller) Read(at int64, coord addrmap.Coord) int64 {
-	done := c.access(at, coord, c.timing.TCAS)
+// ReadFlat issues a demand read to the flat bank at bus cycle `at` and
+// returns its completion.
+func (c *Controller) ReadFlat(at int64, flat int) int64 {
+	done := c.access(at, flat, c.timing.TCAS)
 	c.stats.Reads++
 	c.stats.ReadLatencySum += done - at
 	return done
 }
 
-// Write posts a write into the channel's write queue (the caller does not
-// wait). Once the queue reaches the high watermark it drains in a burst
-// down to the low watermark, occupying banks and the channel data bus.
-func (c *Controller) Write(at int64, coord addrmap.Coord) {
-	ch := coord.Bank.Channel
-	c.writeQ[ch] = append(c.writeQ[ch], coord)
+// WriteFlat posts a write to the flat bank into its channel's write queue
+// (the caller does not wait). Once the queue reaches the high watermark it
+// drains in a burst down to the low watermark, occupying banks and the
+// channel data bus.
+func (c *Controller) WriteFlat(at int64, flat int) {
+	ch := flat >> c.chanShift
+	c.writeQ[ch] = append(c.writeQ[ch], int32(flat))
 	c.stats.Writes++
 	if len(c.writeQ[ch]) >= writeDrainHigh {
 		c.drainWrites(at, ch, writeDrainLow)
@@ -231,12 +246,20 @@ func (c *Controller) drainWrites(at int64, ch, target int) {
 		return
 	}
 	c.stats.WriteDrains++
-	for _, coord := range q[:len(q)-target] {
-		c.access(at, coord, c.timing.TCWD)
+	for _, flat := range q[:len(q)-target] {
+		c.access(at, int(flat), c.timing.TCWD)
 	}
 	n := copy(q, q[len(q)-target:])
 	c.writeQ[ch] = q[:n]
 }
+
+// Read is ReadFlat on coord's bank.
+func (c *Controller) Read(at int64, coord addrmap.Coord) int64 {
+	return c.ReadFlat(at, c.geom.Flat(coord.Bank))
+}
+
+// Write is WriteFlat on coord's bank.
+func (c *Controller) Write(at int64, coord addrmap.Coord) { c.WriteFlat(at, c.geom.Flat(coord.Bank)) }
 
 // FlushWrites drains every queued write (end of simulation).
 func (c *Controller) FlushWrites(at int64) {

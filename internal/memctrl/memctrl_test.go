@@ -6,6 +6,7 @@ import (
 
 	"catsim/internal/addrmap"
 	"catsim/internal/dram"
+	"catsim/internal/rng"
 )
 
 func newCtrl(t *testing.T) (*Controller, dram.Geometry, dram.Timing) {
@@ -221,5 +222,97 @@ func TestStatsSubCoversEveryField(t *testing.T) {
 	}
 	if got := s.Sub(Stats{}); got != s {
 		t.Errorf("Sub(zero) = %+v, want %+v — a field is missing from Sub", got, s)
+	}
+}
+
+// TestFlatBanksMatchCoords drives one controller through the flat-bank
+// entries in time order and another through Read/Write(Coord), with each
+// bank's Unflat, one channel at a time, over 2ch, 4ch (two ranks per
+// channel) and ddr5. Channels share no state, so the two see the same
+// read completions and end in equal Stats only if the controller puts
+// each flat bank on its own channel. The rank and channel it derives from
+// a flat bank by shifts are also checked against Unflat for every bank,
+// which catches a wrong rank shift the two paths would share.
+func TestFlatBanksMatchCoords(t *testing.T) {
+	tm := dram.DDR3_1600()
+	for _, tc := range []struct {
+		name string
+		geom dram.Geometry
+	}{
+		{"2ch", dram.Default2Channel()},
+		{"4ch", dram.Default4Channel()},
+		{"ddr5", dram.DDR5_8Channel()},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			g := tc.geom
+			flat, err := New(g, tm)
+			if err != nil {
+				t.Fatal(err)
+			}
+			byCoord, err := New(g, tm)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for b := 0; b < g.TotalBanks(); b++ {
+				id := g.Unflat(b)
+				if b>>flat.rankShift != id.Channel*g.RanksPerCh+id.Rank || b>>flat.chanShift != id.Channel {
+					t.Fatalf("bank %d: rank index %d, channel %d; Unflat gives %+v",
+						b, b>>flat.rankShift, b>>flat.chanShift, id)
+				}
+			}
+
+			// Accesses spanning several tREFI, a quarter of them writes,
+			// with an occasional victim refresh.
+			type op struct {
+				at          int64
+				bank        int
+				write       bool
+				refreshRows int
+			}
+			src := rng.NewXoshiro256(3)
+			ops := make([]op, 20000)
+			at := int64(0)
+			for i := range ops {
+				r := src.Uint64()
+				at += int64(r % 8)
+				ops[i] = op{at: at, bank: int(r >> 8 % uint64(g.TotalBanks())), write: r>>40%4 == 0}
+				if r>>48%64 == 0 {
+					ops[i].refreshRows = 1 + int(r>>56%16)
+				}
+			}
+			done := make([]int64, len(ops))
+			for i, o := range ops {
+				if o.write {
+					flat.WriteFlat(o.at, o.bank)
+				} else {
+					done[i] = flat.ReadFlat(o.at, o.bank)
+				}
+				flat.VictimRefresh(o.at, o.bank, o.refreshRows)
+			}
+			flat.FlushWrites(at)
+			for ch := 0; ch < g.Channels; ch++ {
+				for i, o := range ops {
+					id := g.Unflat(o.bank)
+					if id.Channel != ch {
+						continue
+					}
+					c := addrmap.Coord{Bank: id, Row: i % g.RowsPerBank}
+					if o.write {
+						byCoord.Write(o.at, c)
+					} else if d := byCoord.Read(o.at, c); d != done[i] {
+						t.Fatalf("op %d (bank %d): read done at %d through Coord, %d through the flat bank", i, o.bank, d, done[i])
+					}
+					byCoord.VictimRefresh(o.at, o.bank, o.refreshRows)
+				}
+			}
+			byCoord.FlushWrites(at)
+			st := flat.Stats()
+			if st != byCoord.Stats() {
+				t.Errorf("stats through Coord %+v, through flat banks %+v", byCoord.Stats(), st)
+			}
+			if st.WriteDrains == 0 || st.AutoRefreshes == 0 || st.VictimRefreshBusy == 0 {
+				t.Errorf("the access mix missed a controller path: %+v", st)
+			}
+		})
 	}
 }

@@ -311,7 +311,8 @@ func (ctx *Context) buildPart(p int, cfg, prev *Config, was bool, stride int, cp
 		for i := range pt.closed {
 			pt.closed[i].reseed(cfg.Seed)
 			pt.slots[i].CPU.Reset()
-			pt.slots[i].Gen = pt.closed[i].gen // a recorded run may have left a cursor
+			// A recorded run may have left a cursor in place of the stream.
+			pt.slots[i].Gen, pt.slots[i].Decoded = pt.closed[i].gen, nil
 		}
 		if pt.openRT != nil {
 			pt.openRT.Reset(cfg.Seed)

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"catsim/internal/dram"
+	"catsim/internal/engine"
 	"catsim/internal/mitigation"
 	"catsim/internal/trace"
 )
@@ -19,8 +20,12 @@ type recordShape struct {
 // builds: a single workload, a per-core mix, each attack pattern with and
 // without a delayed onset, channel-affine streams on the sequential
 // engine, the 4-core Fig. 11 systems, and runs spanning many auto-refresh
-// intervals. Every run checks protection and samples epochs, so the
-// Results compare every metric.
+// intervals. Two more pin the decoded records: the ddr5 preset, whose
+// (bank, row) place is the widest of any preset, and a scrambled system,
+// whose records hold logical rows the engine still scrambles. Every run
+// but ddr5's checks protection (an oracle over ddr5's 2^25 rows would
+// dwarf the test), and every run samples epochs, so the Results compare
+// every metric.
 func recordShapes(t *testing.T) []recordShape {
 	t.Helper()
 	lookup := func(name string) trace.Spec {
@@ -74,7 +79,16 @@ func recordShapes(t *testing.T) []recordShape {
 	intervals := base
 	intervals.IntervalNS = 10_000
 	shapes = append(shapes, recordShape{"intervals", intervals})
-	return shapes
+
+	ddr5 := base
+	ddr5.Geometry, ddr5.CheckProtection = dram.DDR5_8Channel(), false
+	scrambled := base
+	s, err := dram.NewStrideScrambler(base.Geometry.RowsPerBank, 9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	scrambled.Scrambler = s
+	return append(shapes, recordShape{"ddr5", ddr5}, recordShape{"scrambled", scrambled})
 }
 
 // TestRecordedRunsMatchGenerated: for every closed-loop shape, a run
@@ -214,30 +228,57 @@ func TestUnpackableStreamFallsBack(t *testing.T) {
 	}
 }
 
-// TestPackRanges pins the packed record's field ranges.
+// TestPackRanges pins the packed record's field ranges: the gap's bounds,
+// (bank, row) at the extremes of ddr5 (the widest preset) and of a
+// geometry that fills the place field exactly, and a geometry whose banks
+// × rows overflow it, which leaves its recording unpacked.
 func TestPackRanges(t *testing.T) {
-	const lineBytes = 64
-	for _, tc := range []struct {
-		req  trace.Request
-		fits bool
-	}{
-		{trace.Request{Addr: 0, Gap: 0}, true},
-		{trace.Request{Addr: maxLine * lineBytes, Gap: maxGap, Write: true}, true},
-		{trace.Request{Addr: (maxLine + 1) * lineBytes, Gap: 1}, false},
-		{trace.Request{Addr: 64, Gap: maxGap + 1}, false},
-		{trace.Request{Addr: 32, Gap: 1}, false},
-		{trace.Request{Addr: -64, Gap: 1}, false},
-		{trace.Request{Addr: 64, Gap: -1}, false},
-	} {
-		rec, ok := pack(tc.req, lineBytes)
-		if ok != tc.fits {
-			t.Errorf("pack(%+v) fits = %v, want %v", tc.req, ok, tc.fits)
-			continue
+	ddr5 := dram.DDR5_8Channel()
+	full := ddr5
+	full.RowsPerBank = 1 << (placeBits - 9) // 512 banks
+	for _, g := range []dram.Geometry{ddr5, full} {
+		rowBits, fits := placeRowBits(g)
+		if !fits {
+			t.Fatalf("%d banks × %d rows do not fit a record", g.TotalBanks(), g.RowsPerBank)
 		}
-		if ok {
-			if got := unpack(rec, lineBytes); got != tc.req {
-				t.Errorf("unpack(pack(%+v)) = %+v", tc.req, got)
+		last, lastRow := g.TotalBanks()-1, g.RowsPerBank-1
+		for _, tc := range []struct {
+			req  engine.DecodedRequest
+			fits bool
+		}{
+			{engine.DecodedRequest{}, true},
+			{engine.DecodedRequest{Bank: last, Row: lastRow, Gap: maxGap, Write: true}, true},
+			{engine.DecodedRequest{Bank: last, Row: 0, Gap: 1}, true},
+			{engine.DecodedRequest{Bank: 0, Row: lastRow, Gap: 1, Write: true}, true},
+			{engine.DecodedRequest{Bank: 1, Row: 1, Gap: maxGap + 1}, false},
+			{engine.DecodedRequest{Bank: 1, Row: 1, Gap: -1}, false},
+		} {
+			rec, ok := pack(tc.req, rowBits)
+			if ok != tc.fits {
+				t.Errorf("%d rows: pack(%+v) fits = %v, want %v", g.RowsPerBank, tc.req, ok, tc.fits)
+				continue
+			}
+			if ok {
+				if got := unpack(rec, rowBits); got != tc.req {
+					t.Errorf("%d rows: unpack(pack(%+v)) = %+v", g.RowsPerBank, tc.req, got)
+				}
 			}
 		}
+	}
+
+	wide := full
+	wide.RowsPerBank *= 2
+	if _, fits := placeRowBits(wide); fits {
+		t.Fatalf("%d banks × %d rows fit the %d-bit place field", wide.TotalBanks(), wide.RowsPerBank, placeBits)
+	}
+	cfg := recordShapes(t)[0].cfg
+	cfg.Geometry = wide
+	rec := NewRecording(0)
+	if err := rec.Record(cfg); err != nil {
+		t.Fatal(err)
+	}
+	if !rec.recorded || rec.packed || len(rec.recs) != 0 {
+		t.Errorf("a geometry wider than the place field was packed (recorded %v, packed %v, %d records)",
+			rec.recorded, rec.packed, len(rec.recs))
 	}
 }
