@@ -103,9 +103,9 @@ func sameStream(a, b *Config) bool { return a.Seed == b.Seed && sameStreamShape(
 
 // Record draws cfg's closed-loop request streams — the generation loop
 // Capture runs — into r, decoding each request as the engine would,
-// replacing what r held. When a request does not fit a packed record, r
-// keeps only the identity, and runs replaying it generate their streams
-// instead.
+// replacing what r held. When a gap does not fit a packed record, or the
+// geometry's banks × rows do not fit its place field, r keeps only the
+// identity, and runs replaying it generate their streams instead.
 func (r *Recording) Record(cfg Config) error {
 	cfg.fill()
 	r.recorded = false
