@@ -45,7 +45,7 @@ race: race-shard race-server
 # DDR5 geometry end to end.
 race-shard:
 	$(GO) test -race -run 'Shard|Affine' ./internal/engine ./internal/sim
-	$(GO) run -race ./cmd/catsim -geometry ddr5 -cores 8 -affine -shards 8 -workload black -scheme DRCAT -scale 0.02
+	$(GO) run -race ./cmd/catsim -geometry ddr5 -cores 8 -affine -shards 8 -workload black -scheme drcat:counters=64,levels=11 -scale 0.02
 
 # The server's job state, which workers, streams, /result requests and
 # the drain all reach, under the race detector ten times over.
@@ -189,30 +189,35 @@ golden:
 # byte, and the JSON output must decode as []Report. The text runs twice:
 # sequentially (-parallel 1), and with eight workers, several of which
 # wait on one recording of a shared request stream. The -list output
-# (names, descriptions and presentation order) has its own golden.
+# (names, descriptions and presentation order) has its own golden. The
+# binary and its outputs go to a fresh temporary directory, removed on
+# exit.
 golden-check:
-	$(GO) build -o /tmp/catsim-experiments ./cmd/experiments
-	/tmp/catsim-experiments -list > /tmp/catsim-list.txt
-	diff -u cmd/experiments/testdata/list.txt /tmp/catsim-list.txt
-	/tmp/catsim-experiments $(GOLDEN_FLAGS) -parallel 1 > /tmp/catsim-golden-p1.txt
-	diff -u cmd/experiments/testdata/golden-scale005.txt /tmp/catsim-golden-p1.txt
-	/tmp/catsim-experiments $(GOLDEN_FLAGS) -parallel 8 > /tmp/catsim-golden-p8.txt
-	diff -u cmd/experiments/testdata/golden-scale005.txt /tmp/catsim-golden-p8.txt
-	/tmp/catsim-experiments $(GOLDEN_FLAGS) -format json > /tmp/catsim-golden.json
-	/tmp/catsim-experiments -validate-json /tmp/catsim-golden.json
+	set -e; dir=$$(mktemp -d); trap 'rm -rf "$$dir"' EXIT; \
+	$(GO) build -o $$dir/catsim-experiments ./cmd/experiments; \
+	$$dir/catsim-experiments -list > $$dir/list.txt; \
+	diff -u cmd/experiments/testdata/list.txt $$dir/list.txt; \
+	$$dir/catsim-experiments $(GOLDEN_FLAGS) -parallel 1 > $$dir/golden-p1.txt; \
+	diff -u cmd/experiments/testdata/golden-scale005.txt $$dir/golden-p1.txt; \
+	$$dir/catsim-experiments $(GOLDEN_FLAGS) -parallel 8 > $$dir/golden-p8.txt; \
+	diff -u cmd/experiments/testdata/golden-scale005.txt $$dir/golden-p8.txt; \
+	$$dir/catsim-experiments $(GOLDEN_FLAGS) -format json > $$dir/golden.json; \
+	$$dir/catsim-experiments -validate-json $$dir/golden.json
 
 # The capture/replay determinism gate: a live open-loop run and a replay
 # of the same configuration's captured v1 trace must print byte-identical
 # Result JSON (the trace pipeline's core contract, also test-enforced in
-# internal/sim and cmd/replay).
+# internal/sim and cmd/replay). Its files go to a fresh temporary
+# directory, removed on exit.
 REPLAY_FLAGS = -workload ol-bursty -requests 4000 -attacker 0.25 -threshold 1600 -seed 7
 replay-check:
-	$(GO) build -o /tmp/catsim-replay ./cmd/replay
-	/tmp/catsim-replay $(REPLAY_FLAGS) -json > /tmp/catsim-live.json
-	/tmp/catsim-replay $(REPLAY_FLAGS) -capture -o /tmp/catsim-trace.v1
-	/tmp/catsim-replay $(REPLAY_FLAGS) -trace /tmp/catsim-trace.v1 -json > /tmp/catsim-replay.json
-	diff /tmp/catsim-live.json /tmp/catsim-replay.json
-	/tmp/catsim-replay $(REPLAY_FLAGS) -trace /tmp/catsim-trace.v1 -scheme sca:counters=128 > /dev/null
+	set -e; dir=$$(mktemp -d); trap 'rm -rf "$$dir"' EXIT; \
+	$(GO) build -o $$dir/catsim-replay ./cmd/replay; \
+	$$dir/catsim-replay $(REPLAY_FLAGS) -json > $$dir/live.json; \
+	$$dir/catsim-replay $(REPLAY_FLAGS) -capture -o $$dir/trace.v1; \
+	$$dir/catsim-replay $(REPLAY_FLAGS) -trace $$dir/trace.v1 -json > $$dir/replay.json; \
+	diff $$dir/live.json $$dir/replay.json; \
+	$$dir/catsim-replay $(REPLAY_FLAGS) -trace $$dir/trace.v1 -scheme sca:counters=128 > /dev/null
 
 # Run the simulation service locally (ctrl-C drains and snapshots).
 SERVE_FLAGS ?= -addr 127.0.0.1:8321 -snapshot /tmp/catsim-server.snap
@@ -228,32 +233,34 @@ serve:
 # (4) a restart from the snapshot to re-serve the stream byte-identically
 # without recomputation. The Go test suites lock the byte-level contracts
 # under -race; this target proves the shipped binary wires them together.
+# Its binaries, snapshot, log and responses go to a fresh temporary
+# directory, removed on exit along with any server still running.
 SERVER_CHECK_ADDR = 127.0.0.1:18321
 SERVER_CHECK_JOB = {"scheme":"drcat:counters=64,levels=11","workload":"ol-bursty","requests":4000,"attacker":0.25,"threshold":1600,"seed":7}
 server-check:
-	$(GO) build -o /tmp/catsim-server ./cmd/catsim-server
-	$(GO) build -o /tmp/catsim-replay ./cmd/replay
-	rm -f /tmp/catsim-server.snap /tmp/catsim-server.log
-	set -e; \
-	/tmp/catsim-server -addr $(SERVER_CHECK_ADDR) -workers 1 -snapshot /tmp/catsim-server.snap > /tmp/catsim-server.log 2>&1 & \
-	pid=$$!; trap 'kill $$pid 2>/dev/null || true' EXIT; \
+	set -e; dir=$$(mktemp -d); pid=; \
+	trap 'kill $$pid 2>/dev/null || true; rm -rf "$$dir"' EXIT; \
+	$(GO) build -o $$dir/catsim-server ./cmd/catsim-server; \
+	$(GO) build -o $$dir/catsim-replay ./cmd/replay; \
+	$$dir/catsim-server -addr $(SERVER_CHECK_ADDR) -workers 1 -snapshot $$dir/server.snap > $$dir/server.log 2>&1 & \
+	pid=$$!; \
 	for i in $$(seq 1 100); do curl -fs http://$(SERVER_CHECK_ADDR)/healthz > /dev/null 2>&1 && break; sleep 0.1; done; \
-	curl -fs -X POST -H 'Content-Type: application/json' -d '$(SERVER_CHECK_JOB)' http://$(SERVER_CHECK_ADDR)/v1/jobs > /tmp/catsim-server-post.json; \
-	id=$$(jq -r .id /tmp/catsim-server-post.json); \
-	curl -fs http://$(SERVER_CHECK_ADDR)/v1/jobs/$$id/result | jq -S . > /tmp/catsim-server-result.json; \
-	/tmp/catsim-replay $(REPLAY_FLAGS) -json | jq -S . > /tmp/catsim-server-direct.json; \
-	diff /tmp/catsim-server-direct.json /tmp/catsim-server-result.json; \
+	curl -fs -X POST -H 'Content-Type: application/json' -d '$(SERVER_CHECK_JOB)' http://$(SERVER_CHECK_ADDR)/v1/jobs > $$dir/post.json; \
+	id=$$(jq -r .id $$dir/post.json); \
+	curl -fs http://$(SERVER_CHECK_ADDR)/v1/jobs/$$id/result | jq -S . > $$dir/result.json; \
+	$$dir/catsim-replay $(REPLAY_FLAGS) -json | jq -S . > $$dir/direct.json; \
+	diff $$dir/direct.json $$dir/result.json; \
 	curl -fs -X POST -H 'Content-Type: application/json' -d '$(SERVER_CHECK_JOB)' http://$(SERVER_CHECK_ADDR)/v1/jobs | jq -e '.cached == true' > /dev/null; \
 	curl -fs http://$(SERVER_CHECK_ADDR)/v1/stats | jq -e '.engine_runs == 1' > /dev/null; \
-	curl -fs http://$(SERVER_CHECK_ADDR)/v1/jobs/$$id/stream > /tmp/catsim-server-stream1.ndjson; \
-	tail -n 1 /tmp/catsim-server-stream1.ndjson | jq -S .result > /tmp/catsim-server-streamres.json; \
-	diff /tmp/catsim-server-direct.json /tmp/catsim-server-streamres.json; \
-	kill -TERM $$pid; wait $$pid; \
-	/tmp/catsim-server -addr $(SERVER_CHECK_ADDR) -workers 1 -snapshot /tmp/catsim-server.snap >> /tmp/catsim-server.log 2>&1 & \
-	pid=$$!; trap 'kill $$pid 2>/dev/null || true' EXIT; \
+	curl -fs http://$(SERVER_CHECK_ADDR)/v1/jobs/$$id/stream > $$dir/stream1.ndjson; \
+	tail -n 1 $$dir/stream1.ndjson | jq -S .result > $$dir/streamres.json; \
+	diff $$dir/direct.json $$dir/streamres.json; \
+	kill -TERM $$pid; wait $$pid; pid=; \
+	$$dir/catsim-server -addr $(SERVER_CHECK_ADDR) -workers 1 -snapshot $$dir/server.snap >> $$dir/server.log 2>&1 & \
+	pid=$$!; \
 	for i in $$(seq 1 100); do curl -fs http://$(SERVER_CHECK_ADDR)/healthz > /dev/null 2>&1 && break; sleep 0.1; done; \
-	curl -fs http://$(SERVER_CHECK_ADDR)/v1/jobs/$$id/stream > /tmp/catsim-server-stream2.ndjson; \
-	diff /tmp/catsim-server-stream1.ndjson /tmp/catsim-server-stream2.ndjson; \
+	curl -fs http://$(SERVER_CHECK_ADDR)/v1/jobs/$$id/stream > $$dir/stream2.ndjson; \
+	diff $$dir/stream1.ndjson $$dir/stream2.ndjson; \
 	curl -fs http://$(SERVER_CHECK_ADDR)/v1/stats | jq -e '.engine_runs == 0' > /dev/null; \
-	kill -TERM $$pid; wait $$pid; trap - EXIT; \
+	kill -TERM $$pid; wait $$pid; pid=; \
 	echo "server-check: OK"

@@ -7,19 +7,20 @@
 // needed to regenerate every table and figure of the paper's evaluation.
 //
 // Beyond the paper, the repository carries the modern tracker generation
-// on the internal/sketch approximate-counting substrate — NewCoMeT
-// (count-min-sketch row tracking), NewABACuS (all-bank shared counters)
-// and NewStochastic (DSAC-style stochastic counting) — plus a protection
-// harness: adversarial attack patterns (double-sided, many-sided,
-// bank-sweep) and an oracle-checked missed-victim rate, swept across
-// schemes and thresholds by the figx experiment.
+// on the internal/sketch approximate-counting substrate — CoMeT
+// (count-min-sketch row tracking), ABACuS (all-bank shared counters) and
+// DSAC-style stochastic counting — plus a protection harness: adversarial
+// attack patterns (double-sided, many-sided, bank-sweep) and an
+// oracle-checked missed-victim rate, swept across schemes and thresholds
+// by the figx experiment.
 //
 // This package is a thin facade over the internal packages for downstream
 // users; see README.md for the architecture and cmd/experiments for the
 // reproduction harness.
 //
-// Schemes are described by declarative, serializable specs — a kind, a
-// refresh threshold and named parameters — built through one registry:
+// Every scheme is described by a declarative, serializable spec — a kind,
+// a refresh threshold and named parameters — and built through one
+// registry:
 //
 //	spec, _ := catsim.ParseScheme("comet:threshold=32768,counters=512,depth=4")
 //	scheme, _ := catsim.Build(spec, catsim.Default2Channel())
@@ -95,59 +96,12 @@ func Build(spec SchemeSpec, geom Geometry) (Scheme, error) {
 	return mitigation.Build(spec, geom.TotalBanks(), geom.RowsPerBank)
 }
 
-// NewSCA builds the Static Counter Assignment baseline (m uniform group
-// counters per bank). Thin wrapper over the spec registry.
-func NewSCA(banks, rowsPerBank, m int, threshold uint32) (Scheme, error) {
-	p := mitigation.Params{}
-	p.SetInt("counters", m)
-	return mitigation.Build(mitigation.SchemeSpec{
-		Kind: mitigation.KindSCA, Threshold: threshold, Params: p,
-	}, banks, rowsPerBank)
-}
-
-// NewCAT builds a PRCAT/DRCAT scheme with one tree per bank. The full
-// TreeConfig (custom ladders included) is richer than a serializable
-// spec, so this constructs directly; spec-expressible configurations are
-// also available as Build("prcat:..."/"drcat:...").
+// NewCAT builds a PRCAT/DRCAT scheme with one tree per bank from a full
+// TreeConfig. A custom split-threshold ladder has no spec form, so this is
+// the one scheme constructor beside Build; every spec-expressible CAT
+// builds as Build("prcat:..."/"drcat:...").
 func NewCAT(banks int, cfg TreeConfig) (Scheme, error) {
 	return mitigation.NewCAT(banks, cfg)
-}
-
-// NewCoMeT builds the count-min-sketch tracker (Bostancı et al., HPCA
-// 2024): counters sketch counters per bank spread over depth hash rows,
-// fronted by an exact recent-aggressor table. Deterministically sound —
-// the sketch never undercounts — with approximation showing up as extra
-// refreshes, never missed victims. Thin wrapper over the spec registry.
-func NewCoMeT(banks, rowsPerBank int, threshold uint32, counters, depth int, seed uint64) (Scheme, error) {
-	p := mitigation.Params{}
-	p.SetInt("counters", counters)
-	p.SetInt("depth", depth)
-	p.SetUint64("seed", seed)
-	return mitigation.Build(mitigation.SchemeSpec{
-		Kind: mitigation.KindCoMeT, Threshold: threshold, Params: p,
-	}, banks, rowsPerBank)
-}
-
-// NewABACuS builds the all-bank shared-counter tracker (Olgun et al.,
-// USENIX Security 2024): entries Misra-Gries counters keyed by row ID and
-// shared across every bank, refreshing a hot row's victims in all banks
-// at once (the scheme implements the mitigation.CrossBank interface).
-// Thin wrapper over the spec registry.
-func NewABACuS(banks, rowsPerBank, entries int, threshold uint32) (Scheme, error) {
-	p := mitigation.Params{}
-	p.SetInt("counters", entries)
-	return mitigation.Build(mitigation.SchemeSpec{
-		Kind: mitigation.KindABACuS, Threshold: threshold, Params: p,
-	}, banks, rowsPerBank)
-}
-
-// NewStochastic builds a DSAC-style stochastic-approximate tracker (Hong
-// et al., 2023): m exact counters per bank with probabilistic
-// replace-minimum insertion, drawn from one PRNG stream seeded with seed.
-// Cheap but probabilistic — its protection gap under adversarial patterns
-// is what the figx experiment quantifies.
-func NewStochastic(banks, rowsPerBank, m int, threshold uint32, seed uint64) (Scheme, error) {
-	return mitigation.NewStochastic(banks, rowsPerBank, m, threshold, seed)
 }
 
 // Geometry describes a DRAM system; Default2Channel is the paper's

@@ -40,16 +40,60 @@ func TestFacadeLadder(t *testing.T) {
 	}
 }
 
-func TestFacadeSchemes(t *testing.T) {
-	sca, err := NewSCA(2, 1<<10, 8, 64)
+// facadeSpecs is one spec of every scheme kind, with the scheme name
+// each builds.
+var facadeSpecs = []struct{ spec, name string }{
+	{"none", "None"},
+	{"sca:threshold=64,counters=8", "SCA_8"},
+	{"pra:threshold=64,p=0.002,seed=1", "PRA_0.002"},
+	{"prcat:threshold=64,counters=8,levels=6", "PRCAT_8"},
+	{"drcat:threshold=64,counters=8,levels=6", "DRCAT_8"},
+	{"cc:threshold=64,counters=256", "CC_256"},
+	{"comet:threshold=64,counters=256,depth=4,seed=1", "CoMeT_256"},
+	{"abacus:threshold=64,counters=64", "ABACuS_64"},
+	{"dsac:threshold=64,counters=32,seed=1", "DSAC_32"},
+}
+
+// buildFacadeSpec builds one facadeSpecs entry on a small 2-channel
+// geometry through ParseScheme and Build.
+func buildFacadeSpec(t *testing.T, spec string) (SchemeSpec, Scheme) {
+	t.Helper()
+	geo, err := ParseGeometry("2ch:rows=1Ki")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sca.Name() != "SCA_8" {
-		t.Errorf("name = %s", sca.Name())
+	parsed, err := ParseScheme(spec)
+	if err != nil {
+		t.Fatal(err)
 	}
+	scheme, err := Build(parsed, geo.Geometry())
+	if err != nil {
+		t.Fatalf("%s: %v", spec, err)
+	}
+	return parsed, scheme
+}
+
+// TestFacadeSchemes: every scheme kind builds through ParseScheme and
+// Build, and a CAT with a custom ladder, which has no spec form, through
+// NewCAT.
+func TestFacadeSchemes(t *testing.T) {
+	kinds := map[mitigation.Kind]bool{}
+	for _, tc := range facadeSpecs {
+		spec, scheme := buildFacadeSpec(t, tc.spec)
+		if scheme.Name() != tc.name || scheme.Kind() != spec.Kind {
+			t.Errorf("%s built %s (%v), want %s (%v)", tc.spec, scheme.Name(), scheme.Kind(), tc.name, spec.Kind)
+		}
+		kinds[spec.Kind] = true
+	}
+	for _, k := range mitigation.Kinds() {
+		if !kinds[k] {
+			t.Errorf("no facade spec builds kind %v", k)
+		}
+	}
+
+	ladder := []uint32{8, 16, 24, 32, 48, 64}
 	cat, err := NewCAT(2, TreeConfig{
-		Rows: 1 << 10, Counters: 8, MaxLevels: 6, RefreshThreshold: 64,
+		Rows: 1 << 10, Counters: 8, MaxLevels: 6, RefreshThreshold: 64, Ladder: ladder,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -59,27 +103,14 @@ func TestFacadeSchemes(t *testing.T) {
 	}
 }
 
+// TestFacadeModernTrackers: of every kind the facade builds, only ABACuS
+// refreshes a hot row's victims in all banks at once.
 func TestFacadeModernTrackers(t *testing.T) {
-	comet, err := NewCoMeT(2, 1<<10, 64, 256, 4, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if comet.Kind() != mitigation.KindCoMeT || comet.Name() != "CoMeT_256" {
-		t.Errorf("CoMeT facade: %s %v", comet.Name(), comet.Kind())
-	}
-	abacus, err := NewABACuS(2, 1<<10, 64, 64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := abacus.(mitigation.CrossBank); !ok {
-		t.Error("ABACuS must expose cross-bank refreshes")
-	}
-	dsac, err := NewStochastic(2, 1<<10, 32, 64, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if dsac.Kind() != mitigation.KindStochastic {
-		t.Errorf("DSAC kind = %v", dsac.Kind())
+	for _, tc := range facadeSpecs {
+		spec, scheme := buildFacadeSpec(t, tc.spec)
+		if _, cross := scheme.(mitigation.CrossBank); cross != (spec.Kind == mitigation.KindABACuS) {
+			t.Errorf("%s: cross-bank refreshes %v, want them for ABACuS only", tc.spec, cross)
+		}
 	}
 }
 
@@ -153,15 +184,6 @@ func TestFacadeBuildFromSpec(t *testing.T) {
 	}
 	if scheme.Name() != "CoMeT_256" || scheme.Kind() != mitigation.KindCoMeT {
 		t.Errorf("built %s (%v)", scheme.Name(), scheme.Kind())
-	}
-	// The constructor wrappers and the spec path build identical schemes.
-	direct, err := NewCoMeT(Default2Channel().TotalBanks(), Default2Channel().RowsPerBank, 1024, 256, 4, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if direct.Name() != scheme.Name() || direct.CountersPerBank() != scheme.CountersPerBank() {
-		t.Errorf("wrapper built %s/%d, spec built %s/%d",
-			direct.Name(), direct.CountersPerBank(), scheme.Name(), scheme.CountersPerBank())
 	}
 	// Missing threshold fails loudly.
 	spec.Threshold = 0

@@ -142,7 +142,8 @@ func TestStreamToResultThenExitZero(t *testing.T) {
 
 // TestDrainExpiryEndsStreamWithTerminalLine: when -drain expires with a
 // job still running, the stream attached to it still ends with a JSON
-// terminal line, and the server exits 1.
+// terminal line, one that does not call the job queued, and the server
+// exits 1.
 func TestDrainExpiryEndsStreamWithTerminalLine(t *testing.T) {
 	base, shutdown := boot(t, "-workers", "1", "-drain", "50ms")
 	// 2M requests, which outlive the 50 ms drain many times over.
@@ -192,6 +193,10 @@ func TestDrainExpiryEndsStreamWithTerminalLine(t *testing.T) {
 	}
 	if err := json.Unmarshal(lines[len(lines)-1], &last); err != nil || last.Sample != nil || (last.Result == nil && last.Error == "") {
 		t.Errorf("stream of %d lines ended with %q, want a JSON result or error line", len(lines), lines[len(lines)-1])
+	}
+	// The drain cut the job mid-run, so the error must not say it never ran.
+	if last.Error == "server shutting down before the job ran" {
+		t.Errorf("stream of %d lines on the running job ended with the queued job's error %q", len(lines), last.Error)
 	}
 }
 

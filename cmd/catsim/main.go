@@ -3,13 +3,13 @@
 //
 // Usage:
 //
-//	catsim -workload black -scheme DRCAT -counters 64 -levels 11 -threshold 32768
-//	catsim -workload comm1 -scheme PRA -threshold 16384
-//	catsim -workload face -scheme SCA -counters 128 -attack heavy -kernel 3
+//	catsim -workload black -scheme drcat:counters=64,levels=11 -threshold 32768
+//	catsim -workload comm1 -scheme pra -threshold 16384
+//	catsim -workload face -scheme sca:counters=128 -attack heavy -kernel 3
 //
-// -scheme also accepts full spec strings (any registered kind, including
-// the modern trackers), which override the individual -counters/-levels
-// flags; a threshold= param overrides -threshold:
+// -scheme takes a scheme spec of any registered kind, the modern trackers
+// included (default drcat:counters=64,levels=11); a threshold= param
+// overrides -threshold:
 //
 //	catsim -workload comm1 -scheme comet:counters=512,depth=4
 //	catsim -workload black -scheme drcat:threshold=16384,counters=64,levels=11
@@ -19,7 +19,7 @@
 // cohort and report per-tenant attribution; -attacker embeds an attacker
 // tenant issuing that fraction of all arrivals:
 //
-//	catsim -workload ol-poisson -scheme DRCAT -attacker 0.1
+//	catsim -workload ol-poisson -attacker 0.1
 package main
 
 import (
@@ -52,13 +52,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.SetOutput(stderr)
 	var (
 		workload  = fs.String("workload", "comm1", "workload name (see -list)")
-		scheme    = fs.String("scheme", "DRCAT", "scheme: SCA, PRA, PRCAT, DRCAT, CC, None")
-		counters  = fs.Int("counters", 64, "counters per bank (SCA/CAT) or cache entries (CC)")
-		levels    = fs.Int("levels", 11, "maximum CAT levels L")
 		threshold = fs.Uint("threshold", 32768, "refresh threshold T")
-		praP      = fs.Float64("p", 0, "PRA probability (0 = paper's value for T)")
 		cores     = fs.Int("cores", 2, "number of cores")
-		quad      = fs.Bool("quad", false, "quad-core geometry (128K rows/bank)")
 		fourCh    = fs.Bool("4ch", false, "4-channel parallelism-maximising mapping")
 		scale     = fs.Float64("scale", 0.25, "run scale (1 = one full 64 ms interval)")
 		seed      = fs.Uint64("seed", 1, "random seed")
@@ -70,10 +65,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 		affine    = fs.Bool("affine", false, "pin core i's stream to channel i mod channels (required by -shards)")
 		shards    = fs.Int("shards", 0, "run the channel-partitioned engine with up to N workers (0 = sequential; needs -affine)")
 		list      = fs.Bool("list", false, "list workloads and exit")
+		scheme    = mitigation.SchemeSpec{Kind: mitigation.KindDRCAT, Params: mitigation.Params{"counters": "64", "levels": "11"}}
 		geo       dram.GeometrySpec
 	)
+	fs.Var(&scheme, "scheme",
+		"scheme spec, e.g. sca:counters=128, pra or comet:counters=512,depth=4; a threshold= param overrides -threshold")
 	fs.Var(&geo, "geometry",
-		"geometry spec: a preset with optional overrides, e.g. ddr5 or ddr5:channels=8,rows=128Ki (overrides -quad; see catsim.Geometries)")
+		"geometry spec: a preset with optional overrides, e.g. ddr5 or ddr5:channels=8,rows=128Ki (overrides -4ch's geometry; see catsim.Geometries)")
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
 			return 0
@@ -113,37 +111,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 	}
 
-	var spec sim.SchemeSpec
-	if strings.Contains(*scheme, ":") {
-		// Full spec string: one flag carries the whole configuration
-		// (any registered kind); a threshold= param overrides -threshold.
-		ms, err := mitigation.ParseSpec(*scheme)
-		if err != nil {
-			return fail(err)
-		}
-		if spec, err = sim.FromSpec(ms); err != nil {
-			return fail(err)
-		}
-		if ms.Threshold != 0 {
-			*threshold = uint(ms.Threshold)
-		}
-	} else {
-		switch strings.ToUpper(*scheme) {
-		case "SCA":
-			spec = sim.SchemeSpec{Kind: mitigation.KindSCA, Counters: *counters}
-		case "PRA":
-			spec = sim.SchemeSpec{Kind: mitigation.KindPRA, PRAProb: *praP}
-		case "PRCAT":
-			spec = sim.SchemeSpec{Kind: mitigation.KindPRCAT, Counters: *counters, MaxLevels: *levels}
-		case "DRCAT":
-			spec = sim.SchemeSpec{Kind: mitigation.KindDRCAT, Counters: *counters, MaxLevels: *levels}
-		case "CC":
-			spec = sim.SchemeSpec{Kind: mitigation.KindCounterCache, Counters: *counters}
-		case "NONE":
-			spec = sim.SchemeSpec{Kind: mitigation.KindNone}
-		default:
-			return fail(fmt.Errorf("unknown scheme %q (kind names also parse as specs, e.g. comet:counters=512)", *scheme))
-		}
+	spec, err := sim.FromSpec(scheme)
+	if err != nil {
+		return fail(err)
+	}
+	if scheme.Threshold != 0 {
+		*threshold = uint(scheme.Threshold)
 	}
 	// PRA's p pairs with the unscaled threshold, the hardware parameter
 	// the paper tabulates; the builder would pick it from the scaled one.
@@ -152,19 +125,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	geom := dram.Default2Channel()
-	if *quad {
-		geom = dram.QuadCore2Channel()
-	}
 	if *fourCh {
-		if *quad {
-			geom = dram.QuadCore4Channel()
-		} else {
-			geom = dram.Default4Channel()
-		}
+		geom = dram.Default4Channel()
 	}
 	if geo.Base != "" {
-		// An explicit -geometry wins over the legacy -quad/-4ch shorthands
-		// (the -4ch mapping policy still applies).
+		// An explicit -geometry wins over -4ch's geometry (its mapping
+		// policy still applies).
 		geom = geo.Geometry()
 	}
 	cfg := sim.Config{

@@ -40,9 +40,9 @@ func TestRejectsOutOfRangeFlags(t *testing.T) {
 	}
 }
 
-// TestPRASpecMatchesFlag: a PRA spec string without p simulates the p its
-// label prints, the one the plain -scheme PRA spelling picks for the
-// unscaled threshold.
+// TestPRASpecMatchesFlag: a PRA spec without p simulates the p its label
+// prints, the one picked for the unscaled threshold, whether the threshold
+// comes from the spec or from -threshold.
 func TestPRASpecMatchesFlag(t *testing.T) {
 	report := func(args ...string) string {
 		var out, errb bytes.Buffer
@@ -52,9 +52,9 @@ func TestPRASpecMatchesFlag(t *testing.T) {
 		}
 		return out.String()
 	}
-	spec, flag := report("-scheme", "pra:threshold=32768"), report("-scheme", "PRA", "-threshold", "32768")
+	spec, flag := report("-scheme", "pra:threshold=32768"), report("-scheme", "pra", "-threshold", "32768")
 	if spec != flag {
-		t.Errorf("spec and flag spellings differ:\n%s\nvs\n%s", spec, flag)
+		t.Errorf("spec and flag thresholds differ:\n%s\nvs\n%s", spec, flag)
 	}
 	// The scale prints as given, not rounded to two decimals.
 	if !strings.Contains(spec, "(scale 0.005)") {
@@ -65,10 +65,33 @@ func TestPRASpecMatchesFlag(t *testing.T) {
 // TestSmallRun: a small valid run exits 0 and prints the CMRPO line.
 func TestSmallRun(t *testing.T) {
 	var out, errb bytes.Buffer
-	if code := run([]string{"-workload", "black", "-scheme", "SCA", "-scale", "0.001"}, &out, &errb); code != 0 {
+	if code := run([]string{"-workload", "black", "-scheme", "sca:counters=64", "-scale", "0.001"}, &out, &errb); code != 0 {
 		t.Fatalf("exit %d:\n%s", code, errb.String())
 	}
 	if !strings.Contains(out.String(), "CMRPO") {
 		t.Errorf("no CMRPO line:\n%s", out.String())
+	}
+}
+
+// TestSchemeTakesOnlySpecs: -scheme takes the spec grammar alone, so an
+// unknown kind is a usage error, as is each flag of the old name grammar
+// (-counters, -levels, -p) and -quad, whose runs specs and -geometry
+// spell.
+func TestSchemeTakesOnlySpecs(t *testing.T) {
+	for _, args := range [][]string{
+		{"-scheme", "bogus"},
+		{"-scheme", "sca:bogus=1"},
+		{"-counters", "8"},
+		{"-levels", "9"},
+		{"-p", "0.004"},
+		{"-quad"},
+	} {
+		var out, errb bytes.Buffer
+		if code := run(args, &out, &errb); code != 2 {
+			t.Errorf("%v: exit %d, want 2", args, code)
+		}
+		if out.Len() != 0 {
+			t.Errorf("%v: printed a report:\n%s", args, out.String())
+		}
 	}
 }

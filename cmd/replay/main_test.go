@@ -2,9 +2,13 @@ package main
 
 import (
 	"bytes"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"catsim/internal/dram"
+	"catsim/internal/trace"
 )
 
 // TestCaptureReplayMatchesLiveRun drives all three modes through run():
@@ -96,6 +100,55 @@ func TestClosedLoopCaptureReplay(t *testing.T) {
 	exec("-capture", "-o", tr)
 	if replayed := exec("-trace", tr, "-json"); live != replayed {
 		t.Error("closed-loop replay differs from the live run")
+	}
+}
+
+// TestSingleCoreCaptureHoldsGeneratorStream: a one-core closed-loop
+// capture holds the workload generator's own stream for the run seed, so
+// it is the v1 container of that generator's first requests, and -o
+// writes the bytes a capture to stdout does.
+func TestSingleCoreCaptureHoldsGeneratorStream(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "black.v1")
+	args := []string{"-capture", "-workload", "black", "-cores", "1", "-requests", "500", "-seed", "9"}
+	var out, errb bytes.Buffer
+	if code := run(append(args, "-o", path), &out, &errb); code != 0 {
+		t.Fatalf("exit %d\n%s", code, errb.String())
+	}
+	disk, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := trace.ReadContainer(bytes.NewReader(disk))
+	if err != nil {
+		t.Fatal(err)
+	}
+	geom := dram.Default2Channel()
+	if len(c.Streams) != 1 || c.Streams[0].Open || len(c.Streams[0].Reqs) != 500 || c.Geometry != geom {
+		t.Fatalf("container: %d streams, geometry %+v", len(c.Streams), c.Geometry)
+	}
+	if c.Streams[0].Name != "core0:black" {
+		t.Errorf("stream name %q, want core0:black", c.Streams[0].Name)
+	}
+	wl, err := trace.Lookup("black")
+	if err != nil {
+		t.Fatal(err)
+	}
+	gen, err := trace.NewSynthetic(wl, geom.TotalBytes(), geom.LineBytes, 9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, got := range c.Streams[0].Reqs {
+		if want := gen.Next(); got != want {
+			t.Fatalf("request %d: %+v, want %+v", i, got, want)
+		}
+	}
+
+	out.Reset()
+	if code := run(args, &out, &errb); code != 0 {
+		t.Fatalf("capture to stdout: exit %d\n%s", code, errb.String())
+	}
+	if !bytes.Equal(out.Bytes(), disk) {
+		t.Error("stdout container differs from the -o file")
 	}
 }
 

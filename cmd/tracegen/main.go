@@ -1,21 +1,17 @@
-// Command tracegen inspects the synthetic workload models: it dumps raw
-// request streams or per-bank row-access histograms (the measurement behind
-// the paper's Fig. 3).
+// Command tracegen inspects the synthetic workload models: it prints
+// per-bank row-access histograms (the measurement behind the paper's
+// Fig. 3) or, with -dump, the raw request stream as text.
 //
 // Usage:
 //
-//	tracegen -workload black -n 20 -dump          # raw requests (text)
-//	tracegen -workload black -n 2000000 -hist     # bank histogram summary
-//	tracegen -workload black -n 5000 -format v1 -o black.v1
-//	                                              # versioned binary trace
+//	tracegen -workload black -n 2000000          # bank histogram summary
+//	tracegen -workload black -n 20 -dump         # raw requests (text)
 //
-// -format v1 writes the generated stream as a v1 trace container — the
-// same checksummed format cmd/replay captures and replays — instead of
-// the legacy text dump.
+// A generated stream as a v1 trace container is what
+// `replay -capture -cores 1` writes.
 package main
 
 import (
-	"bufio"
 	"errors"
 	"flag"
 	"fmt"
@@ -42,10 +38,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		workload = fs.String("workload", "black", "workload name")
 		n        = fs.Int("n", 1_000_000, "requests to generate (positive)")
 		seed     = fs.Uint64("seed", 1, "random seed")
-		dump     = fs.Bool("dump", false, "dump raw requests to stdout")
-		hist     = fs.Bool("hist", true, "print per-bank histogram summary")
-		format   = fs.String("format", "text", "output format: text (legacy dump/hist) or v1 (binary trace container)")
-		out      = fs.String("o", "", "v1 output file (default stdout)")
+		dump     = fs.Bool("dump", false, "dump raw requests instead of the per-bank histogram summary")
 	)
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
@@ -79,44 +72,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 1
 	}
 
-	switch *format {
-	case "text":
-	case "v1":
-		// One closed-loop stream in the versioned container cmd/replay
-		// replays; the checksum makes truncation/corruption detectable.
-		reqs := make([]trace.Request, *n)
-		for i := range reqs {
-			reqs[i] = gen.Next()
-		}
-		c := &trace.Container{
-			Geometry: geom,
-			Streams:  []trace.Stream{{Name: wl.Name, Reqs: reqs}},
-		}
-		w := bufio.NewWriter(stdout)
-		if *out != "" {
-			f, err := os.Create(*out)
-			if err != nil {
-				fmt.Fprintln(stderr, "tracegen:", err)
-				return 1
-			}
-			defer f.Close()
-			w = bufio.NewWriter(f)
-		}
-		if err := trace.WriteContainer(w, c); err != nil {
-			fmt.Fprintln(stderr, "tracegen:", err)
-			return 1
-		}
-		if err := w.Flush(); err != nil {
-			fmt.Fprintln(stderr, "tracegen:", err)
-			return 1
-		}
-		fmt.Fprintf(stderr, "tracegen: wrote %d requests (digest %016x)\n", *n, c.Digest())
-		return 0
-	default:
-		return usage(fmt.Errorf("unknown format %q", *format),
-			"hint: -format text or -format v1")
-	}
-
 	if *dump {
 		for i := 0; i < *n; i++ {
 			r := gen.Next()
@@ -130,18 +85,16 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		return 0
 	}
-	if *hist {
-		h := trace.RowHistogram(gen, geom, policy, *n)
-		fmt.Fprintf(stdout, "workload %s: %d requests over %d banks\n", wl.Name, *n, geom.TotalBanks())
-		fmt.Fprintln(stdout, "bank  accesses  rows  max/row  top16-share")
-		for b, rows := range h {
-			s := trace.Summarise(rows)
-			if s.Total == 0 {
-				continue
-			}
-			fmt.Fprintf(stdout, "%4d  %8d  %4d  %7d  %10.1f%%\n",
-				b, s.Total, s.TouchedRows, s.MaxPerRow, s.Top16Frac*100)
+	h := trace.RowHistogram(gen, geom, policy, *n)
+	fmt.Fprintf(stdout, "workload %s: %d requests over %d banks\n", wl.Name, *n, geom.TotalBanks())
+	fmt.Fprintln(stdout, "bank  accesses  rows  max/row  top16-share")
+	for b, rows := range h {
+		s := trace.Summarise(rows)
+		if s.Total == 0 {
+			continue
 		}
+		fmt.Fprintf(stdout, "%4d  %8d  %4d  %7d  %10.1f%%\n",
+			b, s.Total, s.TouchedRows, s.MaxPerRow, s.Top16Frac*100)
 	}
 	return 0
 }

@@ -1,11 +1,6 @@
 package main
 
 import (
-	"os"
-	"path/filepath"
-
-	"catsim/internal/dram"
-	"catsim/internal/trace"
 	"strings"
 	"testing"
 )
@@ -90,78 +85,4 @@ func TestHistogramSummaryRuns(t *testing.T) {
 	if !strings.Contains(stdout, "top16-share") {
 		t.Errorf("missing histogram table: %q", stdout)
 	}
-}
-
-// TestV1FormatRoundTrips writes a v1 container and checks the decoded
-// stream matches an independent draw of the same generator — the
-// cross-command contract that lets cmd/replay consume tracegen output.
-func TestV1FormatRoundTrips(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "black.v1")
-	code, _, stderr := runCmd(t, "-workload", "black", "-n", "500", "-seed", "9",
-		"-format", "v1", "-o", path)
-	if code != 0 {
-		t.Fatalf("exit code %d, stderr %q", code, stderr)
-	}
-	if !strings.Contains(stderr, "wrote 500 requests") {
-		t.Errorf("missing confirmation line: %q", stderr)
-	}
-
-	f, err := os.Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	c, err := trace.ReadContainer(f)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(c.Streams) != 1 || c.Streams[0].Open || len(c.Streams[0].Reqs) != 500 {
-		t.Fatalf("container shape: %d streams, open=%v", len(c.Streams), c.Streams[0].Open)
-	}
-	if c.Streams[0].Name != "black" {
-		t.Errorf("stream name %q, want black", c.Streams[0].Name)
-	}
-
-	geom := dram.Default2Channel()
-	gen, err := trace.NewSynthetic(mustLookup(t, "black"), geom.TotalBytes(), geom.LineBytes, 9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, got := range c.Streams[0].Reqs {
-		if want := gen.Next(); got != want {
-			t.Fatalf("request %d: %+v, want %+v", i, got, want)
-		}
-	}
-
-	// stdout output (no -o) is the same bytes.
-	code, stdout, _ := runCmd(t, "-workload", "black", "-n", "500", "-seed", "9", "-format", "v1")
-	if code != 0 {
-		t.Fatal("stdout v1 run failed")
-	}
-	disk, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stdout != string(disk) {
-		t.Error("stdout container differs from the -o file")
-	}
-}
-
-func TestRejectsUnknownFormat(t *testing.T) {
-	code, _, stderr := runCmd(t, "-workload", "black", "-n", "5", "-format", "v2")
-	if code != 2 {
-		t.Errorf("exit code %d, want 2", code)
-	}
-	if !strings.Contains(stderr, "-format text or -format v1") {
-		t.Errorf("stderr lacks the format hint: %q", stderr)
-	}
-}
-
-func mustLookup(t *testing.T, name string) trace.Spec {
-	t.Helper()
-	wl, err := trace.Lookup(name)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return wl
 }

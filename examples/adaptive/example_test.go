@@ -14,14 +14,13 @@ func Example() {
 	// phase 2 (hot spot moved): hot row 3900
 	//   leaves covering the hot row:
 	//     rows [3896,3903] depth 9 weight 3
-	//   totals: 8 splits, 6 reconfigurations, 25001 rows refreshed
+	//   totals: 8 splits, 6 reconfigurations, 24985 rows refreshed
 	//
 	// phase 3 (moved again): hot row 2000
 	//   leaves covering the hot row:
-	//     rows [2000,2007] depth 9 weight 2
-	//   totals: 8 splits, 13 reconfigurations, 42737 rows refreshed
+	//     rows [2000,2007] depth 9 weight 3
+	//   totals: 8 splits, 12 reconfigurations, 40181 rows refreshed
 	//
-	// LLC hit rate over the whole run: 0.4%
 	// DRCAT reconfigurations re-aimed the counters at each new hot region
 	// without ever forgetting the rest of the bank (cf. paper Fig. 7).
 }

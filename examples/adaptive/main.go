@@ -2,9 +2,7 @@
 // first phase, the hot spot then jumps; DRCAT's weight registers age out
 // the old region, merge its counters and split the new one — the §V-B
 // mechanism that PRCAT (periodic reset) can only approximate by forgetting
-// everything. The example also pushes the program's raw reference stream
-// through the LLC substrate to show the memory system sees post-cache
-// traffic.
+// everything.
 package main
 
 import (
@@ -12,7 +10,6 @@ import (
 	"log"
 
 	"catsim"
-	"catsim/internal/cache"
 	"catsim/internal/rng"
 )
 
@@ -28,25 +25,12 @@ func main() {
 		log.Fatal(err)
 	}
 
-	// A small LLC in front of the bank: hot lines hit in cache, so the
-	// memory-side stream the tree sees is the post-LLC miss traffic.
-	llc, err := cache.New(cache.Config{SizeBytes: 64 * 1024, LineBytes: 64, Ways: 8})
-	if err != nil {
-		log.Fatal(err)
-	}
-
 	src := rng.NewXoshiro256(11)
 	phase := func(name string, hotRow int, n int) {
 		for i := 0; i < n; i++ {
 			if rng.Intn(src, 10) < 3 {
-				// Background traffic goes through the LLC; only misses
-				// reach DRAM and the tree.
-				row := rng.Intn(src, 4096)
-				addr := int64(row)*4096 + int64(rng.Intn(src, 64))*64
-				if hit, _, _ := llc.Access(addr, false); hit {
-					continue
-				}
-				tree.Access(row)
+				// Background traffic lands uniformly over the bank.
+				tree.Access(rng.Intn(src, 4096))
 				continue
 			}
 			// The hammering loop CLFLUSHes its line before each load (as
@@ -72,7 +56,6 @@ func main() {
 	tree.OnIntervalBoundary()
 	phase("phase 3 (moved again)", 2000, 200_000)
 
-	fmt.Printf("LLC hit rate over the whole run: %.1f%%\n", llc.HitRate()*100)
 	fmt.Println("DRCAT reconfigurations re-aimed the counters at each new hot region")
 	fmt.Println("without ever forgetting the rest of the bank (cf. paper Fig. 7).")
 }

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"bytes"
+	"math"
 	"strings"
 	"testing"
 
@@ -184,6 +185,35 @@ func TestFig8OrderingsHold(t *testing.T) {
 	}
 	if data.MeanETO("SCA_64") < data.MeanETO("DRCAT_64") {
 		t.Error("SCA_64 ETO should exceed DRCAT_64 ETO")
+	}
+}
+
+// TestScalePreservesFig8Means: -scale shrinks the auto-refresh interval,
+// the refresh threshold and the request counts together, which preserves
+// CMRPO to first order. Every Fig. 8 workload mean at scale 0.01 must
+// match the one at 0.02 (seed 1, all 18 workloads) within maxGap.
+func TestScalePreservesFig8Means(t *testing.T) {
+	skipIfShort(t)
+	// The largest gap measured is 0.11 points (SCA_64 at T=16K). Without
+	// the refresh-power deflation by ThresholdScale, every mean of a
+	// threshold-triggered scheme about doubles from scale 0.02 to 0.01.
+	const maxGap = 0.003 // 0.3 points of CMRPO
+	for _, threshold := range []uint32{32768, 16384} {
+		var runs [2]*Fig8Data
+		for i, scale := range []float64{0.01, 0.02} {
+			data, err := RunFig8(Options{Scale: scale, Seed: 1, Quiet: true}, threshold)
+			if err != nil {
+				t.Fatal(err)
+			}
+			runs[i] = data
+		}
+		for _, scheme := range runs[0].Schemes {
+			a, b := runs[0].MeanCMRPO(scheme), runs[1].MeanCMRPO(scheme)
+			if gap := math.Abs(a - b); gap > maxGap {
+				t.Errorf("T=%d %s: mean CMRPO %.2f%% at scale 0.01, %.2f%% at 0.02 (gap %.2f points, bound %.2f)",
+					threshold, scheme, a*100, b*100, gap*100, maxGap*100)
+			}
+		}
 	}
 }
 

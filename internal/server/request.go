@@ -74,9 +74,10 @@ type JobRequest struct {
 // sweeps that large belong in cmd/experiments.
 const maxRequests = 10_000_000
 
-// maxEpochs bounds sampling: an epoch shorter than the scaled auto-refresh
-// interval over maxEpochs is rejected, so one job cannot record (and hold,
-// snapshot and stream) an unbounded number of samples.
+// maxEpochs bounds the epochs per scaled auto-refresh interval: an epoch
+// shorter than the interval over maxEpochs is rejected. It does not bound
+// a job's samples, since a run spans as many intervals as its request
+// budget needs.
 const maxEpochs = 4096
 
 // maxTrackedRows bounds a job's geometry by its total row count (banks ×

@@ -429,7 +429,7 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 		case v.state == StateFailed:
 			enc.fail(v.errMsg)
 		case stopped:
-			enc.fail("server shutting down before the job ran")
+			enc.fail(v.shutdownMsg())
 		default:
 			return false
 		}
@@ -452,12 +452,22 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 		case v.state == StateFailed:
 			httpError(w, http.StatusInternalServerError, "%s", v.errMsg)
 		case stopped:
-			httpError(w, http.StatusServiceUnavailable, "server shutting down before the job ran")
+			httpError(w, http.StatusServiceUnavailable, "%s", v.shutdownMsg())
 		default:
 			return false
 		}
 		return true
 	})
+}
+
+// shutdownMsg is the error a stream or /result request gets when the
+// server stops before the job ends: the job was either still queued or,
+// when Close's context expired first, still running.
+func (v jobView) shutdownMsg() string {
+	if v.state == StateRunning {
+		return "server shutting down while the job was running"
+	}
+	return "server shutting down before the job ran"
 }
 
 // watch calls visit with a view of j and again after each change, until

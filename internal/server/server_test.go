@@ -509,8 +509,7 @@ func TestQueueFull503(t *testing.T) {
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
-	first := testJob()
-	submit(t, ts, first, http.StatusAccepted)
+	first := submit(t, ts, testJob(), http.StatusAccepted)
 	second := testJob()
 	second.Seed = 99
 	body, _ := json.Marshal(second)
@@ -531,8 +530,13 @@ func TestQueueFull503(t *testing.T) {
 		t.Errorf("store holds %d jobs after rejection, want 1", n)
 	}
 
-	// Start drains the queue; the retry then lands.
+	// Start drains the queue; once the worker has taken the first job,
+	// the retry lands. A retry sent right after Start could still find
+	// the queue full.
 	s.Start()
+	if _, result, _ := parseStream(t, streamBody(t, ts, first.ID)); result == nil {
+		t.Fatal("queued job did not complete")
+	}
 	st := submit(t, ts, second, http.StatusAccepted)
 	if _, result, _ := parseStream(t, streamBody(t, ts, st.ID)); result == nil {
 		t.Error("retried job did not complete")
