@@ -7,9 +7,9 @@ import (
 )
 
 // TestRejectsOutOfRangeFlags: a -threshold above 2^32-1, a -scale outside
-// (0, 1], a threshold that scales to zero, or a config the simulator
-// rejects exits 1 with one error line naming the problem, before anything
-// is simulated or reported.
+// (0, 1], a threshold that scales to zero, a counter-based scheme without
+// its counters, or a config the simulator rejects exits 1 with one error
+// line naming the problem, before anything is simulated or reported.
 func TestRejectsOutOfRangeFlags(t *testing.T) {
 	for _, tc := range []struct {
 		args []string
@@ -23,6 +23,8 @@ func TestRejectsOutOfRangeFlags(t *testing.T) {
 		{[]string{"-workload", "black", "-threshold", "10", "-scale", "0.01"}, "-threshold 10 at -scale 0.01 rounds to zero"},
 		{[]string{"-workload", "black", "-cores", "0"}, "at least one core"},
 		{[]string{"-workload", "black", "-shards", "2"}, "-affine"},
+		{[]string{"-scheme", "drcat"}, "drcat needs counters"},
+		{[]string{"-scheme", "comet:depth=4"}, "comet needs counters"},
 	} {
 		var out, errb bytes.Buffer
 		if code := run(tc.args, &out, &errb); code != 1 {

@@ -249,14 +249,27 @@ func Label(spec SchemeSpec) string {
 	return fmt.Sprintf("%s_%d", short, counters)
 }
 
+// HasParam reports whether kind k's family declares the named parameter.
+func HasParam(k Kind, name string) bool {
+	if !k.Valid() {
+		return false
+	}
+	for _, p := range families[k].Params {
+		if p.Name == name {
+			return true
+		}
+	}
+	return false
+}
+
 // validParam checks name against the params of k, which must be valid.
 func validParam(k Kind, name string) error {
+	if HasParam(k, name) {
+		return nil
+	}
 	params := families[k].Params
 	names := make([]string, 0, len(params)+1)
 	for _, p := range params {
-		if p.Name == name {
-			return nil
-		}
 		names = append(names, p.Name)
 	}
 	names = append(names, "threshold")

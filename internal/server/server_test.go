@@ -372,6 +372,7 @@ var malformedRequests = []struct {
 	{"scheme kind listing", `{"scheme":"bogus:counters=1","workload":"black"}`, "valid:"},
 	{"bad scheme param", `{"scheme":"sca:bogus=1","workload":"black"}`, `unknown param "bogus"`},
 	{"bad param value", `{"scheme":"sca:counters=abc","workload":"black"}`, "want number"},
+	{"scheme without counters", `{"scheme":"drcat","workload":"ol-bursty"}`, "drcat needs counters"},
 	{"unknown workload", `{"scheme":"sca:counters=16","workload":"nope"}`, `unknown workload "nope"`},
 	{"workload listing", `{"scheme":"sca:counters=16","workload":"nope"}`, "ol-poisson"},
 	{"unknown geometry", `{"scheme":"sca:counters=16","workload":"black","geometry":"nope"}`, "unknown preset"},

@@ -148,7 +148,7 @@ func sameStreamShape(a, b *Config) bool {
 	if (a.OpenLoop == nil) != (b.OpenLoop == nil) {
 		return false
 	}
-	if a.OpenLoop != nil && a.openConfig().String() != b.openConfig().String() {
+	if a.OpenLoop != nil && !a.openConfig().Equal(b.openConfig()) {
 		return false
 	}
 	return true

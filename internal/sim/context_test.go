@@ -255,16 +255,26 @@ func TestContextRecoversFromFailedRun(t *testing.T) {
 }
 
 // TestContextSteadyStateAllocs pins the zero-alloc reuse property on the
-// closed-loop sweep path, with and without the oracle (the oracle-on case
-// is a protection sweep's cell): after warmup, a repeated same-shape run
-// through one context must not allocate on the hot path — a seed sweep
-// generating its streams, and a figure grid's runs replaying one
-// recording. A small fixed tolerance absorbs runtime noise (timer/GC
-// bookkeeping), not per-run growth.
+// closed-loop sweep path and on open-loop jobs, with and without the
+// oracle (the oracle-on case is a protection sweep's cell): after warmup,
+// a repeated same-shape run through one context must not allocate on the
+// hot path — a seed sweep generating its streams, a figure grid's runs
+// replaying one recording, and a server's open-loop jobs at rotating
+// seeds. A small fixed tolerance absorbs runtime noise (timer/GC
+// bookkeeping) and the open-loop Result's tenant table, not per-run
+// growth.
 func TestContextSteadyStateAllocs(t *testing.T) {
-	for _, recorded := range []bool{false, true} {
+	for _, tc := range []struct {
+		shape    string
+		recorded bool
+	}{
+		{"closed", false},
+		{"closed", true},
+		{"open", false}, // recordings hold closed-loop streams only
+	} {
+		shape, recorded := tc.shape, tc.recorded
 		for _, check := range []bool{false, true} {
-			cfg, _ := contextCase(t, mitigation.KindDRCAT, false, "closed")
+			cfg, _ := contextCase(t, mitigation.KindDRCAT, false, shape)
 			cfg.CheckProtection = check
 			cfg.EpochNS = 0
 			var rec *Recording
@@ -288,8 +298,8 @@ func TestContextSteadyStateAllocs(t *testing.T) {
 			run() // build
 			run() // settle slab growth
 			if allocs := testing.AllocsPerRun(10, run); allocs > 2 {
-				t.Errorf("recorded=%v CheckProtection=%v: steady-state context run allocates %.1f times per run, want <= 2",
-					recorded, check, allocs)
+				t.Errorf("%s recorded=%v CheckProtection=%v: steady-state context run allocates %.1f times per run, want <= 2",
+					shape, recorded, check, allocs)
 			}
 		}
 	}

@@ -11,6 +11,7 @@ package sim
 
 import (
 	"fmt"
+	"strings"
 
 	"catsim/internal/cpu"
 	"catsim/internal/dram"
@@ -117,7 +118,9 @@ func (s SchemeSpec) Spec(threshold uint32, seed uint64) mitigation.SchemeSpec {
 // FromSpec converts a registry spec into the grid unit. Parameters with no
 // flat-field equivalent (the CAT ablation knobs weightbits/presplit) are
 // rejected: they are buildable through mitigation.Build but cannot ride a
-// simulation grid cell.
+// simulation grid cell. A family that declares a counter budget needs it
+// set: there is no default budget, and a bare "drcat" would otherwise
+// fail only once the run builds its scheme.
 func FromSpec(spec mitigation.SchemeSpec) (SchemeSpec, error) {
 	s := SchemeSpec{Kind: spec.Kind}
 	for name := range spec.Params {
@@ -126,6 +129,10 @@ func FromSpec(spec mitigation.SchemeSpec) (SchemeSpec, error) {
 		default:
 			return s, fmt.Errorf("sim: spec %q: param %q not supported in experiment grids", spec.String(), name)
 		}
+	}
+	if _, set := spec.Params["counters"]; !set && mitigation.HasParam(spec.Kind, "counters") {
+		kind := strings.ToLower(spec.Kind.String())
+		return s, fmt.Errorf("sim: spec %q: %s needs counters=<n>, its counter budget", spec.String(), kind)
 	}
 	var err error
 	if s.Counters, err = spec.Params.Int("counters", 0); err != nil {

@@ -51,6 +51,46 @@ func TestFromSpecMapsParams(t *testing.T) {
 	}
 }
 
+// TestFromSpecNeedsCounters: every family with a counter budget rejects a
+// spec that leaves it out, naming the kind and the param, and accepts it
+// once set; None and PRA need no params.
+func TestFromSpecNeedsCounters(t *testing.T) {
+	needs := map[mitigation.Kind]bool{
+		mitigation.KindNone:         false,
+		mitigation.KindSCA:          true,
+		mitigation.KindPRA:          false,
+		mitigation.KindPRCAT:        true,
+		mitigation.KindDRCAT:        true,
+		mitigation.KindCounterCache: true,
+		mitigation.KindCoMeT:        true,
+		mitigation.KindABACuS:       true,
+		mitigation.KindStochastic:   true,
+	}
+	for _, k := range mitigation.Kinds() {
+		want, ok := needs[k]
+		if !ok {
+			t.Errorf("%v: missing from the table", k)
+			continue
+		}
+		kind := strings.ToLower(k.String())
+		_, err := FromSpec(mitigation.SchemeSpec{Kind: k})
+		switch {
+		case want && err == nil:
+			t.Errorf("%s: a spec without counters converted", kind)
+		case want && !strings.Contains(err.Error(), kind+" needs counters"):
+			t.Errorf("%s: error %q does not name the kind and counters", kind, err)
+		case !want && err != nil:
+			t.Errorf("%s: bare spec rejected: %v", kind, err)
+		}
+		if want {
+			spec := mitigation.SchemeSpec{Kind: k, Params: mitigation.Params{"counters": "64"}}
+			if _, err := FromSpec(spec); err != nil {
+				t.Errorf("%s: spec with counters rejected: %v", kind, err)
+			}
+		}
+	}
+}
+
 func TestFromSpecRejectsZeroSeedPin(t *testing.T) {
 	ms, err := mitigation.ParseSpec("comet:counters=512,seed=0")
 	if err != nil {

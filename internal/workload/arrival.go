@@ -168,13 +168,48 @@ func (s ArrivalSpec) String() string {
 				b.WriteByte('/')
 			}
 			fmt.Fprintf(&b, "%gx%g", p.RateRPS, p.DurationNS)
-			if p.Mix != "" && p.Mix != MixBase {
+			if mix := printedMix(p.Mix); mix != "" {
 				b.WriteByte(':')
-				b.WriteString(p.Mix)
+				b.WriteString(mix)
 			}
 		}
 	}
 	return b.String()
+}
+
+// equal reports whether s and o have the same String form (see
+// Config.Equal).
+func (s ArrivalSpec) equal(o ArrivalSpec) bool {
+	if s.Kind != o.Kind {
+		return false
+	}
+	switch s.Kind {
+	case Poisson:
+		return sameBits(s.RateRPS, o.RateRPS)
+	case Bursty:
+		return sameBits(s.RateRPS, o.RateRPS) && sameBits(s.OnFrac, o.OnFrac) &&
+			sameBits(s.MeanBurstNS, o.MeanBurstNS)
+	case Diurnal:
+		if len(s.Phases) != len(o.Phases) {
+			return false
+		}
+		for i, p := range s.Phases {
+			q := o.Phases[i]
+			if !sameBits(p.RateRPS, q.RateRPS) || !sameBits(p.DurationNS, q.DurationNS) ||
+				printedMix(p.Mix) != printedMix(q.Mix) {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// printedMix is the mix as String prints it: the base mix is left out.
+func printedMix(mix string) string {
+	if mix == MixBase {
+		return ""
+	}
+	return mix
 }
 
 // ParseArrival parses the arrival-spec grammar:
@@ -263,6 +298,12 @@ type process struct {
 	cyclesPerNS float64
 	now         float64 // current time, fractional CPU cycles
 
+	// inter is the mean interarrival time in cycles: Poisson's, and
+	// Bursty's in the on state. phaseInter[i] is diurnal phase i's (0
+	// for a silent phase).
+	inter      float64
+	phaseInter []float64
+
 	// Bursty state.
 	on       bool
 	stateEnd float64
@@ -274,13 +315,24 @@ type process struct {
 	phaseEnd float64
 }
 
-// newProcess derives the spec's seed-independent burst means, then ends in
+// newProcess derives the spec's seed-independent means, then ends in
 // reset(seed).
 func newProcess(spec ArrivalSpec, cyclesPerNS float64, seed uint64) *process {
 	p := &process{spec: spec, cyclesPerNS: cyclesPerNS}
-	if spec.Kind == Bursty {
+	switch spec.Kind {
+	case Poisson:
+		p.inter = p.interCycles(spec.RateRPS)
+	case Bursty:
+		p.inter = p.interCycles(spec.RateRPS / spec.OnFrac)
 		p.meanOn = spec.MeanBurstNS * cyclesPerNS
 		p.meanOff = p.meanOn * (1 - spec.OnFrac) / spec.OnFrac
+	case Diurnal:
+		p.phaseInter = make([]float64, len(spec.Phases))
+		for i, ph := range spec.Phases {
+			if ph.RateRPS > 0 {
+				p.phaseInter[i] = p.interCycles(ph.RateRPS)
+			}
+		}
 	}
 	p.reset(seed)
 	return p
@@ -323,9 +375,8 @@ func (p *process) next() (int64, string) {
 	mix := MixBase
 	switch p.spec.Kind {
 	case Poisson:
-		p.now += p.exp(p.interCycles(p.spec.RateRPS))
+		p.now += p.exp(p.inter)
 	case Bursty:
-		onRate := p.spec.RateRPS / p.spec.OnFrac
 		for {
 			if !p.on {
 				// Silent gap: jump to the next burst.
@@ -334,7 +385,7 @@ func (p *process) next() (int64, string) {
 				p.stateEnd = p.now + p.exp(p.meanOn)
 				continue
 			}
-			cand := p.now + p.exp(p.interCycles(onRate))
+			cand := p.now + p.exp(p.inter)
 			if cand <= p.stateEnd {
 				p.now = cand
 				break
@@ -351,7 +402,7 @@ func (p *process) next() (int64, string) {
 				p.nextPhase()
 				continue
 			}
-			cand := p.now + p.exp(p.interCycles(ph.RateRPS))
+			cand := p.now + p.exp(p.phaseInter[p.phase])
 			if cand <= p.phaseEnd {
 				p.now = cand
 				if ph.Mix != "" {

@@ -108,6 +108,19 @@ func (s CohortSpec) String() string {
 	return b.String()
 }
 
+// equal reports whether s and o have the same String form (see
+// Config.Equal).
+func (s CohortSpec) equal(o CohortSpec) bool {
+	if s.Tenants != o.Tenants || !sameBits(s.ZipfS, o.ZipfS) || !sameBits(s.FootprintFrac, o.FootprintFrac) ||
+		!sameBits(s.WriteFrac, o.WriteFrac) || !sameBits(s.RowSkew, o.RowSkew) ||
+		(s.Attacker == nil) != (o.Attacker == nil) {
+		return false
+	}
+	a, b := s.Attacker, o.Attacker
+	return a == nil || sameBits(a.Fraction, b.Fraction) && a.Kernel == b.Kernel &&
+		a.Mode == b.Mode && a.Pattern == b.Pattern
+}
+
 // TenantStat is one tenant's share of a run, attributed by row ownership:
 // each tenant owns a contiguous span of row indices (the same span in
 // every bank, since both mapping policies place row bits most
@@ -121,10 +134,12 @@ type TenantStat struct {
 	Attacker bool `json:"attacker,omitempty"`
 	// Rows is the tenant's footprint in rows per bank.
 	Rows int `json:"rows"`
-	// Acts counts activations that landed in the tenant's rows (for
-	// benign tenants this equals the requests they issued; attacker hammer
-	// rows may land in a victim tenant's span — that is the interference
-	// signal).
+	// Acts counts activations that landed in the tenant's rows, which is
+	// not the requests the tenant issued: a row-buffer hit activates
+	// nothing, attacker hammer rows may land in a victim tenant's span
+	// (the interference signal), and drawAddr's column, scaled to bytes
+	// where the address map wants a line index, can move a benign request
+	// to another row or bank before it is decoded.
 	Acts int64 `json:"acts"`
 	// RowsRefreshed counts victim-refresh rows inside the tenant's span —
 	// whose rows the mitigation scheme had to touch.
@@ -145,14 +160,26 @@ type Cohort struct {
 	geom   dram.Geometry
 	policy addrmap.Policy
 
-	baseRow int // first cohort row in every bank
+	baseRow   int // first cohort row in every bank
+	footprint int // cohort rows per bank, from baseRow on
 	// spanLo/spanHi bound each party's rows (half-open, absolute row
 	// indices); parties = Tenants, plus the attacker last when configured.
 	spanLo, spanHi []int32
+	// owner[b] is the first party whose span reaches into the
+	// 2^ownerShift-row bucket b of the footprint (see ownerOf).
+	owner      []int32
+	ownerShift uint
 	// cum[mixIndex] is the cumulative tenant-selection distribution for
-	// each mix profile (base, flat, peak).
-	cum [3][]float64
-	mix int
+	// each mix profile (base, flat, peak); guide[mixIndex] indexes it
+	// (see pickTenant).
+	cum   [3][]float64
+	guide [3][]int32
+	mix   int
+
+	// Per-draw constants of drawAddr: the bank of each flat index and the
+	// cache lines per row.
+	banks       []dram.BankID
+	linesPerRow int
 
 	pick    rng.Xoshiro256   // tenant selection, write coin, attacker coin
 	streams []rng.Xoshiro256 // per-party address streams
@@ -196,15 +223,21 @@ func NewCohort(spec CohortSpec, geom dram.Geometry, policy addrmap.Policy, seed 
 		return nil, fmt.Errorf("workload: footprint of %d rows cannot hold %d tenants", rows, parties)
 	}
 	c := &Cohort{
-		spec:      spec,
-		geom:      geom,
-		policy:    policy,
-		baseRow:   (geom.RowsPerBank - rows) / 2,
-		spanLo:    make([]int32, parties),
-		spanHi:    make([]int32, parties),
-		streams:   make([]rng.Xoshiro256, parties),
-		acts:      make([]int64, parties),
-		refreshed: make([]int64, parties),
+		spec:        spec,
+		geom:        geom,
+		policy:      policy,
+		baseRow:     (geom.RowsPerBank - rows) / 2,
+		footprint:   rows,
+		spanLo:      make([]int32, parties),
+		spanHi:      make([]int32, parties),
+		banks:       make([]dram.BankID, geom.TotalBanks()),
+		linesPerRow: geom.LinesPerRow(),
+		streams:     make([]rng.Xoshiro256, parties),
+		acts:        make([]int64, parties),
+		refreshed:   make([]int64, parties),
+	}
+	for i := range c.banks {
+		c.banks[i] = geom.Unflat(i)
 	}
 
 	// Zipf-sized spans: tenant k's footprint is proportional to
@@ -238,6 +271,7 @@ func NewCohort(spec CohortSpec, geom dram.Geometry, policy addrmap.Policy, seed 
 		c.spanHi[k] = int32(at + sz)
 		at += sz
 	}
+	c.buildOwners()
 
 	// Selection tables per mix profile. The attacker never wins the
 	// benign selection (its traffic volume is AttackerSpec.Fraction, drawn
@@ -253,6 +287,7 @@ func NewCohort(spec CohortSpec, geom dram.Geometry, policy addrmap.Policy, seed 
 			cum[k] /= total
 		}
 		c.cum[mi] = cum
+		c.guide[mi] = guideTable(cum)
 	}
 
 	if a := spec.Attacker; a != nil {
@@ -267,11 +302,51 @@ func NewCohort(spec CohortSpec, geom dram.Geometry, policy addrmap.Policy, seed 
 	return c, nil
 }
 
-// Reset seeds the cohort for a run, without allocating: the span layout
-// and selection tables are seed-independent arithmetic and stand; the
-// selector and per-party streams seed from seed; the attacker's emission
-// state rewinds; and the attribution counters zero. NewCohort ends in it,
-// and run contexts use it to reuse cohorts across seed-sweep runs.
+// buildOwners fills the owner bucket table. The shift is the smallest
+// that keeps the footprint within 4 buckets per party, so the table is
+// O(parties) at any geometry and a bucket starts about one span on
+// average.
+func (c *Cohort) buildOwners() {
+	for (c.footprint-1)>>c.ownerShift >= 4*len(c.spanLo) {
+		c.ownerShift++
+	}
+	c.owner = make([]int32, (c.footprint-1)>>c.ownerShift+1)
+	t := 0
+	for b := range c.owner {
+		start := c.baseRow + b<<c.ownerShift
+		for int(c.spanHi[t]) <= start {
+			t++
+		}
+		c.owner[b] = int32(t)
+	}
+}
+
+// guideTable builds the indexed-search table over a cumulative
+// distribution (Chen and Asau, 1974): m is the power of two at or above
+// len(cum), and entry k is the first index whose cum reaches k/m (the
+// last index if none does). pickTenant starts its scan there.
+func guideTable(cum []float64) []int32 {
+	m := 1
+	for m < len(cum) {
+		m <<= 1
+	}
+	guide := make([]int32, m)
+	i := 0
+	for k := range guide {
+		for i < len(cum)-1 && cum[i] < float64(k)/float64(m) {
+			i++
+		}
+		guide[k] = int32(i)
+	}
+	return guide
+}
+
+// Reset seeds the cohort for a run, without allocating: the span layout,
+// the selection tables and their lookup tables are seed-independent
+// arithmetic and stand; the selector and per-party streams seed from
+// seed; the attacker's emission state rewinds; and the attribution
+// counters zero. NewCohort ends in it, and run contexts use it to reuse
+// cohorts across seed-sweep runs.
 func (c *Cohort) Reset(seed uint64) {
 	c.pick.Seed(seed ^ pickSeedMix)
 	for k := range c.streams {
@@ -295,7 +370,11 @@ func (c *Cohort) setMix(mix int) { c.mix = mix }
 
 // drawAddr draws one address from party t's footprint: a row skewed
 // toward the span start, a uniform bank and a uniform line within the
-// row.
+// row. The line is scaled to bytes, though addrmap.Coord.Col is a line
+// index, so Encode ORs its high bits into the channel, bank or low row
+// bits, depending on the map. Every open-loop output so far was made that
+// way; the fix, an unscaled line, changes them all and waits for a
+// benchmark that can be rebaselined.
 func (c *Cohort) drawAddr(t int) int64 {
 	src := &c.streams[t]
 	lo, hi := int(c.spanLo[t]), int(c.spanHi[t])
@@ -307,8 +386,8 @@ func (c *Cohort) drawAddr(t int) int64 {
 		frac = math.Pow(u, c.spec.RowSkew)
 	}
 	row := lo + int(frac*float64(hi-lo))
-	bank := c.geom.Unflat(rng.Intn(src, c.geom.TotalBanks()))
-	col := rng.Intn(src, c.geom.LinesPerRow()) * c.geom.LineBytes
+	bank := c.banks[rng.Intn(src, len(c.banks))]
+	col := rng.Intn(src, c.linesPerRow) * c.geom.LineBytes
 	return c.policy.Encode(addrmap.Coord{Bank: bank, Row: row, Col: col})
 }
 
@@ -321,44 +400,42 @@ func (c *Cohort) Draw() trace.Request {
 		r.Gap = 1
 		return r
 	}
-	u := rng.Float64(&c.pick)
-	cum := c.cum[c.mix]
-	// Binary search the cumulative table (thousands of tenants).
-	lo, hi := 0, len(cum)-1
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if cum[mid] < u {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
+	t := c.pickTenant(c.mix, rng.Float64(&c.pick))
 	return trace.Request{
-		Addr:  c.drawAddr(lo),
+		Addr:  c.drawAddr(t),
 		Write: rng.Float64(&c.pick) < c.spec.WriteFrac,
 		Gap:   1,
 	}
 }
 
+// pickTenant returns the first tenant whose cumulative share under mix
+// reaches u in [0, 1), or the last tenant if none does. The guide entry
+// for u's 1/m slice of [0, 1) is a lower bound on that tenant, and the
+// scan forward from it is about two steps on average, since m is at
+// least the tenant count.
+func (c *Cohort) pickTenant(mix int, u float64) int {
+	cum, guide := c.cum[mix], c.guide[mix]
+	// m is a power of two, so u*m is exact and truncates to u's slice.
+	i := int(guide[int(u*float64(len(guide)))])
+	for i < len(cum)-1 && cum[i] < u {
+		i++
+	}
+	return i
+}
+
 // ownerOf returns the party owning a row index, or -1 outside every span.
+// Spans tile the footprint, so the row's bucket names the first candidate
+// and the owner is at most the spans starting inside that bucket away.
 func (c *Cohort) ownerOf(row int) int {
-	r := int32(row)
-	if len(c.spanLo) == 0 || r < c.spanLo[0] || r >= c.spanHi[len(c.spanHi)-1] {
+	off := row - c.baseRow
+	if off < 0 || off >= c.footprint {
 		return -1
 	}
-	lo, hi := 0, len(c.spanLo)-1
-	for lo < hi {
-		mid := (lo + hi + 1) / 2
-		if c.spanLo[mid] <= r {
-			lo = mid
-		} else {
-			hi = mid - 1
-		}
+	t := int(c.owner[off>>c.ownerShift])
+	for int(c.spanHi[t]) <= row {
+		t++
 	}
-	if r < c.spanHi[lo] {
-		return lo
-	}
-	return -1
+	return t
 }
 
 // OnActivate implements engine.Attributor: credit the activation to the
@@ -372,20 +449,26 @@ func (c *Cohort) OnActivate(bank, row int) {
 }
 
 // OnRefresh implements engine.Attributor: split an inclusive victim-row
-// range across the owners it overlaps.
+// range across the owners it overlaps. Rows outside the footprint count
+// once each toward the unowned total, in one step per side.
 func (c *Cohort) OnRefresh(bank, lo, hi int) {
-	for row := lo; row <= hi; {
-		t := c.ownerOf(row)
-		if t < 0 {
-			// Outside every span: skip to the next span start (or done).
-			c.otherRef++
-			row++
-			continue
-		}
-		end := int(c.spanHi[t]) - 1
-		if hi < end {
-			end = hi
-		}
+	if lo > hi {
+		return
+	}
+	if first := c.baseRow; lo < first {
+		c.otherRef += int64(min(hi, first-1) - lo + 1)
+		lo = first
+	}
+	if end := c.baseRow + c.footprint; hi >= end {
+		c.otherRef += int64(hi - max(lo, end) + 1)
+		hi = end - 1
+	}
+	if lo > hi {
+		return
+	}
+	// Spans tile the footprint, so the range's owners are consecutive.
+	for t, row := c.ownerOf(lo), lo; row <= hi; t++ {
+		end := min(int(c.spanHi[t])-1, hi)
 		c.refreshed[t] += int64(end - row + 1)
 		row = end + 1
 	}

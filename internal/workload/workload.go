@@ -2,6 +2,7 @@ package workload
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strings"
 
@@ -67,6 +68,20 @@ func (c Config) String() string {
 	fmt.Fprintf(&b, "src=%d,req=%d|%s|%s", c.Sources, c.Requests, c.Arrival, c.Cohort)
 	return b.String()
 }
+
+// Equal reports whether c and d have the same String form, without
+// formatting either: defaults resolved, floats compared by bits, the
+// attacker by value and diurnal phases element by element. As in String,
+// an arrival field the spec's kind does not use is ignored. Run contexts
+// use it to decide whether a built runtime serves the next run.
+func (c Config) Equal(d Config) bool {
+	c, d = c.withDefaults(), d.withDefaults()
+	return c.Name == d.Name && c.Sources == d.Sources && c.Requests == d.Requests &&
+		c.Arrival.equal(d.Arrival) && c.Cohort.equal(d.Cohort)
+}
+
+// sameBits reports whether two floats print alike under %g: equal bits.
+func sameBits(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
 
 // Source couples one arrival process with the shared cohort; it is the
 // engine-facing open-loop stream (engine.OpenSource).

@@ -384,6 +384,87 @@ func TestConfigStringCanonicalAndPure(t *testing.T) {
 	}
 }
 
+// TestConfigEqualMatchesString checks Equal against the canonical form it
+// stands in for: two configs are Equal exactly when their String forms
+// match. Each pair differs in one field, with defaults spelled out on one
+// side and left implicit on the other, or in a field String ignores.
+func TestConfigEqualMatchesString(t *testing.T) {
+	bursty := Config{Name: "ol-bursty", Requests: 100,
+		Arrival: ArrivalSpec{Kind: Bursty, RateRPS: 1e8},
+		Cohort:  CohortSpec{Tenants: 10, Attacker: &AttackerSpec{Fraction: 0.1}},
+	}
+	diurnal := Config{Requests: 100,
+		Arrival: ArrivalSpec{Kind: Diurnal, Phases: []Phase{
+			{RateRPS: 2e8, DurationNS: 1000, Mix: MixPeak},
+			{RateRPS: 0, DurationNS: 500},
+		}},
+		Cohort: CohortSpec{Tenants: 10},
+	}
+	poisson := Config{Requests: 100, Arrival: ArrivalSpec{Kind: Poisson, RateRPS: 1e8}, Cohort: CohortSpec{Tenants: 10}}
+	edit := func(c Config, f func(*Config)) Config {
+		c.Arrival.Phases = append([]Phase(nil), c.Arrival.Phases...)
+		if c.Cohort.Attacker != nil {
+			a := *c.Cohort.Attacker
+			c.Cohort.Attacker = &a
+		}
+		f(&c)
+		return c
+	}
+	for _, tc := range []struct {
+		name string
+		a    Config
+		edit func(*Config)
+		want bool
+	}{
+		{"copy", bursty, func(c *Config) {}, true},
+		{"sources default", bursty, func(c *Config) { c.Sources = 1 }, true},
+		{"sources", bursty, func(c *Config) { c.Sources = 2 }, false},
+		{"name", bursty, func(c *Config) { c.Name = "" }, false},
+		{"requests", bursty, func(c *Config) { c.Requests = 101 }, false},
+		{"kind", bursty, func(c *Config) { c.Arrival.Kind = Poisson }, false},
+		{"rate", bursty, func(c *Config) { c.Arrival.RateRPS = 2e8 }, false},
+		{"duty default", bursty, func(c *Config) { c.Arrival.OnFrac = 0.25 }, true},
+		{"duty", bursty, func(c *Config) { c.Arrival.OnFrac = 0.5 }, false},
+		{"burst default", bursty, func(c *Config) { c.Arrival.MeanBurstNS = 50_000 }, true},
+		{"burst", bursty, func(c *Config) { c.Arrival.MeanBurstNS = 60_000 }, false},
+		{"poisson ignores duty", poisson, func(c *Config) { c.Arrival.OnFrac = 0.5 }, true},
+		{"poisson ignores phases", poisson, func(c *Config) { c.Arrival.Phases = diurnal.Arrival.Phases }, true},
+		{"tenants", bursty, func(c *Config) { c.Cohort.Tenants = 11 }, false},
+		{"zipf default", bursty, func(c *Config) { c.Cohort.ZipfS = 1.1 }, true},
+		{"zipf", bursty, func(c *Config) { c.Cohort.ZipfS = 1.2 }, false},
+		{"footprint default", bursty, func(c *Config) { c.Cohort.FootprintFrac = 0.5 }, true},
+		{"footprint", bursty, func(c *Config) { c.Cohort.FootprintFrac = 0.25 }, false},
+		{"write default", bursty, func(c *Config) { c.Cohort.WriteFrac = 0.3 }, true},
+		{"write", bursty, func(c *Config) { c.Cohort.WriteFrac = 0.4 }, false},
+		{"row skew default", bursty, func(c *Config) { c.Cohort.RowSkew = 3 }, true},
+		{"row skew", bursty, func(c *Config) { c.Cohort.RowSkew = 2 }, false},
+		{"no attacker", bursty, func(c *Config) { c.Cohort.Attacker = nil }, false},
+		{"attacker fraction", bursty, func(c *Config) { c.Cohort.Attacker.Fraction = 0.2 }, false},
+		{"attacker kernel", bursty, func(c *Config) { c.Cohort.Attacker.Kernel = 2 }, false},
+		{"attacker mode", bursty, func(c *Config) { c.Cohort.Attacker.Mode = trace.Light }, false},
+		{"attacker pattern", bursty, func(c *Config) { c.Cohort.Attacker.Pattern = trace.PatternManySided }, false},
+		{"phases copy", diurnal, func(c *Config) {}, true},
+		{"base mix spelled out", diurnal, func(c *Config) { c.Arrival.Phases[1].Mix = MixBase }, true},
+		{"phase mix", diurnal, func(c *Config) { c.Arrival.Phases[1].Mix = MixFlat }, false},
+		{"phase rate", diurnal, func(c *Config) { c.Arrival.Phases[0].RateRPS = 3e8 }, false},
+		{"phase rate sign", diurnal, func(c *Config) { c.Arrival.Phases[1].RateRPS = math.Copysign(0, -1) }, false},
+		{"phase duration", diurnal, func(c *Config) { c.Arrival.Phases[1].DurationNS = 600 }, false},
+		{"phase count", diurnal, func(c *Config) { c.Arrival.Phases = c.Arrival.Phases[:1] }, false},
+	} {
+		b := edit(tc.a, tc.edit)
+		sameString := tc.a.String() == b.String()
+		if sameString != tc.want {
+			t.Fatalf("%s: String forms %q and %q: equal = %v, want %v", tc.name, tc.a, b, sameString, tc.want)
+		}
+		if got := tc.a.Equal(b); got != tc.want {
+			t.Errorf("%s: Equal = %v, want %v (String forms %q and %q)", tc.name, got, tc.want, tc.a, b)
+		}
+		if got := b.Equal(tc.a); got != tc.want {
+			t.Errorf("%s: Equal is not symmetric", tc.name)
+		}
+	}
+}
+
 func TestBuildSplitsBudgetAndRate(t *testing.T) {
 	geom, policy := testGeomPolicy(t)
 	cfg := Config{Sources: 3, Requests: 10,
