@@ -55,7 +55,8 @@ race-server:
 # Fuzz smoke: each parser that takes outside input (trace containers, the
 # scheme-spec, geometry and arrival grammars, catsim-server job bodies and
 # snapshots), plus the protection oracle against its dense reference
-# (FuzzOracleMatchesRef), fuzzed for a fixed budget.
+# (FuzzOracleMatchesRef) and the recorded-stream word format
+# (FuzzRecordRoundTrip), fuzzed for a fixed budget.
 # go test -fuzz accepts one package and one target per invocation.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzReadContainer$$' -fuzztime=10s ./internal/trace
@@ -65,6 +66,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzParseArrival$$' -fuzztime=10s ./internal/workload
 	$(GO) test -run '^$$' -fuzz '^FuzzJobRequest$$' -fuzztime=10s ./internal/server
 	$(GO) test -run '^$$' -fuzz '^FuzzReadSnapshot$$' -fuzztime=10s ./internal/server
+	$(GO) test -run '^$$' -fuzz '^FuzzRecordRoundTrip$$' -fuzztime=10s ./internal/sim
 
 # The end-to-end benchmark (bench/catbench) is its own Go module, so
 # ./... never vets or tests it; do both here (race detector on).

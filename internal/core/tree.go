@@ -84,12 +84,10 @@ func NewTree(cfg Config) (*Tree, error) {
 
 // rebuild restores the pre-split uniform tree with zeroed counters.
 func (t *Tree) rebuild() {
-	for i := 0; i < t.maxUsed; i++ {
-		t.state[i] = slotAbsent
-		t.value[i] = 0
-		t.thIdx[i] = 0
-		t.weight[i] = 0
-	}
+	clear(t.state[:t.maxUsed]) // slotAbsent
+	clear(t.value[:t.maxUsed])
+	clear(t.thIdx[:t.maxUsed])
+	clear(t.weight[:t.maxUsed])
 	t.order = t.order[:0]
 	t.nCtrs = 0
 	t.full = false

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"errors"
 	"fmt"
 	"sync"
 
@@ -14,45 +13,18 @@ import (
 // g's progress line from its results, written as soon as groups 0..g have
 // all completed. A nil line runs without progress. Call after fill.
 //
-// Cells that share closed-loop request streams replay one recording of
-// them (see streamMemo) and run stream-key-major, not in cell order, so a
-// grid whose groups each span every workload prints its progress lines
-// together when the grid ends: the same bytes in the same order.
+// The engine runs cells stream-key-major, not in cell order (see
+// runner.Engine.Grid), so a grid whose groups each span every workload
+// prints its progress lines together when the grid ends: the same bytes
+// in the same order.
 func (o *Options) grid(cells []runner.Cell, sizes []int, line func(g int, done []runner.CellResult) string) ([]runner.CellResult, error) {
-	var progress *progressGroups
-	if line != nil && o.Progress != nil && !o.Quiet {
-		progress = newProgressGroups(sizes, func(g int, done []runner.CellResult) {
-			fmt.Fprintf(o.Progress, "  %s\n", line(g, done))
-		})
-	}
-	return o.runGrid(cells, newStreamMemo(cells), progress)
-}
-
-// runGrid executes cells in the memo's order on one worker pool, with no
-// barrier between stream keys, and reassembles results, errors and
-// progress (nil for none) in cell order. Call after fill.
-func (o *Options) runGrid(cells []runner.Cell, m *streamMemo, progress *progressGroups) ([]runner.CellResult, error) {
 	e := o.engine()
-	results := make([]runner.CellResult, len(cells))
-	errs := make([]error, len(cells))
-	_, err := runner.Map(o.Context, o.Parallel, len(cells), func(k int) (struct{}, error) {
-		i := m.order[k]
-		c := cells[i]
-		if !e.Cached(c) {
-			c.Stream = m.acquire(i, c.Config)
-		}
-		r, err := e.RunCell(c)
-		m.release(i)
-		if progress != nil {
-			progress.done(i, r, err)
-		}
-		if err != nil {
-			errs[i] = fmt.Errorf("%s: %w", c.Tag, err)
-		}
-		results[i] = r
-		return struct{}{}, nil
-	})
-	return results, errors.Join(append(errs, err)...)
+	if line != nil && o.Progress != nil && !o.Quiet {
+		e.OnCell = newProgressGroups(sizes, func(g int, done []runner.CellResult) {
+			fmt.Fprintf(o.Progress, "  %s\n", line(g, done))
+		}).done
+	}
+	return e.Grid(o.Context, cells)
 }
 
 // barMeans returns the mean CMRPO and ETO of each run of n consecutive

@@ -5,7 +5,9 @@
 // byte-identical at any parallelism; grids honour context cancellation and
 // aggregate per-cell errors instead of stopping at the first one. A
 // memoizing Cache (see cache.go) deduplicates shared runs, most notably
-// the KindNone baselines that every paired cell re-derives.
+// the KindNone baselines that every paired cell re-derives, and a grid
+// draws each request stream that several of its cells share once (see
+// streams.go).
 package runner
 
 import (
@@ -36,7 +38,8 @@ type Engine struct {
 	// OnCell, when non-nil, is called after every cell completes
 	// (successfully or with err set, in which case r is zero), from
 	// whichever worker ran it. Callbacks sharing state must synchronise
-	// themselves; completion order is scheduling-dependent.
+	// themselves; completion order is stream-key-major (see Grid) and
+	// scheduling-dependent.
 	OnCell func(i int, r CellResult, err error)
 }
 
@@ -51,11 +54,6 @@ type Cell struct {
 	// sim.RunPair. Baselines are shared through the cache across every
 	// cell (and figure) that needs them.
 	Pair bool
-	// Stream, when non-nil, is a recording of Config's closed-loop request
-	// streams (sim.Recording): the cell's run and its baseline replay it
-	// instead of generating the streams. Results are identical, and the
-	// cache keys on Config alone.
-	Stream *sim.Recording
 }
 
 // CellResult is the measured outcome of one cell.
@@ -70,17 +68,40 @@ type CellResult struct {
 // are attempted even when some fail; the returned error joins every
 // per-cell failure, each prefixed with its tag. A cancelled context stops
 // dispatching new cells and surfaces the context error.
+//
+// Cells run stream-key-major, not in cell order: the cells that draw the
+// same closed-loop request streams (sim.SameStream) are dispatched
+// together, and the first of them with a run to execute records the
+// streams once (sim.Recording), which every run of the key, paired
+// baselines included, then replays instead of generating and decoding
+// them again. Results are identical either way.
 func (e *Engine) Grid(ctx context.Context, cells []Cell) ([]CellResult, error) {
-	return Map(ctx, e.Parallel, len(cells), func(i int) (CellResult, error) {
-		r, err := e.RunCell(cells[i])
+	return e.grid(ctx, cells, newStreamMemo(cells))
+}
+
+// grid is Grid with the stream memo m built over cells.
+func (e *Engine) grid(ctx context.Context, cells []Cell, m *streamMemo) ([]CellResult, error) {
+	results := make([]CellResult, len(cells))
+	errs := make([]error, len(cells))
+	_, err := Map(ctx, e.Parallel, len(cells), func(k int) (struct{}, error) {
+		i := m.order[k]
+		c := cells[i]
+		var rec *sim.Recording
+		if !e.cached(c) {
+			rec = m.acquire(i, c.Config)
+		}
+		r, err := e.runCell(c, rec)
+		m.release(i)
 		if e.OnCell != nil {
 			e.OnCell(i, r, err)
 		}
 		if err != nil {
-			return CellResult{}, fmt.Errorf("%s: %w", cells[i].Tag, err)
+			errs[i] = fmt.Errorf("%s: %w", c.Tag, err)
 		}
-		return r, nil
+		results[i] = r
+		return struct{}{}, nil
 	})
+	return results, errors.Join(append(errs, err)...)
 }
 
 // baselineConfig derives the KindNone baseline run for a paired cell:
@@ -98,17 +119,17 @@ func eto(scheme, baseline sim.Result) float64 {
 	return (scheme.ExecNS - baseline.ExecNS) / baseline.ExecNS
 }
 
-// RunCell executes one cell — its run and, for a paired cell, its
-// baseline, both replaying c.Stream when set — through the engine's
+// runCell executes one cell — its run and, for a paired cell, its
+// baseline, both replaying rec when it is set — through the engine's
 // context pool and cache.
-func (e *Engine) RunCell(c Cell) (CellResult, error) {
-	res, err := e.run(c.Config, c.Stream)
+func (e *Engine) runCell(c Cell, rec *sim.Recording) (CellResult, error) {
+	res, err := e.run(c.Config, rec)
 	if err != nil {
 		return CellResult{}, err
 	}
 	out := CellResult{Tag: c.Tag, Result: res}
 	if c.Pair {
-		baseline, err := e.run(baselineConfig(c.Config), c.Stream)
+		baseline, err := e.run(baselineConfig(c.Config), rec)
 		if err != nil {
 			return CellResult{}, fmt.Errorf("baseline: %w", err)
 		}
@@ -151,9 +172,9 @@ func (e *Engine) run(cfg sim.Config, rec *sim.Recording) (sim.Result, error) {
 	return e.Cache.RunWith(cfg, run)
 }
 
-// Cached reports whether the cache already holds, or is computing, every
+// cached reports whether the cache already holds, or is computing, every
 // run cell c needs, so executing c draws no request streams.
-func (e *Engine) Cached(c Cell) bool {
+func (e *Engine) cached(c Cell) bool {
 	if e.Cache == nil || !e.Cache.has(c.Config) {
 		return false
 	}

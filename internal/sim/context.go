@@ -173,7 +173,7 @@ func (ctx *Context) Run(cfg Config) (Result, error) { return ctx.RunRecorded(cfg
 // RunRecorded is Run with cfg's closed-loop request streams replayed from
 // rec instead of generated; the Result is identical. rec must have been
 // recorded for cfg's stream identity (see Recording), and the run must be
-// Recordable. A nil rec, or one whose streams did not fit packed records,
+// Recordable. A nil rec, or one whose streams did not fit packed words,
 // generates the streams as Run does.
 func (ctx *Context) RunRecorded(cfg Config, rec *Recording) (Result, error) {
 	cfg.fill()
